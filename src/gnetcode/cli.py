@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"seed for sampled checks (default {DEFAULT_SEED})")
     parser.add_argument("--budget", type=int, default=None,
                         help="override the enumeration pair budget")
-    parser.add_argument("--parallelism", type=int, default=1,
-                        help="engine parallelism degree (reserved; results are "
-                             "deterministic regardless)")
     parser.add_argument("--format", choices=("text", "structured"), default="text",
                         help="output format (structured = JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_channel(args) -> tuple[Channel, str]:
     if args.toy_example:
         budget = args.budget
-        return (toy_channel(pair_budget=budget) if budget else toy_channel(),
+        return (toy_channel(pair_budget=budget) if budget is not None else toy_channel(),
                 "toy-example")
     text = Path(args.config).read_text()
     ch = channel_from_config(text, pair_budget=args.budget)
@@ -96,8 +93,10 @@ def _parse_received(ch: Channel, text: str):
 def _run(args) -> tuple[dict, str, int]:
     """Returns (report payload, text rendering, exit code)."""
     ch, source = _load_channel(args)
+    # "parallelism" is fixed at 1 (the engine is single-process); the payload
+    # digests recorded in perfbench/expected.json still include the key
     payload = {"command": args.command, "source": source, "seed": args.seed,
-               "parallelism": args.parallelism}
+               "parallelism": 1}
     code = 0
 
     if args.command == "distances":
@@ -150,9 +149,6 @@ def _run(args) -> tuple[dict, str, int]:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.parallelism < 1:
-        print("error: --parallelism must be >= 1", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     try:
         payload, text, code = _run(args)

@@ -1,11 +1,11 @@
 """Minimum weight decoding and code capability classification.
 
-The minimum weight decoder collects every (codeword, error) solution of
-F(x, z) = y; if all minimum-weight solutions share one codeword it decodes
-to it, otherwise (including when no solution exists, possible for
-non-surjective table channels) it declares a detection.  The bounded
-variant MWD(c) decodes inside pairwise disjoint radius-c balls and is only
-defined when those balls are disjoint.
+The minimum weight decoder folds the codewords' reach maps (see
+:mod:`gnetcode.distances`) into one index, y -> the least error weight and
+the codewords attaining it.  It decodes to a sole such codeword, otherwise
+(also when no solution exists, possible for non-surjective table channels)
+declares a detection.  The bounded variant MWD(c) decodes inside pairwise
+disjoint radius-c balls and is only defined when those balls are disjoint.
 
 An error z is correctable when the minimum weight decoder returns the
 transmitted codeword for every transmission; it is detectable when the
@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import Channel
-from .distances import _ball, _d2_refined_by_index, minimum_distances, is_finite
+from .distances import (_ball, _d2_refined_by_index, _reach, minimum_distances,
+                        is_finite)
 
 
 class InvalidDecoderError(ValueError):
@@ -53,10 +54,8 @@ def _solution_index(ch: Channel) -> dict:
     index = ch._cache.get("solution_index")
     if index is None:
         index = {}
-        errors = ch._errors_by_weight()
-        for xi, x in enumerate(ch.codewords):
-            row = ch._transfer_row(x)
-            for (z, w), y in zip(errors, row):
+        for xi in range(len(ch.codewords)):
+            for y, w in _reach(ch, xi).items():
                 best = index.get(y)
                 if best is None or w < best[0]:
                     index[y] = (w, {xi})
@@ -105,10 +104,10 @@ def is_correctable(ch: Channel, z) -> bool:
     """Does minimum weight decoding recover every transmission under z?"""
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
-    for x in ch.codewords:
-        if mwd(ch, ch._transfer(x, z)).codeword != x:
-            return False
-    return True
+    # F(x, z) is reachable from x, so MWD returns x iff x alone attains it
+    index = _solution_index(ch)
+    return all(index[ch._transfer(x, z)][1] == {xi}
+               for xi, x in enumerate(ch.codewords))
 
 
 def is_detectable(ch: Channel, z) -> bool:

@@ -19,9 +19,14 @@ such distances are reported as the distinguished value :data:`INFINITE`
 propagates through minima, and the thresholds tau = floor((d0+1)/2) and
 cstar = floor(d0/2) are undefined for it.
 
-Balls are built incrementally by weight shell and memoized per channel;
-the test suite anchors this engine against a cache-free brute-force
-oracle.
+The engine stores, per codeword x_i, its reach map y -> W_i(y) =
+min{wt(z) : F(x_i, z) = y}, and per ordered pair (i, j) the meet table
+m[c], c = 0..w_max: the least radius of x_j's ball meeting x_i's radius-c
+ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
+d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
+that m is), and d0 = min of c + max(m[c], c-1) over the c with
+m[c] <= c+1.  All three are memoized per channel; the test suite anchors
+this engine against a cache-free brute-force oracle.
 """
 
 from __future__ import annotations
@@ -55,39 +60,52 @@ def _cw_index(ch: Channel, x) -> int:
         raise ValueError(f"{x!r} is not a codeword of this channel") from None
 
 
-def _ball(ch: Channel, xi: int, c: int) -> frozenset:
-    """Members of the radius-c ball around codeword index xi (memoized).
+def _reach(ch: Channel, xi: int) -> dict:
+    """Received word -> least error weight reaching it from codeword xi.
 
-    Cumulative sets are grown one weight shell at a time, so asking for a
-    larger radius only pays for the new shells.
+    Errors come in nondecreasing weight, so the first weight seen is least.
     """
+    store = ch._cache.setdefault("reach", {})
+    reach = store.get(xi)
+    if reach is None:
+        reach = {}
+        for (_, w), y in zip(ch._errors_by_weight(),
+                             ch._transfer_row(ch.codewords[xi])):
+            reach.setdefault(y, w)
+        store[xi] = reach
+    return reach
+
+
+def _meet(ch: Channel, i: int, j: int) -> list:
+    """m[c], c = 0..w_max: least radius of j's ball meeting i's radius-c ball.
+
+    Least W_j over the words i reaches at exactly weight c, then a prefix
+    minimum over c.
+    """
+    store = ch._cache.setdefault("meet", {})
+    m = store.get((i, j))
+    if m is None:
+        m = [INFINITE] * (ch.w_max + 1)
+        reach_j = _reach(ch, j)
+        for y, w in _reach(ch, i).items():
+            wj = reach_j.get(y, INFINITE)
+            if wj < m[w]:
+                m[w] = wj
+        for c in range(1, len(m)):
+            m[c] = min(m[c], m[c - 1])
+        store[i, j] = m
+    return m
+
+
+def _ball(ch: Channel, xi: int, c: int) -> frozenset:
+    """Members of the radius-c ball around codeword index xi (memoized)."""
     c = min(c, ch.w_max)
     store = ch._cache.setdefault("balls", {})
-    cum = store.get(xi)
-    if cum is None:
-        cum = []
-        store[xi] = cum
-    if len(cum) > c:
-        return cum[c]
-    errors = ch._errors_by_weight()
-    row = ch._transfer_row(ch.codewords[xi])
-    bounds = ch._cache.get("weight_bounds")
-    if bounds is None:
-        # first index whose weight exceeds w, for each w
-        bounds = []
-        pos = 0
-        for w in range(ch.w_max + 1):
-            while pos < len(errors) and errors[pos][1] <= w:
-                pos += 1
-            bounds.append(pos)
-        ch._cache["weight_bounds"] = bounds
-    members = set(cum[-1]) if cum else set()
-    start = bounds[len(cum) - 1] if cum else 0
-    for w in range(len(cum), c + 1):
-        members.update(row[start:bounds[w]])
-        start = bounds[w]
-        cum.append(frozenset(members))
-    return cum[c]
+    ball = store.get((xi, c))
+    if ball is None:
+        ball = frozenset(y for y, w in _reach(ch, xi).items() if w <= c)
+        store[xi, c] = ball
+    return ball
 
 
 def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
@@ -104,18 +122,9 @@ def dist_d0(ch: Channel, x1, x2):
 
 
 def _d0_by_index(ch: Channel, i1: int, i2: int):
-    if i1 == i2:
-        return 0
-    wm = ch.w_max
-    for s in range(2 * wm + 1):
-        c1, c2 = (s + 1) // 2, s // 2
-        if c1 > wm:
-            break
-        if _ball(ch, i1, c1) & _ball(ch, i2, c2):
-            return s
-        if c1 != c2 and _ball(ch, i1, c2) & _ball(ch, i2, c1):
-            return s
-    return INFINITE
+    # x2's least meeting radius within c-1..c+1 is max(m[c], c-1) if m[c] <= c+1
+    return min((c + max(r, c - 1) for c, r in enumerate(_meet(ch, i1, i2))
+                if r <= c + 1), default=INFINITE)
 
 
 def dist_d1(ch: Channel, x1, x2):
@@ -124,11 +133,7 @@ def dist_d1(ch: Channel, x1, x2):
 
 
 def _d1_by_index(ch: Channel, i1: int, i2: int):
-    target = ch.zero_output(ch.codewords[i1])
-    for c in range(ch.w_max + 1):
-        if target in _ball(ch, i2, c):
-            return c
-    return INFINITE
+    return _reach(ch, i2).get(ch.zero_output(ch.codewords[i1]), INFINITE)
 
 
 def dist_d2(ch: Channel, x1, x2):
@@ -137,14 +142,7 @@ def dist_d2(ch: Channel, x1, x2):
 
 
 def _d2_by_index(ch: Channel, i1: int, i2: int):
-    if i1 == i2:
-        return 0
-    wm = ch.w_max
-    for s in range(2 * wm + 1):
-        for c1 in range(max(0, s - wm), min(s, wm) + 1):
-            if _ball(ch, i1, c1) & _ball(ch, i2, s - c1):
-                return s
-    return INFINITE
+    return min(c + r for c, r in enumerate(_meet(ch, i1, i2)))
 
 
 def dist_d2_refined(ch: Channel, x1, x2, c: int):
@@ -155,11 +153,7 @@ def dist_d2_refined(ch: Channel, x1, x2, c: int):
 
 
 def _d2_refined_by_index(ch: Channel, i1: int, i2: int, c: int):
-    left = _ball(ch, i1, c)
-    for cp in range(ch.w_max - min(c, ch.w_max) + 1):
-        if left & _ball(ch, i2, c + cp):
-            return cp
-    return INFINITE
+    return max(0, _meet(ch, i1, i2)[min(c, ch.w_max)] - c)  # stays infinite
 
 
 def tau_and_cstar(ch: Channel, x1, x2) -> tuple[int, int]:

@@ -143,6 +143,19 @@ def _validate_and_order(spec: NetworkSpec, q: int):
     return program, sink_inputs, len(source_out)
 
 
+def _evaluator(program, sink_inputs, nedges: int, add_table):
+    """The network's transfer (x, z) -> sink symbols, on raw symbol tables."""
+
+    def transfer(x, z):
+        sym = [0] * nedges
+        for ei, coord, table, ins in program:
+            base = x[coord] if table is None else table[tuple(sym[i] for i in ins)]
+            sym[ei] = add_table[base][z[ei]]
+        return tuple(sym[i] for i in sink_inputs)
+
+    return transfer
+
+
 def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                     pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
     """Compile a network into a channel over F_q^|E| with Hamming errors."""
@@ -154,15 +167,7 @@ def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                 f"codeword {x!r} must assign one symbol to each of the "
                 f"{m} source out-edges")
     nedges = len(spec.edges)
-    add = net_field.add_table
-
-    def transfer(x, z):
-        sym = [0] * nedges
-        for ei, coord, table, ins in program:
-            base = x[coord] if table is None else table[tuple(sym[i] for i in ins)]
-            sym[ei] = add[base][z[ei]]
-        return tuple(sym[i] for i in sink_inputs)
-
+    transfer = _evaluator(program, sink_inputs, nedges, net_field.add_table)
     errors = ErrorModel(VectorSpace(net_field, nedges), WeightMeasure(HAMMING))
     outputs = VectorSpace(net_field, len(sink_inputs))
     return Channel(net_field, codewords, errors, outputs, transfer,
@@ -215,15 +220,11 @@ def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
         raise BudgetError("matrix agreement check exceeds the pair budget")
     msg_space = VectorSpace(net_field, m)
     err_space = VectorSpace(net_field, nedges)
-    add = net_field.add_table
+    evaluate = _evaluator(program, sink_inputs, nedges, net_field.add_table)
     for x in msg_space.elements():
         xf = mx.vec_mat_mul(net_field, x, f_st)
         for z in err_space.elements():
-            sym = [0] * nedges
-            for ei, coord, table, ins in program:
-                base = x[coord] if table is None else table[tuple(sym[i] for i in ins)]
-                sym[ei] = add[base][z[ei]]
-            direct = tuple(sym[i] for i in sink_inputs)
+            direct = evaluate(x, z)
             linear = mx.vec_add(net_field, xf, mx.vec_mat_mul(net_field, z, h_t))
             if direct != linear:
                 raise AssertionError(  # pragma: no cover - internal consistency

@@ -131,10 +131,9 @@ def test_invalid_bounded_radius(capsys, tmp_path):
     assert code == 2 and "intersect" in err
 
 
-def test_parallelism_validation(capsys):
-    code, _, err = run_cli(capsys, "--toy-example", "--parallelism", "0",
-                           "distances")
-    assert code == 2
+def test_toy_budget_honoured(capsys):
+    code, _, err = run_cli(capsys, "--toy-example", "--budget", "0", "classify")
+    assert code == 2 and "budget" in err
 
 
 def test_verify_fails_on_corrupted_engine(capsys, monkeypatch):

@@ -152,7 +152,7 @@ def test_mwd_matches_naive_oracle(repetition):
     import itertools
     import random
     from gnetcode import Field, random_table_channel
-    from oracles import naive_mwd
+    from oracles import naive_ball, naive_mwd
 
     channels = [repetition, single_edge_channel(), disjoint_images_channel()]
     rng = random.Random(31)
@@ -162,5 +162,18 @@ def test_mwd_matches_naive_oracle(repetition):
     for ch in channels:
         q = ch.field.q
         n = len(ch.zero_output(ch.codewords[0]))
-        for y in itertools.product(range(q), repeat=n):
+        words = list(itertools.product(range(q), repeat=n))
+        for y in words:
             assert mwd(ch, y).codeword == naive_mwd(ch, y)
+        # MWD(c) by definition: defined only when the radius-c balls are
+        # pairwise disjoint, then y decodes to the codeword whose ball holds it
+        for c in range(ch.w_max + 2):
+            balls = {x: naive_ball(ch, x, c) for x in ch.codewords}
+            if any(balls[a] & balls[b] for a in ch.codewords
+                   for b in ch.codewords if a != b):
+                with pytest.raises(InvalidDecoderError):
+                    mwd_bounded(ch, c, words[0])
+                continue
+            for y in words:
+                owner = next((x for x in ch.codewords if y in balls[x]), None)
+                assert mwd_bounded(ch, c, y).codeword == owner

@@ -159,8 +159,8 @@ def assert_engine_matches_oracle(ch):
         assert report.d0[i, j] == naive_d0(ch, x1, x2)
         assert report.d1[i, j] == naive_d1(ch, x1, x2)
         assert report.d2[i, j] == naive_d2(ch, x1, x2)
-        hi = report.tau[i, j] if report.tau[i, j] is not None else 1
-        for c in range(hi + 1):
+        # the ledger reads d2[c] beyond tau, so check every radius
+        for c in range(ch.w_max + 2):
             assert dist_d2_refined(ch, x1, x2, c) == naive_d2_refined(ch, x1, x2, c)
 
 
@@ -176,10 +176,11 @@ def test_engine_matches_oracle_small_channels(repetition):
             assert_engine_matches_oracle(ch)
 
 
-def test_ball_oracle_agreement(toy):
-    for x in toy.codewords:
-        for c in (0, 1, 2):
-            assert decoding_ball(toy, x, c).members == frozenset(naive_ball(toy, x, c))
+def test_ball_oracle_agreement(toy, repetition):
+    for ch in (toy, repetition, disjoint_images_channel()):
+        for x in ch.codewords:
+            for c in range(ch.w_max + 2):
+                assert decoding_ball(ch, x, c).members == frozenset(naive_ball(ch, x, c))
 
 
 def test_symmetry_of_d0_and_d2(toy, repetition, hamming_code_channel):
