@@ -175,6 +175,7 @@ class Channel:
         self._cache: dict = {}
         zero = errors.space.zero()
         seen: dict = {}
+        self._zero_outputs = {}
         for x in codewords:
             y = transfer(x, zero)
             if not outputs.contains(y):
@@ -184,7 +185,7 @@ class Channel:
                 raise ConstructionError(
                     f"codewords {seen[y]!r} and {x!r} collide at zero error (both map to {y!r})")
             seen[y] = x
-        self._zero_outputs = {x: transfer(x, zero) for x in codewords}
+            self._zero_outputs[x] = y
 
     # -- public surface ------------------------------------------------------
 

@@ -26,7 +26,7 @@ from pathlib import Path
 from .channel import Channel, BudgetError, ConstructionError, classify
 from .config import ConfigError, channel_from_config, config_digest
 from .network import toy_channel
-from .distances import minimum_distances, is_finite
+from .distances import minimum_distances
 from .decoder import capability, is_joint_correcting, mwd, mwd_bounded, InvalidDecoderError
 from .properties import run_all
 
@@ -71,14 +71,6 @@ def _load_channel(args) -> tuple[Channel, str]:
     text = Path(args.config).read_text()
     ch = channel_from_config(text, pair_budget=args.budget)
     return ch, f"config:{config_digest(text)}"
-
-
-def _fmt(value):
-    if value is True or value is False:
-        return value
-    if isinstance(value, float) and not is_finite(value):
-        return "infinite"
-    return value
 
 
 def _parse_received(ch: Channel, text: str):

@@ -111,6 +111,28 @@ def test_corrupted_report_fails_with_counterexample(toy):
     assert bad.counterexample is not None
 
 
+def test_decoder_checks_fail_on_inflated_minima(toy):
+    report = minimum_distances(toy)
+    inflated = dataclasses.replace(report, d0_min=7, d1_min=5)
+    verdicts = by_name(check_decoders(toy, inflated))
+    for name in ("half-distance-correctable", "under-min-detectable"):
+        assert verdicts[name].status == "fail", name
+        assert verdicts[name].counterexample is not None, name
+
+
+def test_metric_scans_a_corrupted_report_afresh(hamming_code_channel):
+    ch = hamming_code_channel
+    assert run_all(ch).passed
+    report = minimum_distances(ch)
+    d1 = dict(report.d1)
+    d1[0, 1] += 1
+    bumped = dataclasses.replace(report, d1=d1)
+    bad = check_metric(ch, "d1", bumped)
+    assert bad.symmetry.status == "fail"
+    assert bad.symmetry.counterexample is not None
+    assert check_metric(ch, "d1").all_pass
+
+
 def test_random_table_channels_regression():
     rng = random.Random(20240)
     for q in (2, 3):
