@@ -53,8 +53,7 @@ class VectorSpace:
         return itertools.product(range(self.field.q), repeat=self.length)
 
     def contains(self, v) -> bool:
-        return (isinstance(v, tuple) and len(v) == self.length
-                and all(isinstance(x, int) and 0 <= x < self.field.q for x in v))
+        return mx.is_element(self.field, v, self.shape)
 
     def add(self, u, v):
         return mx.vec_add(self.field, u, v)
@@ -94,9 +93,7 @@ class MatrixSpace:
             yield tuple(flat[i * self.cols:(i + 1) * self.cols] for i in range(self.rows))
 
     def contains(self, a) -> bool:
-        return (isinstance(a, tuple) and len(a) == self.rows
-                and all(isinstance(r, tuple) and len(r) == self.cols for r in a)
-                and all(isinstance(x, int) and 0 <= x < self.field.q for r in a for x in r))
+        return mx.is_element(self.field, a, self.shape)
 
     def add(self, a, b):
         return mx.mat_add(self.field, a, b)
@@ -257,6 +254,13 @@ def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
     error pair.  The linear verdict additionally requires the codeword set
     to form a subspace on which f is additive and scalar-homogeneous.
 
+    Both pair scans add on the field's raw table without re-checking their
+    operands, because every operand is already a valid element: each h(z)
+    comes out of the checked output subtraction, each f(x) was checked when
+    the channel was built, and the errors come from the space's own
+    enumeration.  The other transfer outputs are only compared, never
+    added.
+
     This classifies the transfer function only; the weight measure's side
     of the error-linearity hypotheses (subadditivity, inverse invariance,
     decomposability) is checked separately by
@@ -265,31 +269,27 @@ def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
     """
     budget = pair_budget if pair_budget is not None else ch.pair_budget
     out = ch.outputs
-    errs = ch.errors.space
-    x0 = ch.codewords[0]
-    base = ch.zero_output(x0)
+    out_add = mx.adder(ch.field, out.shape)
+    err_add = mx.adder(ch.field, ch.errors.space.shape)
+    base = ch.zero_output(ch.codewords[0])
     errors = [z for z, _ in ch._errors_by_weight()]
-    h = {}
-    row0 = ch._transfer_row(x0)
-    for z, y in zip(errors, row0):
-        h[z] = out.sub(y, base)
+    hs = [out.sub(y, base) for y in ch._transfer_row(ch.codewords[0])]
 
     # F(x, z) must equal f(x) + h(z) everywhere.
     for x in ch.codewords:
         fx = ch.zero_output(x)
-        row = ch._transfer_row(x)
-        for z, y in zip(errors, row):
-            if y != out.add(fx, h[z]):
+        for z, y, hz in zip(errors, ch._transfer_row(x), hs):
+            if y != out_add(fx, hz):
                 return ChannelClass(False, False, ("transfer-not-additive", x, z))
 
     # h must be a group homomorphism on the error space.
     if len(errors) * len(errors) > budget:
         raise BudgetError(
             f"homomorphism check needs {len(errors) ** 2} pairs, budget is {budget}")
-    for za in errors:
-        ha = h[za]
-        for zb in errors:
-            if h[errs.add(za, zb)] != out.add(ha, h[zb]):
+    h = dict(zip(errors, hs))
+    for za, ha in zip(errors, hs):
+        for zb, hb in zip(errors, hs):
+            if h[err_add(za, zb)] != out_add(ha, hb):
                 return ChannelClass(False, False, ("error-map-not-homomorphic", za, zb))
 
     linear, witness = _codeword_map_linear(ch)

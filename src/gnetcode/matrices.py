@@ -7,6 +7,8 @@ distance engines rely on for set membership.
 
 from __future__ import annotations
 
+import operator
+
 from .field import Field
 
 Vector = tuple[int, ...]
@@ -23,6 +25,18 @@ def identity(n: int) -> Matrix:
 
 def dims(a: Matrix) -> tuple[int, int]:
     return len(a), len(a[0]) if a else 0
+
+
+def is_element(f: Field, a, shape: tuple[int, ...]) -> bool:
+    """Is ``a`` a vector ``(n,)`` or matrix ``(rows, cols)`` over ``f``?"""
+    q = f.q
+    if len(shape) == 1:
+        return (isinstance(a, tuple) and len(a) == shape[0]
+                and all(isinstance(x, int) and 0 <= x < q for x in a))
+    rows, cols = shape
+    return (isinstance(a, tuple) and len(a) == rows
+            and all(isinstance(r, tuple) and len(r) == cols for r in a)
+            and all(isinstance(x, int) and 0 <= x < q for r in a for x in r))
 
 
 def vec_add(f: Field, u: Vector, v: Vector) -> Vector:
@@ -55,6 +69,25 @@ def mat_neg(f: Field, a: Matrix) -> Matrix:
 
 def mat_scale(f: Field, s: int, a: Matrix) -> Matrix:
     return tuple(vec_scale(f, s, r) for r in a)
+
+
+def adder(f: Field, shape: tuple[int, ...]):
+    """Unchecked ``a + b`` for vectors ``(n,)`` or matrices ``(rows, cols)``.
+
+    Adds straight through the field's addition table, without validating
+    symbols or lengths: the caller guarantees both operands are elements of
+    ``shape`` over ``f``.  Inner pair scans use it after checking their
+    inputs once at the boundary.
+    """
+    row = f.add_table.__getitem__
+    getitem = operator.getitem
+
+    def vec(a, b):
+        return tuple(map(getitem, map(row, a), b))
+
+    if len(shape) == 1:
+        return vec
+    return lambda a, b: tuple(map(vec, a, b))
 
 
 def mat_mul(f: Field, a: Matrix, b: Matrix) -> Matrix:

@@ -13,6 +13,7 @@ weight.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -197,26 +198,21 @@ class WeightMeasure:
 
 # -- axiom verification -----------------------------------------------------
 
-def _is_matrix(z) -> bool:
-    return bool(z) and isinstance(z[0], tuple)
-
-
-def err_add(f: Field, a, b):
-    return mx.mat_add(f, a, b) if _is_matrix(a) else mx.vec_add(f, a, b)
-
-
-def err_neg(f: Field, a):
-    return mx.mat_neg(f, a) if _is_matrix(a) else mx.vec_neg(f, a)
-
-
-def err_sub(f: Field, a, b):
-    return mx.mat_sub(f, a, b) if _is_matrix(a) else mx.vec_sub(f, a, b)
-
-
-def _zero_like(z):
-    if _is_matrix(z):
-        return mx.zeros(len(z), len(z[0]))
-    return (0,) * len(z)
+def _checked_shape(f: Field, elements: list) -> tuple[int, ...]:
+    """The shape of the first element; ValueError unless every element has it."""
+    if not elements:
+        raise ValueError("the weight axioms need at least one element")
+    first = elements[0]
+    if not isinstance(first, tuple):
+        raise ValueError(f"{first!r} is not a vector or matrix over {f}")
+    if first and isinstance(first[0], tuple):
+        shape, kind = (len(first), len(first[0])), f"{len(first)}x{len(first[0])} matrix"
+    else:
+        shape, kind = (len(first),), f"length-{len(first)} vector"
+    for z in elements:
+        if not mx.is_element(f, z, shape):
+            raise ValueError(f"{z!r} is not a {kind} over {f}")
+    return shape
 
 
 @dataclass(frozen=True)
@@ -243,14 +239,22 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
                          weight_fn=None) -> AxiomReport:
     """Check the weight axioms over the given error sample.
 
-    Pairwise checks run exhaustively unless ``pair_budget`` caps them, in
-    which case a seeded deterministic sample of pairs is used.  Failures
-    are reported, never raised.  A ``weight_fn`` override substitutes the
-    measured weight (useful as a negative control); decomposability is then
-    checked by brute-force existence search instead of the constructive
-    splitting.
+    Every element is validated once, on entry: each must be a vector or
+    matrix over ``f`` of the first element's shape, else ``ValueError``
+    (an empty sample raises too).  The pair scans then add on the field's
+    raw table.  Subadditivity runs over all pairs in row-major order (``a``
+    outer, ``b`` inner) unless ``pair_budget`` caps them; then
+    ``pair_budget`` pairs are drawn one at a time from
+    ``random.Random(seed)``.  Either way the witness is the first failing
+    pair.  Failures are reported, never raised.  A ``weight_fn`` override
+    substitutes the measured weight (useful as a negative control);
+    decomposability is then checked by brute-force existence search instead
+    of the constructive splitting.
     """
     elements = list(elements)
+    shape = _checked_shape(f, elements)
+    add = mx.adder(f, shape)
+    neg, sub = (mx.mat_neg, mx.mat_sub) if len(shape) == 2 else (mx.vec_neg, mx.vec_sub)
     raw = weight_fn if weight_fn is not None else (lambda z: measure.weight(f, z))
     cache: dict = {}
 
@@ -260,7 +264,7 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
             got = cache[z] = raw(z)
         return got
 
-    zero = _zero_like(elements[0])
+    zero = mx.zeros(*shape) if len(shape) == 2 else (0,) * shape[0]
 
     nonneg = AxiomCheck(True)
     for z in elements:
@@ -270,22 +274,22 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
             break
 
     n = len(elements)
+    weights = [w(z) for z in elements]
     if pair_budget is not None and n * n > pair_budget:
         rng = random.Random(seed)
-        pairs = [(elements[rng.randrange(n)], elements[rng.randrange(n)])
-                 for _ in range(pair_budget)]
+        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(pair_budget))
     else:
-        pairs = [(a, b) for a in elements for b in elements]
+        pairs = itertools.product(range(n), repeat=2)
 
     subadd = AxiomCheck(True)
-    for a, b in pairs:
-        if w(err_add(f, a, b)) > w(a) + w(b):
-            subadd = AxiomCheck(False, (a, b))
+    for i, j in pairs:
+        if w(add(elements[i], elements[j])) > weights[i] + weights[j]:
+            subadd = AxiomCheck(False, (elements[i], elements[j]))
             break
 
     inverse = AxiomCheck(True)
     for z in elements:
-        if w(err_neg(f, z)) != w(z):
+        if w(neg(f, z)) != w(z):
             inverse = AxiomCheck(False, (z,))
             break
 
@@ -298,9 +302,9 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
             c2 = wz - c1
             if weight_fn is None:
                 z1, z2 = measure.decompose(f, z, c1, c2)
-                ok = (w(z1) == c1 and w(z2) == c2 and err_add(f, z1, z2) == z)
+                ok = (w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z)
             else:
-                ok = any(w(z1) == c1 and w(err_sub(f, z, z1)) == c2 for z1 in elements)
+                ok = any(w(z1) == c1 and w(sub(f, z, z1)) == c2 for z1 in elements)
             if not ok:
                 decomp = AxiomCheck(False, (z, c1, c2))
                 break

@@ -6,7 +6,12 @@ early-exit cleverness beyond scanning candidate radii upward.  The engine
 must agree with these on every value.
 """
 
+import random
+
+from gnetcode import matrices as mx
+from gnetcode.channel import BudgetError, ChannelClass, _codeword_map_linear
 from gnetcode.distances import INFINITE
+from gnetcode.weights import AxiomCheck, AxiomReport
 
 
 def naive_ball(ch, x, c):
@@ -77,3 +82,116 @@ def naive_mwd(ch, y):
     if best_w is None or len(best_x) != 1:
         return None
     return next(iter(best_x))
+
+
+# -- the pair scans on checked field arithmetic ---------------------------------
+
+def _is_matrix(z):
+    return bool(z) and isinstance(z[0], tuple)
+
+
+def err_add(f, a, b):
+    return mx.mat_add(f, a, b) if _is_matrix(a) else mx.vec_add(f, a, b)
+
+
+def err_neg(f, a):
+    return mx.mat_neg(f, a) if _is_matrix(a) else mx.vec_neg(f, a)
+
+
+def err_sub(f, a, b):
+    return mx.mat_sub(f, a, b) if _is_matrix(a) else mx.vec_sub(f, a, b)
+
+
+def naive_weight_axioms(f, elements, measure, pair_budget=None, seed=0, weight_fn=None):
+    """The weight axioms on checked arithmetic, with every pair materialized
+    up front (the seeded sample draws a then b for each pair)."""
+    elements = list(elements)
+    raw = weight_fn if weight_fn is not None else (lambda z: measure.weight(f, z))
+    cache = {}
+
+    def w(z):
+        got = cache.get(z)
+        if got is None:
+            got = cache[z] = raw(z)
+        return got
+
+    first = elements[0]
+    zero = mx.zeros(len(first), len(first[0])) if _is_matrix(first) else (0,) * len(first)
+
+    nonneg = AxiomCheck(True)
+    for z in elements:
+        wz = w(z)
+        if wz < 0 or (wz == 0) != (z == zero):
+            nonneg = AxiomCheck(False, (z, wz))
+            break
+
+    n = len(elements)
+    if pair_budget is not None and n * n > pair_budget:
+        rng = random.Random(seed)
+        pairs = [(elements[rng.randrange(n)], elements[rng.randrange(n)])
+                 for _ in range(pair_budget)]
+    else:
+        pairs = [(a, b) for a in elements for b in elements]
+
+    subadd = AxiomCheck(True)
+    for a, b in pairs:
+        if w(err_add(f, a, b)) > w(a) + w(b):
+            subadd = AxiomCheck(False, (a, b))
+            break
+
+    inverse = AxiomCheck(True)
+    for z in elements:
+        if w(err_neg(f, z)) != w(z):
+            inverse = AxiomCheck(False, (z,))
+            break
+
+    decomp = AxiomCheck(True)
+    for z in elements:
+        wz = w(z)
+        if wz < 0:
+            continue
+        for c1 in range(wz + 1):
+            c2 = wz - c1
+            if weight_fn is None:
+                z1, z2 = measure.decompose(f, z, c1, c2)
+                ok = (w(z1) == c1 and w(z2) == c2 and err_add(f, z1, z2) == z)
+            else:
+                ok = any(w(z1) == c1 and w(err_sub(f, z, z1)) == c2 for z1 in elements)
+            if not ok:
+                decomp = AxiomCheck(False, (z, c1, c2))
+                break
+        if not decomp.passed:
+            break
+
+    return AxiomReport(nonneg, subadd, inverse, decomp)
+
+
+def naive_classify(ch, pair_budget=None):
+    """classify with every sum taken through the spaces' checked add."""
+    budget = pair_budget if pair_budget is not None else ch.pair_budget
+    out = ch.outputs
+    errs = ch.errors.space
+    x0 = ch.codewords[0]
+    base = ch.zero_output(x0)
+    errors = [z for z, _ in ch._errors_by_weight()]
+    h = {}
+    for z, y in zip(errors, ch._transfer_row(x0)):
+        h[z] = out.sub(y, base)
+
+    for x in ch.codewords:
+        fx = ch.zero_output(x)
+        for z, y in zip(errors, ch._transfer_row(x)):
+            if y != out.add(fx, h[z]):
+                return ChannelClass(False, False, ("transfer-not-additive", x, z))
+
+    if len(errors) * len(errors) > budget:
+        raise BudgetError(
+            f"homomorphism check needs {len(errors) ** 2} pairs, budget is {budget}")
+    for za in errors:
+        ha = h[za]
+        for zb in errors:
+            if h[errs.add(za, zb)] != out.add(ha, h[zb]):
+                return ChannelClass(False, False, ("error-map-not-homomorphic", za, zb))
+
+    linear, witness = _codeword_map_linear(ch)
+    return ChannelClass(True, linear, witness)

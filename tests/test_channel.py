@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
 
+from oracles import naive_classify
 from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
                       matrix_channel, table_channel, classify,
-                      enumerate_errors_up_to, ConstructionError, BudgetError)
+                      enumerate_errors_up_to, ConstructionError, BudgetError,
+                      random_table_channel, random_linear_channel,
+                      random_rank_channel, random_sum_rank_channel)
 from gnetcode import matrices as mx
 from gnetcode.channel import Channel, VectorSpace, ErrorModel
 from gnetcode.weights import HAMMING
@@ -140,6 +144,45 @@ def test_classify_budget(gf3, toy):
     with pytest.raises(BudgetError):
         # force the homomorphism stage over the toy's 3^9 errors
         classify(classical_channel(gf3, [(0,) * 6, (1,) * 6]), pair_budget=10)
+
+
+def _separable_table_channel(rng, f, n_codewords, error_length, output_length):
+    """F(x, z) = F(x, 0) + h(z) with a random h, h(0) = 0: classify gets past
+    the additivity scan and, unless h happens to be additive, fails the
+    homomorphism scan at some pair."""
+    outputs = list(itertools.product(range(f.q), repeat=output_length))
+    errors = list(itertools.product(range(f.q), repeat=error_length))
+    codewords = rng.sample(errors, n_codewords)
+    clean = rng.sample(outputs, n_codewords)
+    h = {z: rng.choice(outputs) if any(z) else outputs[0] for z in errors}
+    table = {(x, z): mx.vec_add(f, y, h[z])
+             for x, y in zip(codewords, clean) for z in errors}
+    return table_channel(f, codewords, error_length, output_length, table)
+
+
+def test_classify_matches_checked_oracle():
+    rng = random.Random(8128)
+    gf2, gf3, gf4 = Field(2), Field(3), Field(2, 2)
+    channels = []
+    for f in (gf2, gf3, gf4):
+        for _ in range(3):
+            channels.append(random_table_channel(rng, f, n_codewords=3,
+                                                 error_length=2, output_length=2))
+            channels.append(_separable_table_channel(rng, f, 3, 2, 2))
+    channels += [
+        random_linear_channel(rng, gf2, msg_length=2, error_length=3, output_length=3),
+        random_linear_channel(rng, gf3, msg_length=1, error_length=2, output_length=2),
+        random_linear_channel(rng, gf4, msg_length=1, error_length=2, output_length=2),
+        random_rank_channel(rng, gf2, rows=2, msg_cols=1, err_cols=2, out_cols=2),
+        random_sum_rank_channel(rng, gf2, rows=1, msg_blocks=(1, 1),
+                                err_blocks=(1, 1), out_blocks=(1, 1)),
+    ]
+    tags = set()
+    for ch in channels:
+        verdict = classify(ch)
+        assert verdict == naive_classify(ch), ch
+        tags.add(verdict.witness[0] if verdict.witness else verdict.error_linear)
+    assert {"transfer-not-additive", "error-map-not-homomorphic", True} <= tags
 
 
 def test_enumerate_errors_up_to(gf3, toy):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import naive_weight_axioms
 from gnetcode import (Field, WeightMeasure, HAMMING, RANK, SUM_RANK,
                       hamming_weight, rank_weight, sum_rank_weight,
                       decompose_hamming, decompose_rank, decompose_sum_rank,
@@ -147,6 +150,64 @@ def test_subadditivity_and_inverse_exhaustive():
     for f, elements, measure in cases:
         report = verify_weight_axioms(f, elements, measure)
         assert report.subadditivity.passed and report.inverse_invariance.passed
+
+
+def test_weight_axioms_reject_bad_input_on_entry():
+    gf3 = Field(3)
+
+    def never(z):
+        raise AssertionError("a weight was taken before the input was checked")
+
+    hamming = WeightMeasure(HAMMING)
+    with pytest.raises(ValueError, match="at least one element"):
+        verify_weight_axioms(gf3, [], hamming)
+    with pytest.raises(ValueError, match="not a length-2 vector"):
+        verify_weight_axioms(gf3, [(0, 0), (0, 5)], hamming, weight_fn=never)
+    with pytest.raises(ValueError, match="not a length-2 vector"):
+        verify_weight_axioms(gf3, [(0, 0), (1, 2, 0)], hamming, weight_fn=never)
+    with pytest.raises(ValueError, match="not a 2x2 matrix"):
+        verify_weight_axioms(gf3, [((0, 0), (0, 0)), ((1,), (2,))], WeightMeasure(RANK),
+                             weight_fn=never)
+
+
+def _axiom_cases(rng, count):
+    """Seeded (field, sample, measure) cases, about half of them perturbed."""
+    gf2, gf3 = Field(2), Field(3)
+    spaces = [
+        (gf2, list(VectorSpace(gf2, 3).elements()), WeightMeasure(HAMMING)),
+        (gf3, list(VectorSpace(gf3, 3).elements()), WeightMeasure(HAMMING)),
+        (gf2, all_matrices(gf2, 2, 3), WeightMeasure(RANK)),
+        (gf3, all_matrices(gf3, 2, 2), WeightMeasure(RANK)),
+        (gf2, all_matrices(gf2, 2, 3), WeightMeasure(SUM_RANK, (1, 2))),
+    ]
+    for _ in range(count):
+        f, space, measure = rng.choice(spaces)
+        sample = rng.sample(space, rng.randint(2, min(24, len(space))))
+        if rng.random() < 0.7 and space[0] not in sample:
+            sample[0] = space[0]
+        weight_fn = None
+        if rng.random() < 0.6:
+            bumps = {z: rng.choice([-1, 1, 2]) for z in rng.sample(space, rng.randint(1, 3))}
+            weight_fn = (lambda m, f, b: lambda z: m.weight(f, z) + b.get(z, 0))(
+                measure, f, bumps)
+        yield f, sample, measure, weight_fn
+
+
+@pytest.mark.parametrize("pair_budget", [None, 40])
+def test_weight_axioms_match_checked_oracle(pair_budget):
+    rng = random.Random(4041 if pair_budget is None else 4042)
+    failed = set()
+    for f, sample, measure, weight_fn in _axiom_cases(rng, 60):
+        seed = rng.randrange(100)
+        got = verify_weight_axioms(f, sample, measure, pair_budget, seed, weight_fn)
+        want = naive_weight_axioms(f, sample, measure, pair_budget, seed, weight_fn)
+        assert got == want, (measure, sample)
+        failed |= {name for name in ("nonnegativity", "subadditivity",
+                                     "inverse_invariance", "decomposability")
+                   if not getattr(got, name).passed}
+    # the perturbed cases fail every axiom somewhere, so witnesses are compared too
+    assert failed == {"nonnegativity", "subadditivity", "inverse_invariance",
+                      "decomposability"}
 
 
 def test_max_weight():
