@@ -146,11 +146,20 @@ class Channel:
     :func:`matrix_channel`, :func:`table_channel`) or
     :func:`gnetcode.network.compile_network` rather than instantiating
     directly, unless you bring your own transfer callable.
+
+    ``transfer(x, z)`` answers single-error questions (:meth:`evaluate`,
+    the per-error decoder verdicts).  Whole rows come from ``row(x)``: x's
+    outputs against every error, in the error space's enumeration order.
+    The constructors pass a row kernel whose outputs are elements by
+    construction.  Without one, each row is evaluated pair by pair and
+    every output is validated once, when its row is built, raising
+    :class:`ConstructionError` with the offending (x, z); every scan over
+    a row then trusts its outputs.
     """
 
     def __init__(self, field: Field, codewords, errors: ErrorModel, outputs,
                  transfer, kind: str = "custom",
-                 pair_budget: int = DEFAULT_PAIR_BUDGET):
+                 pair_budget: int = DEFAULT_PAIR_BUDGET, row=None):
         codewords = tuple(codewords)
         if len(codewords) < 2:
             raise ConstructionError("a code needs at least two codewords")
@@ -169,6 +178,7 @@ class Channel:
         self.kind = kind
         self.pair_budget = pair_budget
         self._transfer = transfer
+        self._row = row if row is not None else self._checked_row
         self._cache: dict = {}
         zero = errors.space.zero()
         seen: dict = {}
@@ -212,8 +222,12 @@ class Channel:
         cached = self._cache.get("errors_by_weight")
         if cached is None:
             weigh = self.errors.weight
-            indexed = [(z, weigh(z)) for z in self.errors.space.elements()]
-            cached = sorted(indexed, key=lambda zw: zw[1])  # stable: keeps enumeration order
+            errors = list(self.errors.space.elements())
+            weights = [weigh(z) for z in errors]
+            # enumeration indices sorted stably by weight; rows are permuted by it
+            order = sorted(range(len(errors)), key=weights.__getitem__)
+            self._cache["weight_order"] = order
+            cached = [(errors[i], weights[i]) for i in order]
             self._cache["errors_by_weight"] = cached
         return cached
 
@@ -222,9 +236,22 @@ class Channel:
         rows = self._cache.setdefault("transfer_rows", {})
         row = rows.get(x)
         if row is None:
-            transfer = self._transfer
-            row = [transfer(x, z) for z, _ in self._errors_by_weight()]
+            self._errors_by_weight()  # fills weight_order
+            row = list(map(self._row(x).__getitem__, self._cache["weight_order"]))
             rows[x] = row
+        return row
+
+    def _checked_row(self, x):
+        """Row kernel of a channel built without one: per pair, validated."""
+        transfer, contains = self._transfer, self.outputs.contains
+        row = []
+        for z in self.errors.space.elements():
+            y = transfer(x, z)
+            if not contains(y):
+                raise ConstructionError(
+                    f"transfer output {y!r} for (x, z) = ({x!r}, {z!r}) is outside "
+                    "the declared output space")
+            row.append(y)
         return row
 
 
@@ -255,11 +282,11 @@ def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
     to form a subspace on which f is additive and scalar-homogeneous.
 
     Both pair scans add on the field's raw table without re-checking their
-    operands, because every operand is already a valid element: each h(z)
-    comes out of the checked output subtraction, each f(x) was checked when
-    the channel was built, and the errors come from the space's own
-    enumeration.  The other transfer outputs are only compared, never
-    added.
+    operands, because every operand is already a valid element: each row
+    output was validated when its row was built (or is an element by the
+    row kernel's construction), so h(z) = F(x0, z) + (-F(x0, 0)) is one too,
+    each f(x) was checked when the channel was built, and the errors come
+    from the space's own enumeration.
 
     This classifies the transfer function only; the weight measure's side
     of the error-linearity hypotheses (subadditivity, inverse invariance,
@@ -271,9 +298,9 @@ def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
     out = ch.outputs
     out_add = mx.adder(ch.field, out.shape)
     err_add = mx.adder(ch.field, ch.errors.space.shape)
-    base = ch.zero_output(ch.codewords[0])
+    neg_base = out.neg(ch.zero_output(ch.codewords[0]))
     errors = [z for z, _ in ch._errors_by_weight()]
-    hs = [out.sub(y, base) for y in ch._transfer_row(ch.codewords[0])]
+    hs = [out_add(y, neg_base) for y in ch._transfer_row(ch.codewords[0])]
 
     # F(x, z) must equal f(x) + h(z) everywhere.
     for x in ch.codewords:
@@ -341,9 +368,11 @@ def classical_channel(field: Field, codewords,
         if not space.contains(x):
             raise ConstructionError(f"codeword {x!r} is not a length-{n} vector over {field}")
     errors = ErrorModel(space, WeightMeasure(HAMMING))
+    add = mx.adder(field, space.shape)
     return Channel(field, codewords, errors, space,
                    lambda x, z: mx.vec_add(field, x, z),
-                   kind="classical", pair_budget=pair_budget)
+                   kind="classical", pair_budget=pair_budget,
+                   row=lambda x: [add(x, z) for z in space.elements()])
 
 
 def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
@@ -375,9 +404,7 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
         measure = measure or WeightMeasure(RANK)
         if measure.kind == HAMMING:
             raise ConstructionError("matrix codewords need a rank or sum-rank weight")
-
-        def transfer(x, z):
-            return mx.mat_add(field, mx.mat_mul(field, x, a), mx.mat_mul(field, z, b))
+        mul = mx.mat_mul
     else:
         if any(len(x) != ka for x in codewords):
             raise ConstructionError(f"vector codewords must have length {ka}")
@@ -387,14 +414,23 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
         if measure.kind != HAMMING:
             raise ConstructionError(f"vector errors only support the Hamming weight, "
                                     f"got {measure.kind}")
+        mul = mx.vec_mat_mul
 
-        def transfer(x, z):
-            return mx.vec_add(field, mx.vec_mat_mul(field, x, a),
-                              mx.vec_mat_mul(field, z, b))
+    def transfer(x, z):
+        return out_space.add(mul(field, x, a), mul(field, z, b))
+
+    add = mx.adder(field, out_space.shape)
+    hs: list = []  # h(z) = z*B in enumeration order, built by the first row
+
+    def row(x):
+        if not hs:
+            hs.extend(mul(field, z, b) for z in err_space.elements())
+        fx = mul(field, x, a)
+        return [add(fx, hz) for hz in hs]
 
     errors = ErrorModel(err_space, measure)
     return Channel(field, codewords, errors, out_space, transfer,
-                   kind="matrix", pair_budget=pair_budget)
+                   kind="matrix", pair_budget=pair_budget, row=row)
 
 
 def table_channel(field: Field, codewords, error_length: int, output_length: int,
@@ -419,4 +455,5 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
                                         f"length-{output_length} vector over {field}")
     return Channel(field, codewords, ErrorModel(err_space, WeightMeasure(HAMMING)),
                    out_space, lambda x, z: table[(x, z)],
-                   kind="table", pair_budget=pair_budget)
+                   kind="table", pair_budget=pair_budget,
+                   row=lambda x: [table[x, z] for z in err_space.elements()])

@@ -156,6 +156,46 @@ def _evaluator(program, sink_inputs, nedges: int, add_table):
     return transfer
 
 
+def _row_evaluator(program, sink_inputs, nedges: int, add_table):
+    """The network's row x -> sink symbols under every error, in enumeration order.
+
+    A depth-first walk of the program fixes one error coordinate per edge,
+    so every prefix is shared: q + q^2 + ... + q^n edge evaluations instead
+    of n*q^n.  Error z lands at index sum(z_e * q^(n-1-e)) over the declared
+    edge index e (the error space's enumeration order), which differs from
+    the program position whenever edges are declared out of topological
+    order.
+    """
+    q = len(add_table)
+    strides = [q ** (nedges - 1 - ei) for ei, _, _, _ in program]
+    last = len(program) - 1
+
+    def row(x):
+        out = [None] * q ** nedges
+        sym = [0] * nedges
+        get = sym.__getitem__
+
+        def walk(k, index):
+            ei, coord, table, ins = program[k]
+            base = x[coord] if table is None else table[tuple(map(get, ins))]
+            stride = strides[k]
+            if k == last:
+                for s in add_table[base]:
+                    sym[ei] = s
+                    out[index] = tuple(map(get, sink_inputs))
+                    index += stride
+            else:
+                for s in add_table[base]:
+                    sym[ei] = s
+                    walk(k + 1, index)
+                    index += stride
+
+        walk(0, 0)
+        return out
+
+    return row
+
+
 def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                     pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
     """Compile a network into a channel over F_q^|E| with Hamming errors."""
@@ -168,10 +208,11 @@ def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                 f"{m} source out-edges")
     nedges = len(spec.edges)
     transfer = _evaluator(program, sink_inputs, nedges, net_field.add_table)
+    row = _row_evaluator(program, sink_inputs, nedges, net_field.add_table)
     errors = ErrorModel(VectorSpace(net_field, nedges), WeightMeasure(HAMMING))
     outputs = VectorSpace(net_field, len(sink_inputs))
     return Channel(net_field, codewords, errors, outputs, transfer,
-                   kind="network", pair_budget=pair_budget)
+                   kind="network", pair_budget=pair_budget, row=row)
 
 
 def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
@@ -220,11 +261,10 @@ def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
         raise BudgetError("matrix agreement check exceeds the pair budget")
     msg_space = VectorSpace(net_field, m)
     err_space = VectorSpace(net_field, nedges)
-    evaluate = _evaluator(program, sink_inputs, nedges, net_field.add_table)
+    row = _row_evaluator(program, sink_inputs, nedges, net_field.add_table)
     for x in msg_space.elements():
         xf = mx.vec_mat_mul(net_field, x, f_st)
-        for z in err_space.elements():
-            direct = evaluate(x, z)
+        for z, direct in zip(err_space.elements(), row(x)):
             linear = mx.vec_add(net_field, xf, mx.vec_mat_mul(net_field, z, h_t))
             if direct != linear:
                 raise AssertionError(  # pragma: no cover - internal consistency

@@ -27,8 +27,10 @@ _KINDS = (HAMMING, RANK, SUM_RANK)
 
 
 def hamming_weight(v) -> int:
-    """Number of nonzero coordinates."""
-    return sum(1 for x in v for y in (x if isinstance(x, tuple) else (x,)) if y != 0)
+    """Number of nonzero coordinates (of a vector, or of a matrix's rows)."""
+    if v and isinstance(v[0], tuple):
+        return sum(len(r) - r.count(0) for r in v)
+    return len(v) - v.count(0)
 
 
 def rank_weight(f: Field, a: mx.Matrix) -> int:

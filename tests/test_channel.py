@@ -8,7 +8,8 @@ from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
                       matrix_channel, table_channel, classify,
                       enumerate_errors_up_to, ConstructionError, BudgetError,
                       random_table_channel, random_linear_channel,
-                      random_rank_channel, random_sum_rank_channel)
+                      random_rank_channel, random_sum_rank_channel,
+                      minimum_distances, mwd, toy_channel)
 from gnetcode import matrices as mx
 from gnetcode.channel import Channel, VectorSpace, ErrorModel
 from gnetcode.weights import HAMMING
@@ -210,3 +211,39 @@ def test_custom_channel_rejects_output_outside_space(gf2):
     errors = ErrorModel(space, WeightMeasure(HAMMING))
     with pytest.raises(ConstructionError, match="output space"):
         Channel(gf2, [(0, 0), (1, 1)], errors, space, lambda x, z: (0, 0, 0))
+
+
+def test_custom_channel_rejects_row_output_outside_space(gf2):
+    # only the nonzero error (1, 1) of codeword (1, 1) leaves the output space
+    space = VectorSpace(gf2, 2)
+    errors = ErrorModel(space, WeightMeasure(HAMMING))
+
+    def transfer(x, z):
+        return (7, 0) if x == z == (1, 1) else mx.vec_add(gf2, x, z)
+
+    ch = Channel(gf2, [(0, 0), (1, 1)], errors, space, transfer)
+    culprit = r"\(x, z\) = \(\(1, 1\), \(1, 1\)\)"
+    with pytest.raises(ConstructionError, match=culprit):
+        minimum_distances(ch)
+    with pytest.raises(ConstructionError, match=culprit):
+        mwd(ch, (7, 0))
+
+
+_ROW_CHANNELS = {
+    "classical": lambda rng: classical_channel(Field(3), [(0, 0, 0), (1, 2, 0), (2, 2, 1)]),
+    "vector-matrix": lambda rng: random_linear_channel(
+        rng, Field(2, 2), msg_length=1, error_length=3, output_length=2),
+    "rank": lambda rng: random_rank_channel(rng, Field(2), rows=2, msg_cols=1,
+                                            err_cols=2, out_cols=2),
+    "sum-rank": lambda rng: random_sum_rank_channel(rng, Field(3), rows=1),
+    "table": lambda rng: random_table_channel(rng, Field(3), n_codewords=3,
+                                              error_length=3, output_length=2),
+    "network": lambda rng: toy_channel(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROW_CHANNELS))
+def test_row_kernel_matches_per_pair_transfer(kind):
+    ch = _ROW_CHANNELS[kind](random.Random(kind))
+    for x in ch.codewords:
+        assert ch._transfer_row(x) == [ch.evaluate(x, z) for z, _ in ch._errors_by_weight()]

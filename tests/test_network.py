@@ -7,6 +7,8 @@ from gnetcode import (Field, NetworkSpec, NonlinearNetworkError, compile_network
                       linear_transfer_matrices, toy_example,
                       ConstructionError, mwd_bounded)
 from gnetcode import matrices as mx
+from gnetcode.channel import VectorSpace
+from gnetcode.network import _evaluator, _row_evaluator, _validate_and_order
 
 
 def copy_table(q):
@@ -190,3 +192,43 @@ def test_source_edge_with_local_function_rejected(gf2):
                        local_functions={("s", "t"): copy_table(2)})
     with pytest.raises(ConstructionError, match="source edge"):
         compile_network(gf2, spec, [(0,), (1,)])
+
+
+def random_dag(rng, q, inner, extra):
+    """A random DAG s -> v1..v_inner -> t with random total tables, its
+    edges declared in a shuffled (non-topological) order."""
+    nodes = ["s"] + [f"v{i}" for i in range(1, inner + 1)] + ["t"]
+    edges = {(rng.choice(nodes[:i]), nodes[i]) for i in range(1, len(nodes))}
+    while len(edges) < len(nodes) - 1 + extra:
+        i, j = sorted(rng.sample(range(len(nodes)), 2))
+        edges.add((nodes[i], nodes[j]))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    spec = NetworkSpec(nodes=tuple(nodes), edges=tuple(edges), source="s", sink="t")
+    for tail, head in edges:
+        if tail != "s":
+            ins = spec.incoming(tail)
+            spec.local_functions[tail, head] = {
+                key: rng.randrange(q) for key in itertools.product(range(q), repeat=len(ins))}
+    return spec
+
+
+def _row_networks():
+    yield toy_example()[:2]
+    rng = random.Random(2011)
+    for _ in range(3):
+        yield Field(3), random_dag(rng, 3, inner=3, extra=3)
+
+
+@pytest.mark.parametrize("net_field, spec", list(_row_networks()),
+                         ids=["toy", "dag-a", "dag-b", "dag-c"])
+def test_row_kernel_matches_per_pair_evaluation(net_field, spec):
+    program, sinks, m = _validate_and_order(spec, net_field.q)
+    # the declared edge index, not the program position, orders the errors
+    assert [ei for ei, _, _, _ in program] != list(range(len(spec.edges)))
+    nedges = len(spec.edges)
+    transfer = _evaluator(program, sinks, nedges, net_field.add_table)
+    row = _row_evaluator(program, sinks, nedges, net_field.add_table)
+    errors = list(VectorSpace(net_field, nedges).elements())
+    for x in VectorSpace(net_field, m).elements():
+        assert row(x) == [transfer(x, z) for z in errors]
