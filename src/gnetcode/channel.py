@@ -177,6 +177,7 @@ class Channel:
         self.outputs = outputs
         self.kind = kind
         self.pair_budget = pair_budget
+        self.w_max = errors.max_weight
         self._transfer = transfer
         self._row = row if row is not None else self._checked_row
         self._cache: dict = {}
@@ -206,10 +207,6 @@ class Channel:
 
     def zero_output(self, x):
         return self._zero_outputs[x]
-
-    @property
-    def w_max(self) -> int:
-        return self.errors.max_weight
 
     def __repr__(self) -> str:
         return (f"Channel(kind={self.kind!r}, field={self.field!r}, "
@@ -272,7 +269,7 @@ def enumerate_errors_up_to(ch: Channel, c: int) -> list[tuple]:
     return out
 
 
-def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
+def classify(ch: Channel) -> ChannelClass:
     """Decide error-linearity and linearity of a channel, exhaustively.
 
     The only decomposition consistent with a homomorphic error map is
@@ -294,7 +291,6 @@ def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
     :func:`gnetcode.weights.verify_weight_axioms`, and holds for all three
     built-in measures.
     """
-    budget = pair_budget if pair_budget is not None else ch.pair_budget
     out = ch.outputs
     out_add = mx.adder(ch.field, out.shape)
     err_add = mx.adder(ch.field, ch.errors.space.shape)
@@ -310,9 +306,9 @@ def classify(ch: Channel, pair_budget: int | None = None) -> ChannelClass:
                 return ChannelClass(False, False, ("transfer-not-additive", x, z))
 
     # h must be a group homomorphism on the error space.
-    if len(errors) * len(errors) > budget:
-        raise BudgetError(
-            f"homomorphism check needs {len(errors) ** 2} pairs, budget is {budget}")
+    if len(errors) * len(errors) > ch.pair_budget:
+        raise BudgetError(f"homomorphism check needs {len(errors) ** 2} pairs, "
+                          f"budget is {ch.pair_budget}")
     h = dict(zip(errors, hs))
     for za, ha in zip(errors, hs):
         for zb, hb in zip(errors, hs):

@@ -7,12 +7,13 @@ the codewords attaining it.  It decodes to a sole such codeword, otherwise
 declares a detection.  The bounded variant MWD(c) decodes inside pairwise
 disjoint radius-c balls and is only defined when those balls are disjoint.
 
-An error z is correctable when the minimum weight decoder returns the
-transmitted codeword for every transmission; it is detectable when the
-received word never lands in a *different* codeword's zero-radius ball, so
-the radius-0 decoder can never be fooled into miscorrecting (it either
-flags the error or returns the transmitted codeword unchanged; nonlinear
-node maps can swallow an error entirely).
+An error z is correctable when x_i alone attains F(x_i, z) at its least
+weight, for every codeword x_i.  It is detectable when the received word
+never lands on a *different* codeword's weight-0 solution (its clean
+output), so the radius-0 decoder either flags the error or returns x_i
+unchanged; nonlinear node maps can swallow an error entirely.
+:func:`capability` reads both verdicts for every error in one pass over
+the cached transfer rows against the solution index.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def is_detectable(ch: Channel, z) -> bool:
         raise ValueError(f"{z!r} is not in the error space")
     if z == ch.errors.space.zero():
         raise ValueError("detectability is defined for nonzero errors only")
-    for x in ch.codewords:
-        y = ch._transfer(x, z)
-        owner = _bounded_map(ch, 0).get(y)
-        if owner is not None and ch.codewords[owner] != x:
+    index = _solution_index(ch)
+    for xi, x in enumerate(ch.codewords):
+        least, owners = index[ch._transfer(x, z)]
+        if least == 0 and owners != {xi}:  # another codeword's clean output
             return False
     return True
 
@@ -128,9 +129,10 @@ def is_detectable(ch: Channel, z) -> bool:
 class CapabilityReport:
     """How many errors the code corrects and detects, plus joint verdicts.
 
-    ``max_correctable``/``max_detectable`` come from an increasing-weight
-    scan of per-error classification.  ``all_correctable`` flags codes that
-    correct the entire error space.  ``joint`` maps (c, c') to the joint
+    ``max_correctable``/``max_detectable`` are one below the least weight
+    of an uncorrectable / undetectable error, read off one pass over the
+    transfer rows.  ``all_correctable`` flags codes that correct the
+    entire error space.  ``joint`` maps (c, c') to the joint
     error-correction verdict on a small grid.
     """
 
@@ -151,31 +153,28 @@ class CapabilityReport:
 
 
 def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> CapabilityReport:
-    """Scan per-error classification into a capability report.
+    """Capabilities from one weight-ordered pass over each transfer row x_i.
 
-    Cross-checks the scan against the distance minima: the correction
-    capability must equal floor((d0_min - 1)/2) and the detection
-    capability d1_min - 1 whenever those minima are finite; disagreement
-    raises :class:`InternalConsistencyError`.
+    An error is uncorrectable where x_i alone does not attain its output at
+    the least weight, and undetectable where that weight is also 0; a row
+    stops at the least undetectable weight found so far.  The capabilities
+    must equal floor((d0_min - 1)/2) and d1_min - 1 wherever those minima
+    are finite, else :class:`InternalConsistencyError` is raised.
     """
+    index = _solution_index(ch)
     by_weight = ch._errors_by_weight()
-    t_c = ch.w_max
-    all_corr = True
-    for z, w in by_weight:
-        if not is_correctable(ch, z):
-            t_c = w - 1
-            all_corr = False
-            break
-    t_d = ch.w_max
-    all_det = True
-    zero = ch.errors.space.zero()
-    for z, w in by_weight:
-        if z == zero:
-            continue
-        if not is_detectable(ch, z):
-            t_d = w - 1
-            all_det = False
-            break
+    bad_c = bad_d = ch.w_max + 1  # least uncorrectable / undetectable weight
+    for xi, x in enumerate(ch.codewords):
+        mine = {xi}
+        for (_, w), y in zip(by_weight, ch._transfer_row(x)):
+            if w >= bad_d:
+                break
+            least, owners = index[y]
+            if owners != mine:
+                bad_c = min(bad_c, w)
+                if least == 0:
+                    bad_d = w
+    t_c, t_d = bad_c - 1, bad_d - 1
 
     report = minimum_distances(ch)
     if is_finite(report.d0_min) and t_c != (int(report.d0_min) - 1) // 2:
@@ -195,7 +194,7 @@ def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> Capabi
     for c in range(joint_grid[0] + 1):
         for cp in range(joint_grid[1] + 1):
             joint[(c, cp)] = is_joint_correcting(ch, c, cp)
-    return CapabilityReport(t_c, t_d, all_corr, all_det, joint)
+    return CapabilityReport(t_c, t_d, bad_c > ch.w_max, bad_d > ch.w_max, joint)
 
 
 def is_joint_correcting(ch: Channel, c: int, cprime: int) -> bool:

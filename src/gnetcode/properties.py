@@ -28,8 +28,7 @@ from functools import partial
 
 from .field import Field
 from . import matrices as mx
-from .channel import (Channel, ChannelClass, classify, matrix_channel,
-                      table_channel, DEFAULT_PAIR_BUDGET)
+from .channel import Channel, ChannelClass, classify, matrix_channel, table_channel
 from .weights import WeightMeasure, RANK, SUM_RANK, verify_weight_axioms
 from .distances import (is_finite, minimum_distances,
                         _d2_refined_by_index, DistanceReport)
@@ -547,8 +546,7 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
 
 def random_table_channel(rng: random.Random, fld: Field, n_codewords: int = 2,
                          error_length: int = 2, output_length: int = 2,
-                         codeword_length: int = 2,
-                         pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
+                         codeword_length: int = 2) -> Channel:
     """A random total table channel satisfying zero-error injectivity.
 
     Codewords are distinct random vectors; the zero-error column is drawn
@@ -566,8 +564,7 @@ def random_table_channel(rng: random.Random, fld: Field, n_codewords: int = 2,
     for x, y0 in zip(codewords, clean):
         for z in itertools.product(range(q), repeat=error_length):
             table[(x, z)] = y0 if z == zero else rng.choice(out_space)
-    return table_channel(fld, codewords, error_length, output_length, table,
-                         pair_budget=pair_budget)
+    return table_channel(fld, codewords, error_length, output_length, table)
 
 
 def _random_full_row_rank(rng: random.Random, fld: Field, rows: int, cols: int) -> mx.Matrix:
@@ -581,8 +578,7 @@ def _random_full_row_rank(rng: random.Random, fld: Field, rows: int, cols: int) 
 
 
 def random_linear_channel(rng: random.Random, fld: Field, msg_length: int = 2,
-                          error_length: int = 2, output_length: int = 2,
-                          pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
+                          error_length: int = 2, output_length: int = 2) -> Channel:
     """Random x*A + z*B channel on vector words under the Hamming weight.
 
     The code is the full message space, so A is drawn with full row rank to
@@ -592,27 +588,24 @@ def random_linear_channel(rng: random.Random, fld: Field, msg_length: int = 2,
     b = tuple(tuple(rng.randrange(fld.q) for _ in range(output_length))
               for _ in range(error_length))
     codewords = list(itertools.product(range(fld.q), repeat=msg_length))
-    return matrix_channel(fld, codewords, a, b, pair_budget=pair_budget)
+    return matrix_channel(fld, codewords, a, b)
 
 
 def random_rank_channel(rng: random.Random, fld: Field, rows: int = 2,
-                        msg_cols: int = 1, err_cols: int = 2, out_cols: int = 2,
-                        pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
+                        msg_cols: int = 1, err_cols: int = 2, out_cols: int = 2) -> Channel:
     """Random matrix-codeword channel under the rank weight."""
     a = _random_full_row_rank(rng, fld, msg_cols, out_cols)
     b = tuple(tuple(rng.randrange(fld.q) for _ in range(out_cols))
               for _ in range(err_cols))
     codewords = [tuple(flat[i * msg_cols:(i + 1) * msg_cols] for i in range(rows))
                  for flat in itertools.product(range(fld.q), repeat=rows * msg_cols)]
-    return matrix_channel(fld, codewords, a, b, WeightMeasure(RANK),
-                          pair_budget=pair_budget)
+    return matrix_channel(fld, codewords, a, b, WeightMeasure(RANK))
 
 
 def random_sum_rank_channel(rng: random.Random, fld: Field, rows: int = 2,
                             msg_blocks: tuple[int, ...] = (1, 1),
                             err_blocks: tuple[int, ...] = (1, 1),
-                            out_blocks: tuple[int, ...] = (1, 1),
-                            pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
+                            out_blocks: tuple[int, ...] = (1, 1)) -> Channel:
     """Random block-diagonal channel under the sum-rank weight."""
     a = mx.block_diag([_random_full_row_rank(rng, fld, k, n)
                        for k, n in zip(msg_blocks, out_blocks, strict=True)])
@@ -623,5 +616,4 @@ def random_sum_rank_channel(rng: random.Random, fld: Field, rows: int = 2,
     codewords = [tuple(flat[i * k:(i + 1) * k] for i in range(rows))
                  for flat in itertools.product(range(fld.q), repeat=rows * k)]
     return matrix_channel(fld, codewords, a, b,
-                          WeightMeasure(SUM_RANK, tuple(err_blocks)),
-                          pair_budget=pair_budget)
+                          WeightMeasure(SUM_RANK, tuple(err_blocks)))

@@ -84,6 +84,34 @@ def naive_mwd(ch, y):
     return next(iter(best_x))
 
 
+def naive_capability(ch):
+    """(max_correctable, max_detectable, all_correctable, all_detectable)
+    from classifying every error in weight order against every codeword:
+    z is uncorrectable when naive_mwd does not decode F(x, z) back to x,
+    undetectable when F(x, z) is another codeword's clean output.  Each
+    distinct received word is decoded once per call."""
+    weigh = ch.errors.weight
+    zero = ch.errors.space.zero()
+    clean = {ch.evaluate(x, zero): x for x in ch.codewords}
+    decoded = {}
+    bad_c = bad_d = None
+    for z in sorted(ch.errors.space.elements(), key=weigh):
+        for x in ch.codewords:
+            y = ch.evaluate(x, z)
+            if bad_c is None:
+                if y not in decoded:
+                    decoded[y] = naive_mwd(ch, y)
+                if decoded[y] != x:
+                    bad_c = weigh(z)
+            if bad_d is None and clean.get(y, x) != x:
+                bad_d = weigh(z)
+        if bad_c is not None and bad_d is not None:
+            break
+    wm = ch.w_max
+    return (wm if bad_c is None else bad_c - 1, wm if bad_d is None else bad_d - 1,
+            bad_c is None, bad_d is None)
+
+
 # -- the pair scans on checked field arithmetic ---------------------------------
 
 def _is_matrix(z):

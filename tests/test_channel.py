@@ -141,10 +141,11 @@ def test_classify_homomorphism_counterexample(gf2):
     assert verdict.witness[0] == "error-map-not-homomorphic"
 
 
-def test_classify_budget(gf3, toy):
+def test_classify_budget(gf3):
+    # construction needs 2 x 3^6 = 1,458 pairs, the homomorphism stage 3^12
+    ch = classical_channel(gf3, [(0,) * 6, (1,) * 6], pair_budget=1_500)
     with pytest.raises(BudgetError):
-        # force the homomorphism stage over the toy's 3^9 errors
-        classify(classical_channel(gf3, [(0,) * 6, (1,) * 6]), pair_budget=10)
+        classify(ch)
 
 
 def _separable_table_channel(rng, f, n_codewords, error_length, output_length):

@@ -15,6 +15,13 @@ def disjoint_images_channel():
     return table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
+def constant_error_channel():
+    """y = (x, 0) whatever the error, so the words (x, 1) are unreachable."""
+    gf2 = Field(2)
+    table = {((x,), (z,)): (x, 0) for x in range(2) for z in range(2)}
+    return table_channel(gf2, [(0,), (1,)], 1, 2, table)
+
+
 def test_mwd_toy(toy):
     assert mwd(toy, (0, 0, 0)).codeword == (0, 0, 0)
     assert mwd(toy, (1, 1, 1)).codeword == (1, 1, 1)
@@ -92,11 +99,7 @@ def test_capability_single_edge():
 
 
 def test_mwd_unreachable_word_detects():
-    gf2 = Field(2)
-    # constant-error channel: y = (x, 0); the words (x, 1) are unreachable
-    table = {((x,), (z,)): (x, 0) for x in range(2) for z in range(2)}
-    ch = table_channel(gf2, [(0,), (1,)], 1, 2, table)
-    assert mwd(ch, (0, 1)).detected
+    assert mwd(constant_error_channel(), (0, 1)).detected
 
 
 def test_fully_correctable_channel_flagged():
@@ -177,3 +180,40 @@ def test_mwd_matches_naive_oracle(repetition):
             for y in words:
                 owner = next((x for x in ch.codewords if y in balls[x]), None)
                 assert mwd_bounded(ch, c, y).codeword == owner
+
+
+def _per_error_capability(ch):
+    """The capability verdicts from one is_correctable / is_detectable call
+    per error, in weight order."""
+    zero = ch.errors.space.zero()
+    by_weight = ch._errors_by_weight()
+    bad_c = next((w for z, w in by_weight if not is_correctable(ch, z)), None)
+    bad_d = next((w for z, w in by_weight
+                  if z != zero and not is_detectable(ch, z)), None)
+    wm = ch.w_max
+    return (wm if bad_c is None else bad_c - 1, wm if bad_d is None else bad_d - 1,
+            bad_c is None, bad_d is None)
+
+
+def test_capability_matches_naive_oracle(toy, repetition, hamming_code_channel):
+    import random
+    from gnetcode import (random_rank_channel, random_sum_rank_channel,
+                          random_table_channel)
+    from oracles import naive_capability
+
+    # the disjoint-images and constant-error channels have infinite d0_min
+    # and d1_min, so capability's own cross-check skips them
+    channels = [toy, repetition, hamming_code_channel, single_edge_channel(),
+                disjoint_images_channel(), constant_error_channel()]
+    rng = random.Random(61)
+    channels += [random_table_channel(rng, Field(q), n_codewords=3,
+                                      error_length=2, output_length=2)
+                 for q in (2, 3, 2, 3)]
+    channels += [random_rank_channel(rng, Field(2)) for _ in range(2)]
+    channels += [random_sum_rank_channel(rng, Field(2)) for _ in range(2)]
+    for ch in channels:
+        cap = capability(ch, joint_grid=(0, 0))
+        got = (cap.max_correctable, cap.max_detectable,
+               cap.all_correctable, cap.all_detectable)
+        assert got == naive_capability(ch), ch
+        assert got == _per_error_capability(ch), ch
