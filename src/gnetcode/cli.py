@@ -106,8 +106,6 @@ def _run(args) -> tuple[dict, str, int]:
                 + ", ".join(f"({c},{cp})={'yes' if v else 'no'}"
                             for (c, cp), v in sorted(cap.joint.items())))
     elif args.command == "joint":
-        if args.c < 0 or args.cprime < 0:
-            raise ValueError("--c and --cprime must be nonnegative")
         verdict = is_joint_correcting(ch, args.c, args.cprime)
         payload["joint"] = {"c": args.c, "cprime": args.cprime, "verdict": verdict}
         text = (f"({args.c}, {args.cprime}) joint error correction: "

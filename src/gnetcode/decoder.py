@@ -13,7 +13,10 @@ never lands on a *different* codeword's weight-0 solution (its clean
 output), so the radius-0 decoder either flags the error or returns x_i
 unchanged; nonlinear node maps can swallow an error entirely.
 :func:`capability` reads both verdicts for every error in one pass over
-the cached transfer rows against the solution index.
+the cached transfer rows against the solution index.  A code corrects c
+errors while detecting c' more exactly when the refined joint minimum
+d2_min[c] is at least c'+1, so :func:`is_joint_correcting` reads that one
+memoized column of :func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import Channel
-from .distances import (_ball, _d2_refined_by_index, _reach, minimum_distances,
-                        is_finite)
+from .distances import _ball, _reach, minimum_distances, is_finite
 
 
 class InvalidDecoderError(ValueError):
@@ -133,7 +135,7 @@ class CapabilityReport:
     of an uncorrectable / undetectable error, read off one pass over the
     transfer rows.  ``all_correctable`` flags codes that correct the
     entire error space.  ``joint`` maps (c, c') to the joint
-    error-correction verdict on a small grid.
+    error-correction verdict d2_min[c] >= c'+1 on a small grid.
     """
 
     max_correctable: int
@@ -161,6 +163,8 @@ def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> Capabi
     must equal floor((d0_min - 1)/2) and d1_min - 1 wherever those minima
     are finite, else :class:`InternalConsistencyError` is raised.
     """
+    if joint_grid is not None and min(joint_grid) < 0:
+        raise ValueError("joint grid bounds must be nonnegative")
     index = _solution_index(ch)
     by_weight = ch._errors_by_weight()
     bad_c = bad_d = ch.w_max + 1  # least uncorrectable / undetectable weight
@@ -198,31 +202,15 @@ def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> Capabi
 
 
 def is_joint_correcting(ch: Channel, c: int, cprime: int) -> bool:
-    """(c, c') joint error-correction verdict, by two cross-checked routes.
+    """(c, c') joint error-correction verdict: d2_min[c] >= c' + 1.
 
-    Route one tests, for every ordered pair of distinct codewords, that the
-    radius-c ball of one misses the radius-(c+c') ball of the other; route
-    two compares the refined minimum distance at c against c'+1.  They are
-    equivalent by construction, so disagreement raises
-    :class:`InternalConsistencyError`.
+    ``d2_min_refined`` stops at the largest tau = floor((d0+1)/2), and
+    reading its last entry for larger c is exact: a finite pair's meet
+    radius m[c] is at most c from its own tau on, so its d2[c] is 0 there,
+    while a pair with infinite d0 has infinite d2[c] at every c (a code
+    with no finite pair stores ``(INFINITE,)``).
     """
     if c < 0 or cprime < 0:
         raise ValueError("radii must be nonnegative")
-    n = len(ch.codewords)
-    by_balls = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and _ball(ch, i, c) & _ball(ch, j, c + cprime):
-                by_balls = False
-                break
-        if not by_balls:
-            break
-
-    d2c_min = min(_d2_refined_by_index(ch, i, j, c)
-                  for i in range(n) for j in range(n) if i != j)
-    by_refined = d2c_min >= cprime + 1
-    if by_balls != by_refined:
-        raise InternalConsistencyError(
-            f"joint verdict mismatch at (c={c}, c'={cprime}): "
-            f"balls say {by_balls}, refined minimum {d2c_min} says {by_refined}")
-    return by_balls
+    refined = minimum_distances(ch).d2_min_refined
+    return refined[min(c, len(refined) - 1)] >= cprime + 1

@@ -64,6 +64,24 @@ def naive_d2_refined(ch, x1, x2, c):
     return INFINITE
 
 
+def naive_joint_grid(ch, hi):
+    """{(c, c'): joint verdict} for c, c' = 0..hi, from the definition: for
+    every ordered pair of distinct codewords, the radius-c ball of one
+    misses the radius-(c+c') ball of the other.  Each ball is built once
+    per (codeword, radius) within the call."""
+    balls = {}
+
+    def ball(x, r):
+        r = min(r, ch.w_max)  # no error weighs more, so larger balls repeat
+        if (x, r) not in balls:
+            balls[x, r] = naive_ball(ch, x, r)
+        return balls[x, r]
+
+    return {(c, cp): all(not (ball(x1, c) & ball(x2, c + cp))
+                         for x1 in ch.codewords for x2 in ch.codewords if x1 != x2)
+            for c in range(hi + 1) for cp in range(hi + 1)}
+
+
 def naive_mwd(ch, y):
     """Minimum weight decoding straight from the definition: scan every
     (codeword, error) pair for solutions, no precomputed index."""

@@ -57,6 +57,12 @@ def test_toy_joint(capsys):
     assert code == 0 and doc["joint"]["verdict"] is False
 
 
+def test_joint_negative_radius_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--toy-example", "joint", "--c", "-1",
+                             "--cprime", "0")
+    assert code == 2 and out == "" and "nonnegative" in err
+
+
 def test_toy_decode(capsys):
     code, out, _ = run_cli(capsys, "--toy-example", "decode", "0,0,0")
     assert code == 0 and "Decoded((0, 0, 0))" in out

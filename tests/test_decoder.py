@@ -117,13 +117,28 @@ def test_joint_toy(toy):
     assert not is_joint_correcting(toy, 2, 0)
 
 
-def test_joint_grid_cross_checked(toy, repetition, hamming_code_channel):
-    # is_joint_correcting cross-checks its two routes internally; sweeping a
-    # grid over several channels exercises that agreement
-    for ch in (toy, repetition, hamming_code_channel):
-        for c in range(3):
-            for cp in range(3):
-                is_joint_correcting(ch, c, cp)
+def test_joint_grid_matches_naive_oracle(toy, repetition, hamming_code_channel):
+    import random
+    from gnetcode import (random_rank_channel, random_sum_rank_channel,
+                          random_table_channel)
+    from oracles import naive_joint_grid
+
+    # the grid runs past w_max, so also past the last stored d2_min[c]
+    channels = [toy, repetition, hamming_code_channel, single_edge_channel(),
+                disjoint_images_channel(), constant_error_channel()]
+    rng = random.Random(71)
+    channels += [random_table_channel(rng, Field(q), n_codewords=3,
+                                      error_length=2, output_length=2)
+                 for q in (2, 3, 2, 3)]
+    channels += [random_rank_channel(rng, Field(2)) for _ in range(2)]
+    channels += [random_sum_rank_channel(rng, Field(2)) for _ in range(2)]
+    for ch in channels:
+        hi = ch.w_max + 1
+        expected = naive_joint_grid(ch, hi)
+        got = {(c, cp): is_joint_correcting(ch, c, cp)
+               for c in range(hi + 1) for cp in range(hi + 1)}
+        assert got == expected, ch
+        assert capability(ch, joint_grid=(hi, hi)).joint == expected, ch
 
 
 def test_joint_capability_consistency(toy, repetition):
@@ -149,6 +164,10 @@ def test_input_validation(repetition):
         is_correctable(repetition, (0, 0))
     with pytest.raises(ValueError, match="nonnegative"):
         is_joint_correcting(repetition, -1, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        capability(repetition, joint_grid=(-1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        capability(repetition, joint_grid=(0, -1))
 
 
 def test_mwd_matches_naive_oracle(repetition):
