@@ -73,10 +73,9 @@ def _load_channel(args) -> tuple[Channel, str]:
     return ch, f"config:{config_digest(text)}"
 
 
-def _parse_received(ch: Channel, text: str):
+def _parse_received(text: str):
     try:
-        rows = [tuple(int(t) for t in part.split(",") if t.strip() != "")
-                for part in text.split(";")]
+        rows = [tuple(int(t) for t in part.split(",")) for part in text.split(";")]
     except ValueError:
         raise ValueError(f"received word {text!r} is not comma-separated symbols") from None
     return tuple(rows) if len(rows) > 1 else rows[0]
@@ -116,7 +115,7 @@ def _run(args) -> tuple[dict, str, int]:
         text = ledger.render_text()
         code = 0 if ledger.passed else 1
     elif args.command == "decode":
-        y = _parse_received(ch, args.received)
+        y = _parse_received(args.received)
         outcome = mwd(ch, y) if args.bounded is None else mwd_bounded(ch, args.bounded, y)
         payload["decode"] = {
             "received": args.received,

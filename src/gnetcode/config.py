@@ -65,6 +65,24 @@ def _int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
 
 
+def _positive(section: str, key: str, raw: str) -> int:
+    n = _int(section, key, raw)
+    if n < 1:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a positive integer")
+    return n
+
+
+def _space_dims(spec: str) -> tuple[int, int]:
+    """The (R, C) of ``[code] space = RxC``, both positive."""
+    try:
+        r, c = (int(t) for t in spec.split("x"))
+    except ValueError:
+        raise ConfigError(f"[code] space = {spec!r} is not RxC") from None
+    if r < 1 or c < 1:
+        raise ConfigError(f"[code] space = {spec!r} needs positive sizes R and C")
+    return r, c
+
+
 def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
@@ -206,7 +224,7 @@ def _parse_code_vectors(parser, fld: Field) -> list[tuple[int, ...]]:
         spec = csec["space"].strip()
         if "x" in spec:
             raise ConfigError("[code] space = RxC needs a matrix channel")
-        n = _int("code", "space", spec)
+        n = _positive("code", "space", spec)
         out = [tuple(v) for v in itertools.product(range(fld.q), repeat=n)]
     elif "generator" in csec:
         g = _matrix("code", "generator", csec["generator"])
@@ -236,11 +254,7 @@ def _parse_code_matrices(parser, fld: Field, rows: int):
             out.append(tuple(v[i * cols:(i + 1) * cols] for i in range(rows)))
         return out
     if "space" in csec:
-        spec = csec["space"].strip()
-        try:
-            r, c = (int(t) for t in spec.split("x"))
-        except ValueError:
-            raise ConfigError(f"[code] space = {spec!r} is not RxC") from None
+        r, c = _space_dims(csec["space"].strip())
         if r != rows:
             raise ConfigError(f"[code] space rows {r} disagree with rows = {rows}")
         return [tuple(flat[i * c:(i + 1) * c] for i in range(r))
@@ -259,13 +273,13 @@ def _matrix_from_config(parser, fld: Field, measure: WeightMeasure, budget: int)
             raise ConfigError(f"[channel] {name} entries must be symbols of {fld}")
     code_rows = parser.get("code", "rows", fallback=None)
     if code_rows is not None or measure.kind in (RANK, SUM_RANK):
-        rows = _int("code", "rows", code_rows) if code_rows is not None else None
+        rows = _positive("code", "rows", code_rows) if code_rows is not None else None
         if rows is None:
             csec2 = parser["code"] if "code" in parser else {}
             spec = csec2.get("space", "")
             if "x" not in spec:
                 raise ConfigError("[code] rank/sum-rank codes need rows or space = RxC")
-            rows = int(spec.split("x")[0])
+            rows = _space_dims(spec.strip())[0]
         codewords = _parse_code_matrices(parser, fld, rows)
     else:
         codewords = _parse_code_vectors(parser, fld)

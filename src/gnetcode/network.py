@@ -9,7 +9,10 @@ downstream nodes read the corrupted symbol.  The received word is the
 tuple of symbols on the sink's incoming edges, in declared order.
 
 Compiling a network yields a :class:`~gnetcode.channel.Channel` whose
-error space is F_q^|E| under the Hamming weight.
+error space is F_q^|E| under the Hamming weight.  Edges are evaluated in a
+deterministic topological order; no result depends on which one, since
+errors and sink symbols are indexed by declared edge position.  A linear
+network's transfer matrices are read off the same evaluator.
 
 The built-in :func:`toy_example` is a 6-node, 9-edge network over GF(3)
 with two nonlinear node tables and the two-word code {(0,0,0), (1,1,1)}.
@@ -21,6 +24,7 @@ edge list includes (a,b) and the edges into the sink are (a,t), (d,t),
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -63,6 +67,11 @@ class NetworkSpec:
 def _validate_and_order(spec: NetworkSpec, q: int):
     """Spec checks plus a deterministic edge processing order.
 
+    The order is ``graphlib.TopologicalSorter``'s static order over the
+    nodes, seeded in declaration order, each node's out-edges in declared
+    order.  It is one topological order among possibly many, and no result
+    depends on which: evaluators index errors by declared edge index.
+
     Returns (program, sink_inputs, source_out_count) where program is a
     list of (edge_index, coord_or_None, table_or_None, input_edge_indices).
     """
@@ -80,23 +89,16 @@ def _validate_and_order(spec: NetworkSpec, q: int):
     if len(set(spec.edges)) != len(spec.edges):
         raise ConstructionError("duplicate edges (parallel edges are not supported)")
 
-    # Kahn's algorithm over nodes; ties broken by declaration order.
-    indeg = {n: 0 for n in spec.nodes}
-    for _, head in spec.edges:
-        indeg[head] += 1
-    order: list[str] = []
-    ready = [n for n in spec.nodes if indeg[n] == 0]
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for ei in spec.outgoing(node):
-            head = spec.edges[ei][1]
-            indeg[head] -= 1
-            if indeg[head] == 0:
-                ready.append(head)
-    if len(order) != len(spec.nodes):
-        cyclic = sorted(set(spec.nodes) - set(order))
-        raise ConstructionError(f"network graph has a cycle through {cyclic}")
+    sorter = graphlib.TopologicalSorter()
+    for node in spec.nodes:
+        sorter.add(node)
+    for tail, head in spec.edges:
+        sorter.add(head, tail)
+    try:
+        order = list(sorter.static_order())
+    except graphlib.CycleError as exc:
+        raise ConstructionError(
+            f"network graph has a cycle through {' -> '.join(exc.args[1])}") from None
 
     for node in spec.nodes:
         if node in (spec.source, spec.sink):
@@ -220,41 +222,25 @@ def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
     """Transfer matrices (F_st, H_t) of a linear network.
 
     Every local table must be a linear map over the field (checked
-    exhaustively per node); otherwise a :class:`NonlinearNetworkError`
-    names the offending node and edge.  The returned matrices satisfy
-    F(x, z) = x*F_st + z*H_t, verified exhaustively against the
-    network evaluation over the full message and error spaces.
+    exhaustively per table, in program order); otherwise a
+    :class:`NonlinearNetworkError` names the offending node and edge.  The
+    network's transfer F is then linear, so row i of F_st is F(e_i, 0) and
+    row e of H_t is F(0, e_e), read off the evaluator with e indexing the
+    declared edge list.  The returned matrices satisfy
+    F(x, z) = x*F_st + z*H_t, verified exhaustively against the row
+    kernel over the full message and error spaces.
     """
     program, sink_inputs, m = _validate_and_order(spec, net_field.q)
     q = net_field.q
     nedges = len(spec.edges)
+    for ei, _, table, ins in program:
+        if table is not None:
+            _check_linear(net_field, spec.edges[ei], table, len(ins))
 
-    coeff_x: dict[int, tuple] = {}
-    coeff_z: dict[int, tuple] = {}
-    for ei, coord, table, ins in program:
-        if table is None:
-            ax = [0] * m
-            ax[coord] = 1
-            bz = [0] * nedges
-            bz[ei] = 1
-            coeff_x[ei], coeff_z[ei] = tuple(ax), tuple(bz)
-            continue
-        lam = _table_coefficients(net_field, spec.edges[ei], table, len(ins))
-        ax = (0,) * m
-        bz = (0,) * nedges
-        for j, li in enumerate(lam):
-            if li == 0:
-                continue
-            src = ins[j]
-            ax = mx.vec_add(net_field, ax, mx.vec_scale(net_field, li, coeff_x[src]))
-            bz = mx.vec_add(net_field, bz, mx.vec_scale(net_field, li, coeff_z[src]))
-        unit = [0] * nedges
-        unit[ei] = 1
-        coeff_x[ei] = ax
-        coeff_z[ei] = mx.vec_add(net_field, bz, tuple(unit))
-
-    f_st = tuple(tuple(coeff_x[ei][i] for ei in sink_inputs) for i in range(m))
-    h_t = tuple(tuple(coeff_z[ei][i] for ei in sink_inputs) for i in range(nedges))
+    transfer = _evaluator(program, sink_inputs, nedges, net_field.add_table)
+    x0, z0 = (0,) * m, (0,) * nedges
+    f_st = tuple(transfer(_unit(m, i), z0) for i in range(m))
+    h_t = tuple(transfer(x0, _unit(nedges, e)) for e in range(nedges))
 
     # Exhaustive agreement check against direct evaluation.
     if q ** m * q ** nedges > pair_budget:
@@ -272,18 +258,18 @@ def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
     return f_st, h_t
 
 
-def _table_coefficients(net_field: Field, edge: Edge, table: dict, indeg: int):
-    """Linear coefficients of a local table, or raise NonlinearNetworkError."""
-    table = {tuple(k): v for k, v in table.items()}
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def _check_linear(net_field: Field, edge: Edge, table: dict, indeg: int) -> None:
+    """Raise NonlinearNetworkError unless a local table is linear."""
     zero_in = (0,) * indeg
     if table[zero_in] != 0:
         raise NonlinearNetworkError(
             f"local function at node {edge[0]!r} for edge {edge} maps 0 to "
             f"{table[zero_in]}, so it is not linear")
-    lam = []
-    for j in range(indeg):
-        unit = tuple(1 if i == j else 0 for i in range(indeg))
-        lam.append(table[unit])
+    lam = [table[_unit(indeg, j)] for j in range(indeg)]
     for key in itertools.product(range(net_field.q), repeat=indeg):
         acc = 0
         for li, s in zip(lam, key):
@@ -292,7 +278,6 @@ def _table_coefficients(net_field: Field, edge: Edge, table: dict, indeg: int):
             raise NonlinearNetworkError(
                 f"local function at node {edge[0]!r} for edge {edge} is not "
                 f"linear: fails at inputs {key}")
-    return lam
 
 
 def toy_example() -> tuple[Field, NetworkSpec, tuple]:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gnetcode import minimum_distances, capability
 from gnetcode.cli import main
 from test_config import REPETITION
@@ -127,6 +129,21 @@ def test_missing_config_file(capsys):
 def test_bad_received_word(capsys):
     code, _, err = run_cli(capsys, "--toy-example", "decode", "abc")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("word", ["1,,2", ""], ids=["empty-symbol", "empty-word"])
+def test_empty_received_symbol_exits_2(capsys, word):
+    code, out, err = run_cli(capsys, "--toy-example", "decode", word)
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_nonpositive_code_rows_exit_2(capsys, tmp_path):
+    from test_config import MATRIX_RANK
+    cfg = tmp_path / "rank.ini"
+    cfg.write_text(MATRIX_RANK.replace("space = 2x1", "codewords =\n    0,1\n    1,0")
+                   .replace("rows = 2", "rows = 0"))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "distances")
+    assert code == 2 and out == "" and "error: [code] rows" in err
 
 
 def test_invalid_bounded_radius(capsys, tmp_path):

@@ -167,6 +167,21 @@ def test_space_code():
     assert len(ch.codewords) == 4
 
 
+LISTED = "codewords =\n    0,1\n    1,0"
+
+
+@pytest.mark.parametrize("text, key", [
+    (MATRIX_RANK.replace("space = 2x1", LISTED).replace("rows = 2", "rows = 0"), "rows"),
+    (MATRIX_RANK.replace("space = 2x1", LISTED).replace("rows = 2", "rows = -1"), "rows"),
+    (MATRIX_RANK.replace("rows = 2\n", "").replace("2x1", "0x1"), "space"),
+    (MATRIX_RANK.replace("rows = 2\n", "").replace("2x1", "-2x1"), "space"),
+    (REPETITION.replace("codewords =\n    0,0,0\n    1,1,1", "space = -1"), "space"),
+], ids=["rows=0", "rows=-1", "space=0x1", "space=-2x1", "vector-space=-1"])
+def test_code_sizes_must_be_positive(text, key):
+    with pytest.raises(ConfigError, match=rf"\[code\] {key} = .*positive"):
+        channel_from_config(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         channel_from_config(REPETITION.replace("kind = hamming",

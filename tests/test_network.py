@@ -79,7 +79,7 @@ def test_cycle_detected(gf2):
                        source="s", sink="t",
                        local_functions={("a", "b"): {}, ("b", "a"): {},
                                         ("a", "t"): {}})
-    with pytest.raises(ConstructionError, match="cycle"):
+    with pytest.raises(ConstructionError, match="cycle through a -> b -> a"):
         compile_network(gf2, spec, [(0,), (1,)])
 
 
@@ -136,6 +136,35 @@ def test_butterfly_matrices_agree_exhaustively():
         for z in ch.errors.space.elements():
             assert ch.evaluate(x, z) == mx.vec_add(
                 gf2, mx.vec_mat_mul(gf2, x, f_st), mx.vec_mat_mul(gf2, z, h_t))
+
+
+def test_matrices_follow_declared_edge_order():
+    """Edges declared out of topological order: H_t row e is edge e's row."""
+    gf3 = Field(3)
+    spec = NetworkSpec(nodes=("s", "a", "t"),
+                       edges=(("a", "t"), ("s", "a"), ("s", "t")),
+                       source="s", sink="t",
+                       local_functions={("a", "t"): {(v,): 2 * v % 3 for v in range(3)}})
+    f_st, h_t = linear_transfer_matrices(gf3, spec)
+    assert f_st == ((2, 0), (0, 1))
+    assert h_t == ((1, 0), (2, 0), (0, 1))
+
+
+def test_masked_nonlinear_table_rejected():
+    """The global map is linear (b drops the squared symbol), but the
+    table on a->b is not, and every local table must be linear."""
+    gf3 = Field(3)
+    spec = NetworkSpec(
+        nodes=("s", "a", "b", "t"),
+        edges=(("s", "a"), ("s", "b"), ("a", "b"), ("b", "t"), ("a", "t")),
+        source="s", sink="t",
+        local_functions={
+            ("a", "b"): {(v,): v * v % 3 for v in range(3)},
+            ("b", "t"): {(u, v): u for u in range(3) for v in range(3)},
+            ("a", "t"): copy_table(3),
+        })
+    with pytest.raises(NonlinearNetworkError, match=r"node 'a'.*\('a', 'b'\)"):
+        linear_transfer_matrices(gf3, spec)
 
 
 def test_toy_network_is_nonlinear():
