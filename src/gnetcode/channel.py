@@ -320,32 +320,34 @@ def classify(ch: Channel) -> ChannelClass:
 
 
 def _codeword_map_linear(ch: Channel):
-    """Is C a subspace with x -> F(x, 0) additive and scalar-homogeneous?"""
+    """Is C a subspace with x -> F(x, 0) additive and scalar-homogeneous?
+
+    Adds and scales on the field's raw tables: every codeword and clean
+    output was validated when the channel was built.
+    """
     first = ch.codewords[0]
-    if isinstance(first[0], tuple):
-        add, scale = mx.mat_add, mx.mat_scale
-        zero = mx.zeros(len(first), len(first[0]))
-    else:
-        add, scale = mx.vec_add, mx.vec_scale
-        zero = (0,) * len(first)
     f = ch.field
+    shape = (len(first), len(first[0])) if isinstance(first[0], tuple) else (len(first),)
+    add, scale = mx.adder(f, shape), mx.scaler(f, shape)
+    out_add, out_scale = mx.adder(f, ch.outputs.shape), mx.scaler(f, ch.outputs.shape)
+    zero = mx.zeros(*shape) if len(shape) == 2 else (0,) * shape[0]
     cwset = set(ch.codewords)
     if zero not in cwset:
         return False, ("code-not-subspace", zero)
-    out = ch.outputs
+    clean = ch._zero_outputs
     for x1 in ch.codewords:
-        y1 = ch.zero_output(x1)
+        y1 = clean[x1]
         for s in range(f.q):
-            sx = scale(f, s, x1)
+            sx = scale(s, x1)
             if sx not in cwset:
                 return False, ("code-not-subspace", sx)
-            if ch.zero_output(sx) != out.scale(s, y1):
+            if clean[sx] != out_scale(s, y1):
                 return False, ("codeword-map-not-homogeneous", s, x1)
         for x2 in ch.codewords:
-            x12 = add(f, x1, x2)
+            x12 = add(x1, x2)
             if x12 not in cwset:
                 return False, ("code-not-subspace", x12)
-            if ch.zero_output(x12) != out.add(y1, ch.zero_output(x2)):
+            if clean[x12] != out_add(y1, clean[x2]):
                 return False, ("codeword-map-not-additive", x1, x2)
     return True, None
 

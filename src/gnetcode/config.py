@@ -84,8 +84,11 @@ def _space_dims(spec: str) -> tuple[int, int]:
 
 
 def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
+    tokens = raw.split(",")
+    if any(not tok.strip() for tok in tokens):
+        raise ConfigError(f"[{section}] {key} = {raw!r} has an empty entry")
     try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in tokens)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a comma-separated "
                           "integer list") from None

@@ -250,6 +250,11 @@ class Field:
         """Addition table for hot loops; do not mutate."""
         return self._additive_tables()
 
+    @property
+    def mul_table(self) -> list[list[int]]:
+        """Multiplication table for hot loops; do not mutate."""
+        return self._mul_tables()
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Field)
                 and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))

@@ -90,6 +90,18 @@ def adder(f: Field, shape: tuple[int, ...]):
     return lambda a, b: tuple(map(vec, a, b))
 
 
+def scaler(f: Field, shape: tuple[int, ...]):
+    """Unchecked ``s * a`` for vectors or matrices, as :func:`adder` adds."""
+    rows = f.mul_table
+
+    def vec(s, a):
+        return tuple(map(rows[s].__getitem__, a))
+
+    if len(shape) == 1:
+        return vec
+    return lambda s, a: tuple(vec(s, r) for r in a)
+
+
 def mat_mul(f: Field, a: Matrix, b: Matrix) -> Matrix:
     ra, ca = dims(a)
     rb, cb = dims(b)

@@ -29,7 +29,8 @@ from functools import partial
 from .field import Field
 from . import matrices as mx
 from .channel import Channel, ChannelClass, classify, matrix_channel, table_channel
-from .weights import WeightMeasure, RANK, SUM_RANK, verify_weight_axioms
+from .weights import (WeightMeasure, HAMMING, RANK, SUM_RANK,
+                      verify_separable_axioms, verify_weight_axioms)
 from .distances import (is_finite, minimum_distances,
                         _d2_refined_by_index, DistanceReport)
 from . import decoder as dec
@@ -38,7 +39,7 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
-AXIOM_ELEMENT_BUDGET = 256  # run_all samples the weight axioms' errors beyond this
+AXIOM_ELEMENT_BUDGET = 256  # rank axioms and sum-rank decomposability sample beyond this
 AXIOM_PAIR_BUDGET = 100_000
 
 
@@ -490,11 +491,31 @@ class VerdictLedger:
         return "\n".join(lines)
 
 
+def _axiom_sample(ch: Channel, seed: int) -> list:
+    """Every error when there are at most AXIOM_ELEMENT_BUDGET, else a seeded
+    sample of that many with the zero error in it."""
+    elements = [z for z, _ in ch._errors_by_weight()]
+    if len(elements) <= AXIOM_ELEMENT_BUDGET:
+        return elements
+    sample = random.Random(seed).sample(elements, AXIOM_ELEMENT_BUDGET)
+    zero = ch.errors.space.zero()
+    if zero not in sample:
+        sample[0] = zero
+    return sample
+
+
 def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     """Run every check against one channel and aggregate the verdicts.
 
-    Weight axioms run over the full error space when it has at most
-    AXIOM_ELEMENT_BUDGET errors, else over a seeded deterministic sample.
+    The weight axioms are decided by the measure's kind.  Hamming and
+    sum-rank weights are sums of block weights, so
+    :func:`~gnetcode.weights.verify_separable_axioms` checks them over the
+    whole error space: separability on every error (off the cached
+    weights), the other axioms once per distinct factor space, and
+    decomposability on every error for Hamming but on the seeded sample of
+    AXIOM_ELEMENT_BUDGET errors for sum-rank.  The rank weight is not
+    separable; it keeps :func:`~gnetcode.weights.verify_weight_axioms` on
+    that sample, with AXIOM_PAIR_BUDGET seeded pairs past the budget.
     The ledger also records the smallest observed d1/d0 ratio (no claim is
     attached to it; a lower bound on d0 in terms of d1 is not available).
     """
@@ -502,22 +523,20 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     classification = classify(ch)
     verdicts: list[TheoremVerdict] = []
 
-    elements = [z for z, _ in ch._errors_by_weight()]
-    if len(elements) > AXIOM_ELEMENT_BUDGET:
-        rng = random.Random(seed)
-        sample = rng.sample(elements, AXIOM_ELEMENT_BUDGET)
-        zero = ch.errors.space.zero()
-        if zero not in sample:
-            sample[0] = zero
+    measure = ch.errors.measure
+    if measure.kind == RANK:
+        axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure,
+                                      pair_budget=AXIOM_PAIR_BUDGET, seed=seed)
     else:
-        sample = elements
-    axioms = verify_weight_axioms(ch.field, sample, ch.errors.measure,
-                                  pair_budget=AXIOM_PAIR_BUDGET, seed=seed)
-    bad = [name for name in ("nonnegativity", "subadditivity",
-                             "inverse_invariance", "decomposability")
-           if not getattr(axioms, name).passed]
+        axioms = verify_separable_axioms(
+            ch.field, ch._errors_by_weight(), measure, pair_budget=AXIOM_PAIR_BUDGET,
+            seed=seed, decomposable=None if measure.kind == HAMMING else _axiom_sample(ch, seed))
+    checks = {name: getattr(axioms, name) for name in (
+        "separability", "nonnegativity", "subadditivity", "inverse_invariance",
+        "decomposability")}
     verdicts.append(_verdict("weight-axioms",
-                             [(name, getattr(axioms, name).witness) for name in bad],
+                             [(name, check.witness) for name, check in checks.items()
+                              if check is not None and not check.passed],
                              True, "nonnegativity, subadditivity, inverse "
                                    "invariance, decomposability"))
 

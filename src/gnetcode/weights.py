@@ -2,8 +2,13 @@
 
 Besides the weights themselves this module provides the constructive
 splitting of an error into two parts of prescribed weights (the
-decomposability property that error-linear channels require) and an
-exhaustive/sampled axiom verifier used by the theorem harness.
+decomposability property that error-linear channels require) and two
+axiom verifiers for the theorem harness: :func:`verify_weight_axioms`
+scans the given errors (and pairs, sampled past a budget), and
+:func:`verify_separable_axioms` decides the axioms over a whole error
+space for the Hamming and sum-rank weights, which are sums of per-block
+weights: separability on every error, the axioms once per distinct
+block space.
 
 Flat error vectors are tuples of field elements; matrix errors are tuples
 of row tuples.  The sum-rank weight carries a column partition
@@ -40,7 +45,7 @@ def rank_weight(f: Field, a: mx.Matrix) -> int:
 
 def sum_rank_weight(f: Field, a: mx.Matrix, blocks: tuple[int, ...]) -> int:
     """Sum of per-block column ranks under the given column partition."""
-    return sum(mx.rank(f, b) for b in split_blocks(a, blocks))
+    return sum(rank_weight(f, b) for b in split_blocks(a, blocks))
 
 
 def split_blocks(a: mx.Matrix, blocks: tuple[int, ...]) -> list[mx.Matrix]:
@@ -63,23 +68,29 @@ def join_blocks(parts: list[mx.Matrix]) -> mx.Matrix:
 def decompose_hamming(z, c1: int, c2: int):
     """Split z = z1 + z2 with Hamming weights exactly (c1, c2).
 
-    The first c1 nonzero coordinates go to z1, the rest to z2; supports are
-    disjoint so the split is field-independent.
+    The first c1 nonzero coordinates go to z1, the rest to z2 (a matrix's
+    entries are taken in row-major order); supports are disjoint so the
+    split is field-independent.
     """
     w = hamming_weight(z)
     if c1 < 0 or c2 < 0 or c1 + c2 != w:
         raise ValueError(f"split ({c1}, {c2}) does not sum to the weight {w}")
-    z1, z2 = [], []
-    taken = 0
-    for x in z:
-        if x != 0 and taken < c1:
-            z1.append(x)
-            z2.append(0)
-            taken += 1
-        else:
-            z1.append(0)
-            z2.append(x)
-    return tuple(z1), tuple(z2)
+    if not (z and isinstance(z[0], tuple)):
+        return _split_after_nonzeros(z, c1)
+    cols = len(z[0])
+    flat1, flat2 = _split_after_nonzeros(tuple(x for row in z for x in row), c1)
+    return (tuple(flat1[i:i + cols] for i in range(0, len(flat1), cols)),
+            tuple(flat2[i:i + cols] for i in range(0, len(flat2), cols)))
+
+
+def _split_after_nonzeros(v: tuple, count: int):
+    """``v`` cut after its ``count``-th nonzero symbol, each side zero-padded."""
+    cut = 0
+    while count > 0 and cut < len(v):
+        if v[cut]:
+            count -= 1
+        cut += 1
+    return v[:cut] + (0,) * (len(v) - cut), (0,) * cut + v[cut:]
 
 
 def decompose_rank(f: Field, z: mx.Matrix, c1: int, c2: int):
@@ -134,7 +145,7 @@ def decompose_sum_rank(f: Field, z: mx.Matrix, c1: int, c2: int,
     is then split with :func:`decompose_rank`.
     """
     parts = split_blocks(z, blocks)
-    ranks = [mx.rank(f, part) for part in parts]
+    ranks = [rank_weight(f, part) for part in parts]
     total = sum(ranks)
     if c1 < 0 or c2 < 0 or c1 + c2 != total:
         raise ValueError(f"split ({c1}, {c2}) does not sum to the sum-rank {total}")
@@ -225,15 +236,39 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class AxiomReport:
+    """The four axiom verdicts; ``separability`` is set by the block route only."""
+
     nonnegativity: AxiomCheck
     subadditivity: AxiomCheck
     inverse_invariance: AxiomCheck
     decomposability: AxiomCheck
+    separability: AxiomCheck | None = None
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in (self.nonnegativity, self.subadditivity,
-                                      self.inverse_invariance, self.decomposability))
+        checks = (self.separability, self.nonnegativity, self.subadditivity,
+                  self.inverse_invariance, self.decomposability)
+        return all(c.passed for c in checks if c is not None)
+
+
+def _first_undecomposable(elements, w, splits) -> AxiomCheck:
+    """The first (z, c1, c2) with c1 + c2 = w(z) that ``splits`` rejects."""
+    for z in elements:
+        wz = w(z)
+        if wz < 0:
+            continue
+        for c1 in range(wz + 1):
+            if not splits(z, c1, wz - c1):
+                return AxiomCheck(False, (z, c1, wz - c1))
+    return AxiomCheck(True)
+
+
+def _constructive_splits(f: Field, measure: WeightMeasure, w, add):
+    """Does ``measure.decompose`` split z into parts of weights (c1, c2)?"""
+    def splits(z, c1, c2):
+        z1, z2 = measure.decompose(f, z, c1, c2)
+        return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
+    return splits
 
 
 def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
@@ -295,22 +330,120 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
             inverse = AxiomCheck(False, (z,))
             break
 
-    decomp = AxiomCheck(True)
-    for z in elements:
-        wz = w(z)
-        if wz < 0:
-            continue
-        for c1 in range(wz + 1):
-            c2 = wz - c1
-            if weight_fn is None:
-                z1, z2 = measure.decompose(f, z, c1, c2)
-                ok = (w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z)
-            else:
-                ok = any(w(z1) == c1 and w(sub(f, z, z1)) == c2 for z1 in elements)
-            if not ok:
-                decomp = AxiomCheck(False, (z, c1, c2))
-                break
-        if not decomp.passed:
-            break
+    if weight_fn is None:
+        splits = _constructive_splits(f, measure, w, add)
+    else:
+        def splits(z, c1, c2):
+            return any(w(z1) == c1 and w(sub(f, z, z1)) == c2 for z1 in elements)
+    decomp = _first_undecomposable(elements, w, splits)
 
     return AxiomReport(nonneg, subadd, inverse, decomp)
+
+
+def _factors(f: Field, measure: WeightMeasure, shape: tuple[int, ...]):
+    """A separable measure's distinct factor spaces and its block-weight sum.
+
+    Returns ``(factors, block_sum)``: ``factors`` lists one
+    ``(factor measure, factor elements, lift)`` per distinct block space in
+    block order, where ``lift`` places a factor element in the first block
+    of that space and zeroes the rest; ``block_sum(z)`` is
+    ``sum_i w_i(block_i(z))`` with every block weight read off a table.
+    """
+    q = f.q
+    if measure.kind == HAMMING:
+        # one block per coordinate, or per matrix entry; every factor is GF(q)^1
+        elements = [(s,) for s in range(q)]
+        table = [measure.weight(f, s) for s in elements]
+        weigh = table.__getitem__
+        if len(shape) == 1:
+            pad = (0,) * (shape[0] - 1)
+            return [(measure, elements, lambda s: s + pad)], lambda z: sum(map(weigh, z))
+        rows, cols = shape
+        pad, zero_row = (0,) * (cols - 1), (0,) * cols
+        return ([(measure, elements, lambda s: (s + pad,) + (zero_row,) * (rows - 1))],
+                lambda z: sum(sum(map(weigh, r)) for r in z))
+    rows, cols = shape
+    blocks = measure.blocks
+    rank_measure = WeightMeasure(RANK)
+    factors, tables = [], {}
+    for u in dict.fromkeys(blocks):
+        elements = [tuple(flat[r * u:(r + 1) * u] for r in range(rows))
+                    for flat in itertools.product(range(q), repeat=rows * u)]
+        tables[u] = {s: rank_measure.weight(f, s) for s in elements}
+        left = (0,) * sum(blocks[:blocks.index(u)])
+        right = (0,) * (cols - len(left) - u)
+        factors.append((rank_measure, elements,
+                        lambda s, left=left, right=right: tuple(left + r + right for r in s)))
+    return factors, lambda z: sum(tables[u][b] for u, b in zip(blocks, split_blocks(z, blocks)))
+
+
+def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
+                            pair_budget: int | None = None, seed: int = 0,
+                            decomposable=None) -> AxiomReport:
+    """Check the weight axioms over a whole error space, block by block.
+
+    ``errors`` is every element of the error space as ``(z, w(z))`` pairs,
+    the weights already taken (a channel's cached weight order); they are
+    trusted, not re-validated.  A Hamming weight is a sum of one weight per
+    coordinate (or matrix entry), a sum-rank weight a sum of the ranks of
+    its ``rows x u_i`` column blocks (:func:`split_blocks`), and addition
+    and negation act block by block.  So the axioms over the whole space
+    follow from exact checks:
+
+    * separability, ``w(z) == sum_i w_i(block_i(z))``, on every error;
+    * nonnegativity, subadditivity, inverse invariance and decomposability
+      on each distinct factor space, by :func:`verify_weight_axioms` with
+      ``pair_budget`` and ``seed`` (so a factor is sampled only past the
+      budget); a factor witness is lifted to the whole space by placing it
+      in its block with every other block zero;
+    * decomposability also on ``decomposable`` directly (every error when
+      ``None``), with the constructive splitting; its witness comes first.
+
+    When separability holds and each block's zero weighs 0 (a block whose
+    zero does not fails nonnegativity), every verdict equals that of an
+    exhaustive whole-space scan and every witness is a counterexample in
+    the whole space.  A separability failure is reported as its own check,
+    ``(z, w(z), sum_i w_i(block_i(z)))``; the other four verdicts then
+    speak only for the block weights.  The rank weight is not separable:
+    use :func:`verify_weight_axioms` on a sample.
+    """
+    if measure.kind == RANK:
+        raise ValueError("the rank weight is not a sum of block weights")
+    weight_of = dict(errors)
+    first = next(iter(weight_of))
+    shape = (len(first), len(first[0])) if isinstance(first[0], tuple) else (len(first),)
+    factors, block_sum = _factors(f, measure, shape)
+
+    separable = AxiomCheck(True)
+    for z, wz in weight_of.items():
+        total = block_sum(z)
+        if wz != total:
+            separable = AxiomCheck(False, (z, wz, total))
+            break
+
+    lifted = {}
+    for factor, elements, lift in factors:
+        rep = verify_weight_axioms(f, elements, factor, pair_budget, seed)
+        if not rep.nonnegativity.passed:
+            z = lift(rep.nonnegativity.witness[0])
+            lifted.setdefault("nonnegativity", AxiomCheck(False, (z, weight_of[z])))
+        if not rep.subadditivity.passed:
+            a, b = rep.subadditivity.witness
+            lifted.setdefault("subadditivity", AxiomCheck(False, (lift(a), lift(b))))
+        if not rep.inverse_invariance.passed:
+            lifted.setdefault("inverse_invariance",
+                              AxiomCheck(False, (lift(rep.inverse_invariance.witness[0]),)))
+        if not rep.decomposability.passed:
+            z, c1, c2 = rep.decomposability.witness
+            lifted.setdefault("decomposability", AxiomCheck(False, (lift(z), c1, c2)))
+
+    add = mx.adder(f, shape)
+    direct = _first_undecomposable(
+        weight_of if decomposable is None else decomposable, weight_of.get,
+        _constructive_splits(f, measure, weight_of.get, add))
+    if not direct.passed:
+        lifted["decomposability"] = direct
+    passed = AxiomCheck(True)
+    return AxiomReport(lifted.get("nonnegativity", passed), lifted.get("subadditivity", passed),
+                       lifted.get("inverse_invariance", passed),
+                       lifted.get("decomposability", passed), separable)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import naive_classify
+from oracles import naive_classify, naive_codeword_map_linear
 from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
                       matrix_channel, table_channel, classify,
                       enumerate_errors_up_to, ConstructionError, BudgetError,
@@ -11,7 +11,7 @@ from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
                       random_rank_channel, random_sum_rank_channel,
                       minimum_distances, mwd, toy_channel)
 from gnetcode import matrices as mx
-from gnetcode.channel import Channel, VectorSpace, ErrorModel
+from gnetcode.channel import Channel, VectorSpace, ErrorModel, _codeword_map_linear
 from gnetcode.weights import HAMMING
 
 
@@ -185,6 +185,36 @@ def test_classify_matches_checked_oracle():
         assert verdict == naive_classify(ch), ch
         tags.add(verdict.witness[0] if verdict.witness else verdict.error_linear)
     assert {"transfer-not-additive", "error-map-not-homomorphic", True} <= tags
+
+
+def _subspace_code_channel(rng, f, dim, output_length):
+    """The whole GF(q)^dim as the code, f(0) = 0 and random distinct clean
+    outputs elsewhere, F(x, z) = F(x, 0) + (z, 0, ..., 0)."""
+    codewords = list(itertools.product(range(f.q), repeat=dim))
+    nonzero = [y for y in itertools.product(range(f.q), repeat=output_length) if any(y)]
+    clean = [(0,) * output_length] + rng.sample(nonzero, len(codewords) - 1)
+    pad = (0,) * (output_length - 1)
+    table = {(x, (z,)): mx.vec_add(f, y, (z,) + pad)
+             for x, y in zip(codewords, clean) for z in range(f.q)}
+    return table_channel(f, codewords, 1, output_length, table)
+
+
+def test_codeword_map_linear_matches_checked_oracle():
+    rng = random.Random(2718)
+    gf2, gf3, gf4 = Field(2), Field(3), Field(2, 2)
+    channels = [_subspace_code_channel(rng, f, 2, 3) for f in (gf2, gf3) for _ in range(3)]
+    channels += [_separable_table_channel(rng, gf4, 3, 2, 2) for _ in range(2)]
+    channels += [random_linear_channel(rng, gf4, msg_length=1, error_length=2, output_length=2),
+                 random_rank_channel(rng, gf3, rows=2, msg_cols=1, err_cols=1, out_cols=2),
+                 random_sum_rank_channel(rng, gf2, rows=1, msg_blocks=(1, 1),
+                                         err_blocks=(1, 1), out_blocks=(1, 1))]
+    tags = set()
+    for ch in channels:
+        got = _codeword_map_linear(ch)
+        assert got == naive_codeword_map_linear(ch), ch
+        tags.add(got[1][0] if got[1] else got[0])
+    assert tags == {True, "code-not-subspace", "codeword-map-not-homogeneous",
+                    "codeword-map-not-additive"}
 
 
 def test_enumerate_errors_up_to(gf3, toy):

@@ -182,6 +182,21 @@ def test_code_sizes_must_be_positive(text, key):
         channel_from_config(text)
 
 
+SUM_RANK = MATRIX_RANK.replace("kind = rank", "kind = sum-rank\nblocks = 1,1")
+
+
+@pytest.mark.parametrize("text, good, bad, where", [
+    (REPETITION, "0,0,0", "0,0,,0", r"\[code\] codewords = '0,0,,0'"),
+    (REPETITION, "1,1,1", "1,1,1,", r"\[code\] codewords = '1,1,1,'"),
+    (MATRIX_RANK, "0,1", "0, ,1", r"\[channel\] b = '0, ,1'"),
+    (SUM_RANK, "blocks = 1,1", "blocks = 1,,1", r"\[weight\] blocks = '1,,1'"),
+], ids=["codeword", "trailing-comma", "matrix-row", "blocks"])
+def test_empty_entries_rejected(text, good, bad, where):
+    channel_from_config(text)  # the same config without the empty entry builds
+    with pytest.raises(ConfigError, match=where + " has an empty entry"):
+        channel_from_config(text.replace(good, bad))
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         channel_from_config(REPETITION.replace("kind = hamming",

@@ -1,11 +1,18 @@
+import collections
 import dataclasses
+import itertools
 import random
 
+from test_network import random_dag
 from gnetcode import (Field, classify, minimum_distances, run_all,
                       check_bounds, check_refined, check_error_linear_suite,
                       check_metric, check_conditions, check_decoders,
+                      compile_network, verify_weight_axioms,
                       random_table_channel, random_linear_channel,
                       random_rank_channel, random_sum_rank_channel)
+from gnetcode import properties, weights
+from gnetcode.channel import BudgetError
+from gnetcode.network import _evaluator, _validate_and_order
 
 
 def by_name(verdicts):
@@ -196,3 +203,66 @@ def test_ledger_deterministic():
     ch = random_table_channel(rng, Field(3), n_codewords=3, error_length=3,
                               output_length=2)
     assert run_all(ch, seed=4).to_dict() == run_all(ch, seed=4).to_dict()
+
+
+def _network_channel(rng, extra):
+    """A random nonlinear GF(3) DAG s -> v1..v3 -> t with 4 + extra edges (so
+    3^(4 + extra) errors) and three codewords whose clean outputs differ."""
+    gf3 = Field(3)
+    while True:
+        spec = random_dag(rng, 3, inner=3, extra=extra)
+        program, sinks, m = _validate_and_order(spec, 3)
+        transfer = _evaluator(program, sinks, len(spec.edges), gf3.add_table)
+        zero = (0,) * len(spec.edges)
+        clean = {}
+        for x in itertools.product(range(3), repeat=m):
+            clean.setdefault(transfer(x, zero), x)
+        if len(clean) < 3:
+            continue
+        ch = compile_network(gf3, spec, sorted(clean.values())[:3])
+        try:
+            classify(ch)  # an error-linear draw is past the homomorphism scan's budget
+        except BudgetError:
+            continue
+        return ch
+
+
+def test_weight_axioms_cover_every_network_error(monkeypatch):
+    """On nonlinear-network-sized DAGs the ledger's Hamming axiom check sums
+    the block weights of every error and splits every error every way, a
+    superset of the sampled check's errors, and reaches its verdict."""
+    rng, seed = random.Random(2187), 21
+    factors, decompose = weights._factors, weights.decompose_hamming
+    for extra in (3, 2):
+        ch = _network_channel(rng, extra)
+        errors = dict(ch._errors_by_weight())
+        assert len(errors) == 3 ** (4 + extra)
+        summed, splits = [], collections.Counter()
+
+        def recording_factors(f, measure, shape):
+            found, block_sum = factors(f, measure, shape)
+
+            def recorded(z):
+                summed.append(z)
+                return block_sum(z)
+            return found, recorded
+
+        def recording_decompose(z, c1, c2):
+            if z in errors:
+                splits[z] += 1
+            return decompose(z, c1, c2)
+
+        monkeypatch.setattr(weights, "_factors", recording_factors)
+        monkeypatch.setattr(weights, "decompose_hamming", recording_decompose)
+        verdict = by_name(run_all(ch, seed).verdicts)["weight-axioms"]
+        monkeypatch.undo()
+
+        assert sorted(summed) == sorted(errors)
+        assert splits == {z: w + 1 for z, w in errors.items()}
+        sample = properties._axiom_sample(ch, seed)
+        assert len(sample) == properties.AXIOM_ELEMENT_BUDGET < len(errors)
+        sampled = verify_weight_axioms(ch.field, sample, ch.errors.measure,
+                                       properties.AXIOM_PAIR_BUDGET, seed)
+        assert sampled.passed and verdict.status == "pass"
+        assert verdict.detail == ("nonnegativity, subadditivity, inverse invariance, "
+                                  "decomposability")

@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from oracles import naive_weight_axioms
+from oracles import err_add as oracle_add, err_neg as oracle_neg, naive_weight_axioms
 from gnetcode import (Field, WeightMeasure, HAMMING, RANK, SUM_RANK,
                       hamming_weight, rank_weight, sum_rank_weight,
                       decompose_hamming, decompose_rank, decompose_sum_rank,
                       verify_weight_axioms)
 from gnetcode import matrices as mx
+from gnetcode import weights as weights_module
 from gnetcode.channel import MatrixSpace, VectorSpace
+from gnetcode.properties import AXIOM_PAIR_BUDGET
+from gnetcode.weights import split_blocks, verify_separable_axioms
 
 
 def all_matrices(f, rows, cols):
@@ -216,3 +220,130 @@ def test_max_weight():
     assert WeightMeasure(RANK).max_weight((2, 3)) == 2
     assert WeightMeasure(SUM_RANK, (2, 2)).max_weight((3, 4)) == 4
     assert WeightMeasure(RANK).max_weight((4, 2)) == 2
+
+
+# -- the block route: separability plus one scan per factor space --------------
+
+AXIOMS = ("nonnegativity", "subadditivity", "inverse_invariance", "decomposability")
+
+
+def _separable_spaces():
+    gf2, gf3 = Field(2), Field(3)
+    return [
+        (gf2, list(VectorSpace(gf2, 4).elements()), WeightMeasure(HAMMING)),
+        (gf3, list(VectorSpace(gf3, 3).elements()), WeightMeasure(HAMMING)),
+        (gf2, all_matrices(gf2, 2, 2), WeightMeasure(HAMMING)),
+        (gf2, all_matrices(gf2, 2, 3), WeightMeasure(SUM_RANK, (1, 2))),
+        (gf3, all_matrices(gf3, 1, 2), WeightMeasure(SUM_RANK, (1, 1))),
+    ]
+
+
+def _is_counterexample(f, space, measure, name, witness):
+    """Does ``witness`` break axiom ``name`` in the whole space, under the
+    measure as it currently weighs?"""
+    w = lambda z: measure.weight(f, z)
+    elements = set(space)
+    if name == "separability":
+        z, wz, total = witness
+        return z in elements and wz == w(z) != total
+    if name == "nonnegativity":
+        z, wz = witness
+        return z in elements and wz == w(z) and (wz < 0 or (wz == 0) != (z == space[0]))
+    if name == "subadditivity":
+        a, b = witness
+        return {a, b} <= elements and w(oracle_add(f, a, b)) > w(a) + w(b)
+    if name == "inverse_invariance":
+        (z,) = witness
+        return z in elements and w(oracle_neg(f, z)) != w(z)
+    z, c1, c2 = witness
+    if z not in elements or c1 + c2 != w(z):
+        return False
+    z1, z2 = measure.decompose(f, z, c1, c2)
+    return not (w(z1) == c1 and w(z2) == c2 and oracle_add(f, z1, z2) == z)
+
+
+def _check_block_route(f, space, measure):
+    """The block route's statuses equal the whole-space oracle's, and each
+    witness it reports is a whole-space counterexample; returns the report."""
+    errors = [(z, measure.weight(f, z)) for z in space]
+    got = verify_separable_axioms(f, errors, measure, pair_budget=AXIOM_PAIR_BUDGET)
+    want = naive_weight_axioms(f, space, measure)
+    assert got.passed == want.passed, (measure, got, want)
+    for name in ("separability",) + AXIOMS:
+        check = getattr(got, name)
+        if not check.passed:
+            assert _is_counterexample(f, space, measure, name, check.witness), (name, check)
+    if got.separability.passed:
+        for name in AXIOMS:
+            assert getattr(got, name).passed == getattr(want, name).passed, (name, got, want)
+    return got
+
+
+@pytest.mark.parametrize("f, space, measure", _separable_spaces(),
+                         ids=["gf2^4", "gf3^3", "gf2-2x2-hamming", "gf2-2x(1+2)", "gf3-1x(1+1)"])
+def test_block_route_matches_whole_space_oracle(f, space, measure):
+    assert _check_block_route(f, space, measure).passed
+
+
+def _symbol_weights(table):
+    """A Hamming weight that gives each symbol its own weight."""
+    def weight(v):
+        if v and isinstance(v[0], tuple):
+            return sum(table[x] for row in v for x in row)
+        return sum(table[x] for x in v)
+    return weight
+
+
+@pytest.mark.parametrize("f, space, measure", _separable_spaces()[:3],
+                         ids=["gf2^4", "gf3^3", "gf2-2x2-hamming"])
+def test_block_route_under_perturbed_symbol_weights(monkeypatch, f, space, measure):
+    failed = set()
+    for weights in itertools.product((-1, 0, 1, 2), repeat=f.q - 1):
+        monkeypatch.setattr(weights_module, "hamming_weight", _symbol_weights((0,) + weights))
+        got = _check_block_route(f, space, measure)
+        assert got.separability.passed
+        failed |= {name for name in AXIOMS if not getattr(got, name).passed}
+    # e.g. GF(3)'s symbol 2 weighing 2 breaks inverse invariance, a nonzero
+    # symbol weighing 0 breaks nonnegativity; over GF(2), -a = a
+    assert failed == set(AXIOMS) - ({"inverse_invariance"} if f.q == 2 else set())
+
+
+@pytest.mark.parametrize("f, space, measure", _separable_spaces()[3:],
+                         ids=["gf2-2x(1+2)", "gf3-1x(1+1)"])
+def test_block_route_under_perturbed_block_ranks(monkeypatch, f, space, measure):
+    true_rank = weights_module.rank_weight
+    blocks = sorted({b for z in space for b in split_blocks(z, measure.blocks)})
+    nonzero = [b for b in blocks if any(map(any, b))]
+    rng = random.Random(1729)
+    failed = set()
+    for by_rank in ((0, 1, 2), (0, 2, 3), (0, 1, 1), (0, 2, 2)):
+        for _ in range(6):
+            bumps = {b: rng.choice((-1, 1, 2)) for b in rng.sample(nonzero, 2)}
+            rank = lambda g, a, by=by_rank, bumps=bumps: max(0, by[true_rank(g, a)]
+                                                              + bumps.get(a, 0))
+            monkeypatch.setattr(weights_module, "rank_weight", rank)
+            got = _check_block_route(f, space, measure)
+            assert got.separability.passed
+            failed |= {name for name in AXIOMS if not getattr(got, name).passed}
+    # over GF(2) every element is its own inverse
+    assert failed == set(AXIOMS) - ({"inverse_invariance"} if f.q == 2 else set())
+
+
+@pytest.mark.parametrize("f, space, measure", _separable_spaces()[:3],
+                         ids=["gf2^4", "gf3^3", "gf2-2x2-hamming"])
+def test_block_route_reports_a_non_separable_weight(monkeypatch, f, space, measure):
+    """A weight that is not a sum of symbol weights fails the route with a
+    real separability witness, as the whole space fails some axiom."""
+    heavy = space[-1]  # every symbol nonzero
+    for weight in (lambda v: min(hamming_weight(v), 2),
+                   lambda v: hamming_weight(v) + (v == heavy)):
+        monkeypatch.setattr(weights_module, "hamming_weight", weight)
+        got = _check_block_route(f, space, measure)
+        assert not got.separability.passed and not got.passed
+        monkeypatch.undo()
+
+
+def test_block_route_rejects_the_rank_weight(gf2):
+    errors = [(z, rank_weight(gf2, z)) for z in all_matrices(gf2, 2, 2)]
+    with pytest.raises(ValueError, match="not a sum of block weights"):
+        verify_separable_axioms(gf2, errors, WeightMeasure(RANK))
