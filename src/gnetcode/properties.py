@@ -39,7 +39,7 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
-AXIOM_ELEMENT_BUDGET = 256  # rank axioms and sum-rank decomposability sample beyond this
+AXIOM_ELEMENT_BUDGET = 256  # rank and sum-rank axioms sample beyond this
 AXIOM_PAIR_BUDGET = 100_000
 
 
@@ -507,15 +507,15 @@ def _axiom_sample(ch: Channel, seed: int) -> list:
 def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     """Run every check against one channel and aggregate the verdicts.
 
-    The weight axioms are decided by the measure's kind.  Hamming and
-    sum-rank weights are sums of block weights, so
-    :func:`~gnetcode.weights.verify_separable_axioms` checks them over the
-    whole error space: separability on every error (off the cached
-    weights), the other axioms once per distinct factor space, and
-    decomposability on every error for Hamming but on the seeded sample of
-    AXIOM_ELEMENT_BUDGET errors for sum-rank.  The rank weight is not
-    separable; it keeps :func:`~gnetcode.weights.verify_weight_axioms` on
-    that sample, with AXIOM_PAIR_BUDGET seeded pairs past the budget.
+    The weight axioms are decided by the measure's kind.  A Hamming weight
+    is a sum of symbol weights, so
+    :func:`~gnetcode.weights.verify_separable_axioms` checks it over the
+    whole error space: separability and decomposability on every error
+    (off the cached weights), the other axioms once on GF(q)^1.  Rank and
+    sum-rank weights keep :func:`~gnetcode.weights.verify_weight_axioms`
+    over every error when there are at most AXIOM_ELEMENT_BUDGET, else
+    over a seeded sample of that many, with AXIOM_PAIR_BUDGET seeded pairs
+    past the budget.
     The ledger also records the smallest observed d1/d0 ratio (no claim is
     attached to it; a lower bound on d0 in terms of d1 is not available).
     """
@@ -524,13 +524,12 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     verdicts: list[TheoremVerdict] = []
 
     measure = ch.errors.measure
-    if measure.kind == RANK:
+    if measure.kind == HAMMING:
+        axioms = verify_separable_axioms(ch.field, ch._errors_by_weight(), measure,
+                                         pair_budget=AXIOM_PAIR_BUDGET, seed=seed)
+    else:
         axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure,
                                       pair_budget=AXIOM_PAIR_BUDGET, seed=seed)
-    else:
-        axioms = verify_separable_axioms(
-            ch.field, ch._errors_by_weight(), measure, pair_budget=AXIOM_PAIR_BUDGET,
-            seed=seed, decomposable=None if measure.kind == HAMMING else _axiom_sample(ch, seed))
     checks = {name: getattr(axioms, name) for name in (
         "separability", "nonnegativity", "subadditivity", "inverse_invariance",
         "decomposability")}

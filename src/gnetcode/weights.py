@@ -6,9 +6,9 @@ decomposability property that error-linear channels require) and two
 axiom verifiers for the theorem harness: :func:`verify_weight_axioms`
 scans the given errors (and pairs, sampled past a budget), and
 :func:`verify_separable_axioms` decides the axioms over a whole error
-space for the Hamming and sum-rank weights, which are sums of per-block
-weights: separability on every error, the axioms once per distinct
-block space.
+space for the Hamming weight, which is a sum of per-symbol weights:
+separability and decomposability on every error, the other axioms once
+on GF(q)^1.
 
 Flat error vectors are tuples of field elements; matrix errors are tuples
 of row tuples.  The sum-rank weight carries a column partition
@@ -45,7 +45,7 @@ def rank_weight(f: Field, a: mx.Matrix) -> int:
 
 def sum_rank_weight(f: Field, a: mx.Matrix, blocks: tuple[int, ...]) -> int:
     """Sum of per-block column ranks under the given column partition."""
-    return sum(rank_weight(f, b) for b in split_blocks(a, blocks))
+    return sum(mx.rank(f, b) for b in split_blocks(a, blocks))
 
 
 def split_blocks(a: mx.Matrix, blocks: tuple[int, ...]) -> list[mx.Matrix]:
@@ -145,7 +145,7 @@ def decompose_sum_rank(f: Field, z: mx.Matrix, c1: int, c2: int,
     is then split with :func:`decompose_rank`.
     """
     parts = split_blocks(z, blocks)
-    ranks = [rank_weight(f, part) for part in parts]
+    ranks = [mx.rank(f, part) for part in parts]
     total = sum(ranks)
     if c1 < 0 or c2 < 0 or c1 + c2 != total:
         raise ValueError(f"split ({c1}, {c2}) does not sum to the sum-rank {total}")
@@ -236,7 +236,7 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """The four axiom verdicts; ``separability`` is set by the block route only."""
+    """The four axiom verdicts; ``separability`` is set by the separable route only."""
 
     nonnegativity: AxiomCheck
     subadditivity: AxiomCheck
@@ -340,110 +340,77 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
     return AxiomReport(nonneg, subadd, inverse, decomp)
 
 
-def _factors(f: Field, measure: WeightMeasure, shape: tuple[int, ...]):
-    """A separable measure's distinct factor spaces and its block-weight sum.
+def _symbol_weights(f: Field, measure: WeightMeasure, shape: tuple[int, ...]):
+    """The Hamming weight as a sum of one weight per symbol.
 
-    Returns ``(factors, block_sum)``: ``factors`` lists one
-    ``(factor measure, factor elements, lift)`` per distinct block space in
-    block order, where ``lift`` places a factor element in the first block
-    of that space and zeroes the rest; ``block_sum(z)`` is
-    ``sum_i w_i(block_i(z))`` with every block weight read off a table.
+    Returns ``(symbols, lift, symbol_sum)``: ``symbols`` is the factor
+    space GF(q)^1, ``lift`` places a factor element in the first coordinate
+    (or matrix entry) and zeroes the rest, and ``symbol_sum(z)`` sums the
+    weights of z's symbols, read off one table.
     """
-    q = f.q
-    if measure.kind == HAMMING:
-        # one block per coordinate, or per matrix entry; every factor is GF(q)^1
-        elements = [(s,) for s in range(q)]
-        table = [measure.weight(f, s) for s in elements]
-        weigh = table.__getitem__
-        if len(shape) == 1:
-            pad = (0,) * (shape[0] - 1)
-            return [(measure, elements, lambda s: s + pad)], lambda z: sum(map(weigh, z))
-        rows, cols = shape
-        pad, zero_row = (0,) * (cols - 1), (0,) * cols
-        return ([(measure, elements, lambda s: (s + pad,) + (zero_row,) * (rows - 1))],
-                lambda z: sum(sum(map(weigh, r)) for r in z))
+    symbols = [(s,) for s in range(f.q)]
+    weigh = [measure.weight(f, s) for s in symbols].__getitem__
+    if len(shape) == 1:
+        pad = (0,) * (shape[0] - 1)
+        return symbols, lambda s: s + pad, lambda z: sum(map(weigh, z))
     rows, cols = shape
-    blocks = measure.blocks
-    rank_measure = WeightMeasure(RANK)
-    factors, tables = [], {}
-    for u in dict.fromkeys(blocks):
-        elements = [tuple(flat[r * u:(r + 1) * u] for r in range(rows))
-                    for flat in itertools.product(range(q), repeat=rows * u)]
-        tables[u] = {s: rank_measure.weight(f, s) for s in elements}
-        left = (0,) * sum(blocks[:blocks.index(u)])
-        right = (0,) * (cols - len(left) - u)
-        factors.append((rank_measure, elements,
-                        lambda s, left=left, right=right: tuple(left + r + right for r in s)))
-    return factors, lambda z: sum(tables[u][b] for u, b in zip(blocks, split_blocks(z, blocks)))
+    pad, zero_row = (0,) * (cols - 1), (0,) * cols
+    return (symbols, lambda s: (s + pad,) + (zero_row,) * (rows - 1),
+            lambda z: sum(sum(map(weigh, r)) for r in z))
 
 
 def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
-                            pair_budget: int | None = None, seed: int = 0,
-                            decomposable=None) -> AxiomReport:
-    """Check the weight axioms over a whole error space, block by block.
+                            pair_budget: int | None = None, seed: int = 0) -> AxiomReport:
+    """Check the Hamming weight's axioms over a whole error space.
 
     ``errors`` is every element of the error space as ``(z, w(z))`` pairs,
     the weights already taken (a channel's cached weight order); they are
-    trusted, not re-validated.  A Hamming weight is a sum of one weight per
-    coordinate (or matrix entry), a sum-rank weight a sum of the ranks of
-    its ``rows x u_i`` column blocks (:func:`split_blocks`), and addition
-    and negation act block by block.  So the axioms over the whole space
-    follow from exact checks:
+    trusted, not re-validated.  The Hamming weight is a sum of one weight
+    per coordinate (or matrix entry), and addition and negation act
+    coordinate by coordinate.  So the axioms over the whole space follow
+    from exact checks:
 
-    * separability, ``w(z) == sum_i w_i(block_i(z))``, on every error;
-    * nonnegativity, subadditivity, inverse invariance and decomposability
-      on each distinct factor space, by :func:`verify_weight_axioms` with
-      ``pair_budget`` and ``seed`` (so a factor is sampled only past the
-      budget); a factor witness is lifted to the whole space by placing it
-      in its block with every other block zero;
-    * decomposability also on ``decomposable`` directly (every error when
-      ``None``), with the constructive splitting; its witness comes first.
+    * separability, ``w(z) == sum_i w(z_i)``, on every error;
+    * nonnegativity, subadditivity and inverse invariance on the factor
+      space GF(q)^1, by :func:`verify_weight_axioms` with ``pair_budget``
+      and ``seed``; a factor witness is lifted to the whole space by
+      placing it in the first coordinate with every other one zero;
+    * decomposability on every error, with the constructive splitting.
 
-    When separability holds and each block's zero weighs 0 (a block whose
-    zero does not fails nonnegativity), every verdict equals that of an
-    exhaustive whole-space scan and every witness is a counterexample in
-    the whole space.  A separability failure is reported as its own check,
-    ``(z, w(z), sum_i w_i(block_i(z)))``; the other four verdicts then
-    speak only for the block weights.  The rank weight is not separable:
-    use :func:`verify_weight_axioms` on a sample.
+    When separability holds and the zero symbol weighs 0 (else
+    nonnegativity fails), every verdict equals that of an exhaustive
+    whole-space scan and every witness is a counterexample in the whole
+    space.  A separability failure is reported as its own check,
+    ``(z, w(z), sum_i w(z_i))``; the other verdicts then speak only for the
+    symbol weights.  Rank and sum-rank weights take
+    :func:`verify_weight_axioms` on a sample instead.
     """
-    if measure.kind == RANK:
-        raise ValueError("the rank weight is not a sum of block weights")
+    if measure.kind != HAMMING:
+        raise ValueError(f"the separable route covers the Hamming weight only, "
+                         f"not the {measure.kind} weight")
     weight_of = dict(errors)
     first = next(iter(weight_of))
     shape = (len(first), len(first[0])) if isinstance(first[0], tuple) else (len(first),)
-    factors, block_sum = _factors(f, measure, shape)
+    symbols, lift, symbol_sum = _symbol_weights(f, measure, shape)
 
     separable = AxiomCheck(True)
     for z, wz in weight_of.items():
-        total = block_sum(z)
+        total = symbol_sum(z)
         if wz != total:
             separable = AxiomCheck(False, (z, wz, total))
             break
 
-    lifted = {}
-    for factor, elements, lift in factors:
-        rep = verify_weight_axioms(f, elements, factor, pair_budget, seed)
-        if not rep.nonnegativity.passed:
-            z = lift(rep.nonnegativity.witness[0])
-            lifted.setdefault("nonnegativity", AxiomCheck(False, (z, weight_of[z])))
-        if not rep.subadditivity.passed:
-            a, b = rep.subadditivity.witness
-            lifted.setdefault("subadditivity", AxiomCheck(False, (lift(a), lift(b))))
-        if not rep.inverse_invariance.passed:
-            lifted.setdefault("inverse_invariance",
-                              AxiomCheck(False, (lift(rep.inverse_invariance.witness[0]),)))
-        if not rep.decomposability.passed:
-            z, c1, c2 = rep.decomposability.witness
-            lifted.setdefault("decomposability", AxiomCheck(False, (lift(z), c1, c2)))
+    factor = verify_weight_axioms(f, symbols, measure, pair_budget, seed)
+    nonneg, subadd, inverse = (factor.nonnegativity, factor.subadditivity,
+                               factor.inverse_invariance)
+    if not nonneg.passed:
+        z = lift(nonneg.witness[0])
+        nonneg = AxiomCheck(False, (z, weight_of[z]))
+    if not subadd.passed:
+        subadd = AxiomCheck(False, tuple(map(lift, subadd.witness)))
+    if not inverse.passed:
+        inverse = AxiomCheck(False, (lift(inverse.witness[0]),))
 
-    add = mx.adder(f, shape)
-    direct = _first_undecomposable(
-        weight_of if decomposable is None else decomposable, weight_of.get,
-        _constructive_splits(f, measure, weight_of.get, add))
-    if not direct.passed:
-        lifted["decomposability"] = direct
-    passed = AxiomCheck(True)
-    return AxiomReport(lifted.get("nonnegativity", passed), lifted.get("subadditivity", passed),
-                       lifted.get("inverse_invariance", passed),
-                       lifted.get("decomposability", passed), separable)
+    splits = _constructive_splits(f, measure, weight_of.get, mx.adder(f, shape))
+    decomp = _first_undecomposable(weight_of, weight_of.get, splits)
+    return AxiomReport(nonneg, subadd, inverse, decomp, separable)

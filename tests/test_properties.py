@@ -229,30 +229,30 @@ def _network_channel(rng, extra):
 
 def test_weight_axioms_cover_every_network_error(monkeypatch):
     """On nonlinear-network-sized DAGs the ledger's Hamming axiom check sums
-    the block weights of every error and splits every error every way, a
+    the symbol weights of every error and splits every error every way, a
     superset of the sampled check's errors, and reaches its verdict."""
     rng, seed = random.Random(2187), 21
-    factors, decompose = weights._factors, weights.decompose_hamming
+    symbol_weights, decompose = weights._symbol_weights, weights.decompose_hamming
     for extra in (3, 2):
         ch = _network_channel(rng, extra)
         errors = dict(ch._errors_by_weight())
         assert len(errors) == 3 ** (4 + extra)
         summed, splits = [], collections.Counter()
 
-        def recording_factors(f, measure, shape):
-            found, block_sum = factors(f, measure, shape)
+        def recording_symbol_weights(f, measure, shape):
+            symbols, lift, symbol_sum = symbol_weights(f, measure, shape)
 
             def recorded(z):
                 summed.append(z)
-                return block_sum(z)
-            return found, recorded
+                return symbol_sum(z)
+            return symbols, lift, recorded
 
         def recording_decompose(z, c1, c2):
             if z in errors:
                 splits[z] += 1
             return decompose(z, c1, c2)
 
-        monkeypatch.setattr(weights, "_factors", recording_factors)
+        monkeypatch.setattr(weights, "_symbol_weights", recording_symbol_weights)
         monkeypatch.setattr(weights, "decompose_hamming", recording_decompose)
         verdict = by_name(run_all(ch, seed).verdicts)["weight-axioms"]
         monkeypatch.undo()
