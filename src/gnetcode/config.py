@@ -30,10 +30,10 @@ import configparser
 import hashlib
 import itertools
 
-from .field import Field, DEFAULT_MAX_FIELD_SIZE
+from .field import Field, DEFAULT_MAX_FIELD_SIZE, power_exceeds
 from .weights import WeightMeasure, HAMMING, RANK, SUM_RANK
-from .channel import (Channel, classical_channel, matrix_channel, table_channel,
-                      DEFAULT_PAIR_BUDGET)
+from .channel import (BudgetError, Channel, classical_channel, matrix_channel,
+                      table_channel, DEFAULT_PAIR_BUDGET)
 from .network import NetworkSpec, compile_network
 from . import matrices as mx
 
@@ -169,7 +169,7 @@ def channel_from_config(text: str,
     if kind == "classical":
         if measure.kind != HAMMING:
             raise ConfigError("classical channels use the hamming weight")
-        codewords = _parse_code_vectors(parser, fld)
+        codewords = _parse_code_vectors(parser, fld, budget)
         return _wrap(lambda: classical_channel(fld, codewords, pair_budget=budget))
     if kind == "matrix":
         return _wrap(lambda: _matrix_from_config(parser, fld, measure, budget))
@@ -216,7 +216,14 @@ def _symbols_ok(fld: Field, vec) -> bool:
     return all(0 <= s < fld.q for s in vec)
 
 
-def _parse_code_vectors(parser, fld: Field) -> list[tuple[int, ...]]:
+def _check_code_size(fld: Field, n: int, budget: int) -> None:
+    """A code of ``q^n`` codewords meets at least one error each, so past
+    the pair budget it is rejected before it is enumerated."""
+    if power_exceeds(fld.q, n, budget):
+        raise BudgetError(f"{fld.q}^{n} codewords exceeds the pair budget {budget}")
+
+
+def _parse_code_vectors(parser, fld: Field, budget: int) -> list[tuple[int, ...]]:
     if "code" not in parser:
         raise ConfigError("missing required section [code]")
     csec = parser["code"]
@@ -228,14 +235,18 @@ def _parse_code_vectors(parser, fld: Field) -> list[tuple[int, ...]]:
         if "x" in spec:
             raise ConfigError("[code] space = RxC needs a matrix channel")
         n = _positive("code", "space", spec)
+        _check_code_size(fld, n, budget)
         out = [tuple(v) for v in itertools.product(range(fld.q), repeat=n)]
     elif "generator" in csec:
         g = _matrix("code", "generator", csec["generator"])
         if not all(_symbols_ok(fld, row) for row in g):
             raise ConfigError(f"[code] generator entries must be symbols of {fld}")
-        rows = len(g)
-        out = sorted({mx.vec_mat_mul(fld, msg, g)
-                      for msg in itertools.product(range(fld.q), repeat=rows)})
+        # the code is g's row space, enumerated over a row basis (a zero
+        # generator spans the zero word alone)
+        basis = [g[i] for i in mx.pivot_columns(fld, mx.transpose(g))] or [g[0]]
+        _check_code_size(fld, len(basis), budget)
+        out = sorted({mx.vec_mat_mul(fld, msg, basis)
+                      for msg in itertools.product(range(fld.q), repeat=len(basis))})
     else:
         raise ConfigError("[code] needs codewords, space or generator")
     for x in out:
@@ -244,7 +255,7 @@ def _parse_code_vectors(parser, fld: Field) -> list[tuple[int, ...]]:
     return out
 
 
-def _parse_code_matrices(parser, fld: Field, rows: int):
+def _parse_code_matrices(parser, fld: Field, rows: int, budget: int):
     csec = parser["code"]
     if "codewords" in csec:
         flat = [_int_list("code", "codewords", line)
@@ -260,6 +271,7 @@ def _parse_code_matrices(parser, fld: Field, rows: int):
         r, c = _space_dims(csec["space"].strip())
         if r != rows:
             raise ConfigError(f"[code] space rows {r} disagree with rows = {rows}")
+        _check_code_size(fld, r * c, budget)
         return [tuple(flat[i * c:(i + 1) * c] for i in range(r))
                 for flat in itertools.product(range(fld.q), repeat=r * c)]
     raise ConfigError("[code] matrix codewords need codewords lines or space = RxC")
@@ -283,9 +295,9 @@ def _matrix_from_config(parser, fld: Field, measure: WeightMeasure, budget: int)
             if "x" not in spec:
                 raise ConfigError("[code] rank/sum-rank codes need rows or space = RxC")
             rows = _space_dims(spec.strip())[0]
-        codewords = _parse_code_matrices(parser, fld, rows)
+        codewords = _parse_code_matrices(parser, fld, rows, budget)
     else:
-        codewords = _parse_code_vectors(parser, fld)
+        codewords = _parse_code_vectors(parser, fld, budget)
     return matrix_channel(fld, codewords, a, b, measure, pair_budget=budget)
 
 
@@ -320,7 +332,7 @@ def _network_from_config(parser, fld: Field, budget: int):
     spec = NetworkSpec(nodes=nodes, edges=tuple(edges),
                        source=csec["source"].strip(), sink=csec["sink"].strip(),
                        local_functions=local)
-    codewords = _parse_code_vectors(parser, fld)
+    codewords = _parse_code_vectors(parser, fld, budget)
     return compile_network(fld, spec, codewords, pair_budget=budget)
 
 
@@ -341,5 +353,5 @@ def _table_from_config(parser, fld: Field, budget: int):
         x = _int_list("transfer", key, halves[0])
         z = _int_list("transfer", key, halves[1])
         table[(x, z)] = _int_list("transfer", key, value)
-    codewords = _parse_code_vectors(parser, fld)
+    codewords = _parse_code_vectors(parser, fld, budget)
     return table_channel(fld, codewords, err_len, out_len, table, pair_budget=budget)

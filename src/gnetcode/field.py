@@ -33,6 +33,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Is ``base ** exp > cap``, for ``base >= 2``?  Multiplies up to the
+    cap, so it never builds a power much past it."""
+    power = 1
+    for _ in range(exp):
+        power *= base
+        if power > cap:
+            return True
+    return False
+
+
 # -- polynomial helpers over GF(p); coefficient lists, constant term first --
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -118,15 +129,17 @@ class Field:
     def __init__(self, p: int, k: int = 1,
                  modulus: tuple[int, ...] | list[int] | None = None,
                  max_size: int = DEFAULT_MAX_FIELD_SIZE):
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
-        q = p ** k
-        if q > max_size:
+        # the cap comes first, so a huge p or k costs nothing
+        if p >= 2 and power_exceeds(p, k, max_size):
+            size = p if k == 1 else f"{p}^{k}"
             raise ValueError(
-                f"field size {q} exceeds the enumeration cap {max_size}; "
+                f"field size {size} exceeds the enumeration cap {max_size}; "
                 "raise max_size explicitly if this is intentional")
+        if not is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        q = p ** k
         self.p = p
         self.k = k
         self.q = q

@@ -510,12 +510,11 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     The weight axioms are decided by the measure's kind.  A Hamming weight
     is a sum of symbol weights, so
     :func:`~gnetcode.weights.verify_separable_axioms` checks it over the
-    whole error space: separability and decomposability on every error
-    (off the cached weights), the other axioms once on GF(q)^1.  Rank and
-    sum-rank weights keep :func:`~gnetcode.weights.verify_weight_axioms`
-    over every error when there are at most AXIOM_ELEMENT_BUDGET, else
-    over a seeded sample of that many, with AXIOM_PAIR_BUDGET seeded pairs
-    past the budget.
+    whole error space: separability on every error (off the cached
+    weights), the four axioms once on GF(q)^1.  Rank and sum-rank weights
+    keep :func:`~gnetcode.weights.verify_weight_axioms` over every error
+    when there are at most AXIOM_ELEMENT_BUDGET, else over a seeded sample
+    of that many, with AXIOM_PAIR_BUDGET seeded pairs past the budget.
     The ledger also records the smallest observed d1/d0 ratio (no claim is
     attached to it; a lower bound on d0 in terms of d1 is not available).
     """

@@ -7,8 +7,7 @@ axiom verifiers for the theorem harness: :func:`verify_weight_axioms`
 scans the given errors (and pairs, sampled past a budget), and
 :func:`verify_separable_axioms` decides the axioms over a whole error
 space for the Hamming weight, which is a sum of per-symbol weights:
-separability and decomposability on every error, the other axioms once
-on GF(q)^1.
+separability on every error, the four axioms once on GF(q)^1.
 
 Flat error vectors are tuples of field elements; matrix errors are tuples
 of row tuples.  The sum-rank weight carries a column partition
@@ -251,26 +250,6 @@ class AxiomReport:
         return all(c.passed for c in checks if c is not None)
 
 
-def _first_undecomposable(elements, w, splits) -> AxiomCheck:
-    """The first (z, c1, c2) with c1 + c2 = w(z) that ``splits`` rejects."""
-    for z in elements:
-        wz = w(z)
-        if wz < 0:
-            continue
-        for c1 in range(wz + 1):
-            if not splits(z, c1, wz - c1):
-                return AxiomCheck(False, (z, c1, wz - c1))
-    return AxiomCheck(True)
-
-
-def _constructive_splits(f: Field, measure: WeightMeasure, w, add):
-    """Does ``measure.decompose`` split z into parts of weights (c1, c2)?"""
-    def splits(z, c1, c2):
-        z1, z2 = measure.decompose(f, z, c1, c2)
-        return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
-    return splits
-
-
 def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
                          pair_budget: int | None = None, seed: int = 0,
                          weight_fn=None) -> AxiomReport:
@@ -331,11 +310,19 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
             break
 
     if weight_fn is None:
-        splits = _constructive_splits(f, measure, w, add)
+        def splits(z, c1, c2):
+            z1, z2 = measure.decompose(f, z, c1, c2)
+            return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
     else:
         def splits(z, c1, c2):
             return any(w(z1) == c1 and w(sub(f, z, z1)) == c2 for z1 in elements)
-    decomp = _first_undecomposable(elements, w, splits)
+    decomp = AxiomCheck(True)
+    for z in elements:
+        wz = w(z)
+        c1 = next((c for c in range(wz + 1) if not splits(z, c, wz - c)), None)
+        if c1 is not None:
+            decomp = AxiomCheck(False, (z, c1, wz - c1))
+            break
 
     return AxiomReport(nonneg, subadd, inverse, decomp)
 
@@ -371,19 +358,23 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
     from exact checks:
 
     * separability, ``w(z) == sum_i w(z_i)``, on every error;
-    * nonnegativity, subadditivity and inverse invariance on the factor
-      space GF(q)^1, by :func:`verify_weight_axioms` with ``pair_budget``
-      and ``seed``; a factor witness is lifted to the whole space by
-      placing it in the first coordinate with every other one zero;
-    * decomposability on every error, with the constructive splitting.
+    * the four axioms on the factor space GF(q)^1, by
+      :func:`verify_weight_axioms` with ``pair_budget`` and ``seed``; a
+      factor witness is lifted to the whole space by placing its symbol in
+      the first coordinate with every other one zero.
 
     When separability holds and the zero symbol weighs 0 (else
-    nonnegativity fails), every verdict equals that of an exhaustive
-    whole-space scan and every witness is a counterexample in the whole
+    nonnegativity fails), the nonnegativity, subadditivity and inverse
+    invariance verdicts equal those of an exhaustive whole-space scan.  So
+    does decomposability once nonnegativity passes too: every nonzero
+    symbol then weighs at least 1, and the constructive split is valid on
+    the whole space iff every nonzero symbol weighs exactly 1, iff it is
+    valid on GF(q)^1.  Every witness is a counterexample in the whole
     space.  A separability failure is reported as its own check,
     ``(z, w(z), sum_i w(z_i))``; the other verdicts then speak only for the
-    symbol weights.  Rank and sum-rank weights take
-    :func:`verify_weight_axioms` on a sample instead.
+    symbol weights, as decomposability does when nonnegativity fails.
+    Rank and sum-rank weights take :func:`verify_weight_axioms` on a sample
+    instead.
     """
     if measure.kind != HAMMING:
         raise ValueError(f"the separable route covers the Hamming weight only, "
@@ -401,8 +392,8 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
             break
 
     factor = verify_weight_axioms(f, symbols, measure, pair_budget, seed)
-    nonneg, subadd, inverse = (factor.nonnegativity, factor.subadditivity,
-                               factor.inverse_invariance)
+    nonneg, subadd, inverse, decomp = (factor.nonnegativity, factor.subadditivity,
+                                       factor.inverse_invariance, factor.decomposability)
     if not nonneg.passed:
         z = lift(nonneg.witness[0])
         nonneg = AxiomCheck(False, (z, weight_of[z]))
@@ -410,7 +401,7 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
         subadd = AxiomCheck(False, tuple(map(lift, subadd.witness)))
     if not inverse.passed:
         inverse = AxiomCheck(False, (lift(inverse.witness[0]),))
-
-    splits = _constructive_splits(f, measure, weight_of.get, mx.adder(f, shape))
-    decomp = _first_undecomposable(weight_of, weight_of.get, splits)
+    if not decomp.passed:
+        s, c1, c2 = decomp.witness
+        decomp = AxiomCheck(False, (lift(s), c1, c2))
     return AxiomReport(nonneg, subadd, inverse, decomp, separable)

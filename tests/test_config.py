@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gnetcode import minimum_distances, classify
@@ -241,6 +243,41 @@ def test_budget_override():
     from gnetcode import BudgetError
     with pytest.raises(BudgetError, match="exceeds"):
         channel_from_config(REPETITION, pair_budget=3)
+
+
+LISTED_REPETITION = "codewords =\n    0,0,0\n    1,1,1"
+IDENTITY_8 = "\n".join("    " + ",".join("1" if j == i else "0" for j in range(8))
+                       for i in range(8))
+
+
+@pytest.mark.parametrize("text", [
+    REPETITION.replace(LISTED_REPETITION, "space = 8"),
+    REPETITION.replace(LISTED_REPETITION, "generator =\n" + IDENTITY_8),
+    MATRIX_RANK.replace("rows = 2", "rows = 8").replace("space = 2x1", "space = 8x1"),
+], ids=["space", "generator", "matrix-space"])
+def test_oversized_code_rejected_before_enumeration(monkeypatch, text):
+    """A code of 256 words is past a 255-pair budget on its own (each word
+    meets at least the zero error), so it exits before it is enumerated."""
+    from gnetcode import BudgetError
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the code was enumerated")
+    with monkeypatch.context() as patch:
+        patch.setattr(itertools, "product", no_enumeration)
+        with pytest.raises(BudgetError, match=r"2\^8 codewords exceeds the pair budget 255"):
+            channel_from_config(text + "\n[budgets]\nmax_pairs = 255\n")
+    # at 256 the code fits, and the channel's own |C|·|E| check rejects it
+    with pytest.raises(BudgetError, match="256 codewords x .* exceeds the pair budget"):
+        channel_from_config(text + "\n[budgets]\nmax_pairs = 256\n")
+
+
+def test_rank_deficient_generator_spans_its_row_space():
+    text = REPETITION.replace(LISTED_REPETITION,
+                              "generator =\n    1,1,1\n    1,1,1\n    0,0,0")
+    assert channel_from_config(text).codewords == ((0, 0, 0), (1, 1, 1))
+    zero = REPETITION.replace(LISTED_REPETITION, "generator =\n    0,0,0")
+    with pytest.raises(ConfigError, match="two codewords"):
+        channel_from_config(zero)
 
 
 def test_digest_is_stable():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gnetcode import Field, enumerate_field, default_modulus
+from gnetcode import field as field_module
 
 
 def gf4():
@@ -89,6 +90,18 @@ def test_construction_errors():
     with pytest.raises(ValueError, match="cap"):
         Field(2, 9)
     assert Field(2, 9, max_size=1024).q == 512  # cap is overridable
+
+
+def test_size_cap_checked_before_any_other_work(monkeypatch):
+    """A huge characteristic or degree is rejected by the cap alone: no
+    primality trial division, and no power with millions of digits."""
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) ran before the cap check")
+    monkeypatch.setattr(field_module, "is_prime", no_trial_division)
+    with pytest.raises(ValueError, match="cap"):
+        Field(2**61 - 1)
+    with pytest.raises(ValueError, match="cap"):
+        Field(2, 10**8)
 
 
 def test_element_validation():

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import itertools
 import random
@@ -9,7 +8,7 @@ from gnetcode import (Field, classify, minimum_distances, run_all,
                       check_metric, check_conditions, check_decoders,
                       compile_network, verify_weight_axioms,
                       random_table_channel, random_linear_channel,
-                      random_rank_channel, random_sum_rank_channel)
+                      random_rank_channel, random_sum_rank_channel, toy_channel)
 from gnetcode import properties, weights
 from gnetcode.channel import BudgetError
 from gnetcode.network import _evaluator, _validate_and_order
@@ -228,16 +227,18 @@ def _network_channel(rng, extra):
 
 
 def test_weight_axioms_cover_every_network_error(monkeypatch):
-    """On nonlinear-network-sized DAGs the ledger's Hamming axiom check sums
-    the symbol weights of every error and splits every error every way, a
-    superset of the sampled check's errors, and reaches its verdict."""
+    """On nonlinear-network-sized DAGs and on the toy network the ledger's
+    Hamming axiom check sums the symbol weights of every error once, a
+    superset of the sampled check's errors, and splits only GF(3)^1's
+    symbols: the zero symbol once, each nonzero symbol two ways, 2q - 1 = 5
+    splits in all, however large the error space."""
     rng, seed = random.Random(2187), 21
     symbol_weights, decompose = weights._symbol_weights, weights.decompose_hamming
-    for extra in (3, 2):
-        ch = _network_channel(rng, extra)
+    for ch, size in ((_network_channel(rng, 3), 3 ** 7), (_network_channel(rng, 2), 3 ** 6),
+                     (toy_channel(), 3 ** 9)):
         errors = dict(ch._errors_by_weight())
-        assert len(errors) == 3 ** (4 + extra)
-        summed, splits = [], collections.Counter()
+        assert len(errors) == size
+        summed, splits = [], []
 
         def recording_symbol_weights(f, measure, shape):
             symbols, lift, symbol_sum = symbol_weights(f, measure, shape)
@@ -248,17 +249,16 @@ def test_weight_axioms_cover_every_network_error(monkeypatch):
             return symbols, lift, recorded
 
         def recording_decompose(z, c1, c2):
-            if z in errors:
-                splits[z] += 1
+            splits.append(z)
             return decompose(z, c1, c2)
 
-        monkeypatch.setattr(weights, "_symbol_weights", recording_symbol_weights)
-        monkeypatch.setattr(weights, "decompose_hamming", recording_decompose)
-        verdict = by_name(run_all(ch, seed).verdicts)["weight-axioms"]
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(weights, "_symbol_weights", recording_symbol_weights)
+            patch.setattr(weights, "decompose_hamming", recording_decompose)
+            verdict = by_name(run_all(ch, seed).verdicts)["weight-axioms"]
 
         assert sorted(summed) == sorted(errors)
-        assert splits == {z: w + 1 for z, w in errors.items()}
+        assert set(splits) <= {(s,) for s in range(3)} and len(splits) <= 2 * 3 - 1
         sample = properties._axiom_sample(ch, seed)
         assert len(sample) == properties.AXIOM_ELEMENT_BUDGET < len(errors)
         sampled = verify_weight_axioms(ch.field, sample, ch.errors.measure,
