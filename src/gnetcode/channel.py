@@ -274,11 +274,14 @@ def classify(ch: Channel) -> ChannelClass:
 
     The only decomposition consistent with a homomorphic error map is
     f(x) = F(x, 0) and h(z) = F(x0, z) - F(x0, 0), so that candidate is
-    checked against every (codeword, error) pair, and h against every
-    error pair.  The linear verdict additionally requires the codeword set
-    to form a subspace on which f is additive and scalar-homogeneous.
+    checked against every (codeword, error) pair.  Whether h is a group
+    homomorphism is then decided in O(|E|) by :func:`_is_additive`, from
+    the errors' coordinates; only when it is not does the first failing
+    pair get searched for, as the witness.  The linear verdict
+    additionally requires the codeword set to form a subspace on which f
+    is additive and scalar-homogeneous.
 
-    Both pair scans add on the field's raw table without re-checking their
+    Every sum is taken on the field's raw table without re-checking its
     operands, because every operand is already a valid element: each row
     output was validated when its row was built (or is an element by the
     row kernel's construction), so h(z) = F(x0, z) + (-F(x0, 0)) is one too,
@@ -293,30 +296,83 @@ def classify(ch: Channel) -> ChannelClass:
     """
     out = ch.outputs
     out_add = mx.adder(ch.field, out.shape)
-    err_add = mx.adder(ch.field, ch.errors.space.shape)
     neg_base = out.neg(ch.zero_output(ch.codewords[0]))
-    errors = [z for z, _ in ch._errors_by_weight()]
+    errors = ch._errors_by_weight()
     hs = [out_add(y, neg_base) for y in ch._transfer_row(ch.codewords[0])]
 
     # F(x, z) must equal f(x) + h(z) everywhere.
     for x in ch.codewords:
         fx = ch.zero_output(x)
-        for z, y, hz in zip(errors, ch._transfer_row(x), hs):
+        for (z, _), y, hz in zip(errors, ch._transfer_row(x), hs):
             if y != out_add(fx, hz):
                 return ChannelClass(False, False, ("transfer-not-additive", x, z))
 
-    # h must be a group homomorphism on the error space.
-    if len(errors) * len(errors) > ch.pair_budget:
-        raise BudgetError(f"homomorphism check needs {len(errors) ** 2} pairs, "
-                          f"budget is {ch.pair_budget}")
-    h = dict(zip(errors, hs))
-    for za, ha in zip(errors, hs):
-        for zb, hb in zip(errors, hs):
-            if h[err_add(za, zb)] != out_add(ha, hb):
-                return ChannelClass(False, False, ("error-map-not-homomorphic", za, zb))
+    if not _is_additive(ch, hs, out_add):
+        return ChannelClass(False, False,
+                            ("error-map-not-homomorphic",) + _first_failing_pair(ch, hs, out_add))
 
     linear, witness = _codeword_map_linear(ch)
     return ChannelClass(True, linear, witness)
+
+
+def _is_additive(ch: Channel, hs: list, out_add) -> bool:
+    """Is h additive?  ``hs`` lists h(z) in weight order; O(|E|) sums.
+
+    Both error spaces enumerate their errors as base-q numbers over N
+    coordinates (a matrix's entries row-major, the last coordinate lowest),
+    and addition is coordinatewise whatever the weight measure.  With
+    ``step = q^p`` for the coordinate t at place p, ``a * step`` indexes
+    the error a·e_t.  h is additive iff
+
+    (a) on every coordinate axis, h((a+b)·e_t) = h(a·e_t) + h(b·e_t) for
+        all a, b in GF(q) (N·q² sums; a = b = 0 gives h(0) = 0), and
+    (b) every z splits at its lowest-order nonzero coordinate t:
+        h(z) = h(z - z_t·e_t) + h(z_t·e_t) (|E| sums).
+
+    Induction on the support size turns (b) into h(z) = sum_t h(z_t·e_t),
+    and (a) then makes that sum additive; both are necessary.
+    """
+    q, add = ch.field.q, ch.field.add_table
+    h = [None] * len(hs)
+    for k, i in enumerate(ch._cache["weight_order"]):
+        h[i] = hs[k]
+    step = 1
+    while step < len(h):
+        for a in range(q):
+            for b in range(q):
+                if h[add[a][b] * step] != out_add(h[a * step], h[b * step]):
+                    return False
+        # the errors whose lowest-order nonzero digit is d sit at d*step
+        # plus a multiple of block; those multiples are their splits
+        block = q * step
+        for d in range(1, q):
+            hd = h[d * step]
+            if h[d * step::block] != [out_add(hj, hd) for hj in h[::block]]:
+                return False
+        step = block
+    return True
+
+
+def _first_failing_pair(ch: Channel, hs: list, out_add):
+    """The first (za, zb) in weight order, za outer, with
+    h(za + zb) != h(za) + h(zb), given that one exists.
+
+    The errors of weight <= 1 generate the error group under all three
+    measures (single symbols, rank-one matrices, a rank-one block), so if
+    h(g + z) = h(g) + h(z) held for all of them and every z, h would be
+    additive.  They come first in weight order, so the first failing pair
+    of the all-pairs scan has one of them as za, and the scan stops there.
+    """
+    err_add = mx.adder(ch.field, ch.errors.space.shape)
+    errors = ch._errors_by_weight()
+    h = {z: hz for (z, _), hz in zip(errors, hs)}
+    for (za, wa), ha in zip(errors, hs):
+        if wa > 1:
+            break
+        for (zb, _), hb in zip(errors, hs):
+            if h[err_add(za, zb)] != out_add(ha, hb):
+                return za, zb
+    raise AssertionError("h is not additive, yet every weight-one error adds")
 
 
 def _codeword_map_linear(ch: Channel):

@@ -251,8 +251,7 @@ class AxiomReport:
 
 
 def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
-                         pair_budget: int | None = None, seed: int = 0,
-                         weight_fn=None) -> AxiomReport:
+                         pair_budget: int | None = None, seed: int = 0) -> AxiomReport:
     """Check the weight axioms over the given error sample.
 
     Every element is validated once, on entry: each must be a vector or
@@ -262,22 +261,19 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
     outer, ``b`` inner) unless ``pair_budget`` caps them; then
     ``pair_budget`` pairs are drawn one at a time from
     ``random.Random(seed)``.  Either way the witness is the first failing
-    pair.  Failures are reported, never raised.  A ``weight_fn`` override
-    substitutes the measured weight (useful as a negative control);
-    decomposability is then checked by brute-force existence search instead
-    of the constructive splitting.
+    pair.  Decomposability checks the measure's constructive splitting.
+    Failures are reported, never raised.
     """
     elements = list(elements)
     shape = _checked_shape(f, elements)
     add = mx.adder(f, shape)
-    neg, sub = (mx.mat_neg, mx.mat_sub) if len(shape) == 2 else (mx.vec_neg, mx.vec_sub)
-    raw = weight_fn if weight_fn is not None else (lambda z: measure.weight(f, z))
+    neg = mx.mat_neg if len(shape) == 2 else mx.vec_neg
     cache: dict = {}
 
     def w(z):
         got = cache.get(z)
         if got is None:
-            got = cache[z] = raw(z)
+            got = cache[z] = measure.weight(f, z)
         return got
 
     zero = mx.zeros(*shape) if len(shape) == 2 else (0,) * shape[0]
@@ -309,13 +305,10 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
             inverse = AxiomCheck(False, (z,))
             break
 
-    if weight_fn is None:
-        def splits(z, c1, c2):
-            z1, z2 = measure.decompose(f, z, c1, c2)
-            return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
-    else:
-        def splits(z, c1, c2):
-            return any(w(z1) == c1 and w(sub(f, z, z1)) == c2 for z1 in elements)
+    def splits(z, c1, c2):
+        z1, z2 = measure.decompose(f, z, c1, c2)
+        return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
+
     decomp = AxiomCheck(True)
     for z in elements:
         wz = w(z)

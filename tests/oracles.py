@@ -212,6 +212,30 @@ def naive_weight_axioms(f, elements, measure, pair_budget=None, seed=0, weight_f
     return AxiomReport(nonneg, subadd, inverse, decomp)
 
 
+class SearchedMeasure:
+    """A stand-in weight measure for negative controls: ``weight_fn`` weighs,
+    and z splits as z1 + (z - z1) for the first z1 among ``elements`` of the
+    requested weights -- the brute-force existence search that
+    naive_weight_axioms runs under the same ``weight_fn``."""
+
+    def __init__(self, elements, weight_fn):
+        self.elements = list(elements)
+        self.weight_fn = weight_fn
+
+    def weight(self, f, z):
+        return self.weight_fn(z)
+
+    def decompose(self, f, z, c1, c2):
+        w = self.weight_fn
+        for z1 in self.elements:
+            z2 = err_sub(f, z, z1)
+            if w(z1) == c1 and w(z2) == c2:
+                return z1, z2
+        # z + z == z only for z = 0, and the search splits 0 as 0 + 0 when
+        # the requested weights allow it, so this pair fails the check
+        return z, z
+
+
 def naive_classify(ch, pair_budget=None):
     """classify with every sum taken through the spaces' checked add."""
     budget = pair_budget if pair_budget is not None else ch.pair_budget

@@ -5,11 +5,11 @@ import pytest
 
 from oracles import naive_classify, naive_codeword_map_linear
 from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
-                      matrix_channel, table_channel, classify,
+                      matrix_channel, table_channel, classify, ChannelClass,
                       enumerate_errors_up_to, ConstructionError, BudgetError,
                       random_table_channel, random_linear_channel,
                       random_rank_channel, random_sum_rank_channel,
-                      minimum_distances, mwd, toy_channel)
+                      minimum_distances, mwd, toy_channel, run_all)
 from gnetcode import matrices as mx
 from gnetcode.channel import Channel, VectorSpace, ErrorModel, _codeword_map_linear
 from gnetcode.weights import HAMMING
@@ -141,11 +141,17 @@ def test_classify_homomorphism_counterexample(gf2):
     assert verdict.witness[0] == "error-map-not-homomorphic"
 
 
-def test_classify_budget(gf3):
-    # construction needs 2 x 3^6 = 1,458 pairs, the homomorphism stage 3^12
-    ch = classical_channel(gf3, [(0,) * 6, (1,) * 6], pair_budget=1_500)
-    with pytest.raises(BudgetError):
-        classify(ch)
+def test_classify_answers_every_admitted_channel(gf2, gf3):
+    """The homomorphism check is linear in |E|, so a channel the pair budget
+    admits is classified whatever |E|^2 is, and its ledger runs."""
+    rep10 = classical_channel(gf2, [(0,) * 10, (1,) * 10])  # 1,024^2 pairs > 10^6
+    # construction needs 2 x 3^6 = 1,458 pairs, an all-pairs scan 3^12
+    rep6 = classical_channel(gf3, [(0,) * 6, (1,) * 6], pair_budget=1_500)
+    assert classify(rep10) == ChannelClass(True, True, None)
+    # {0, (1,...,1)} is no GF(3) subspace, and a 3-word code is past the budget
+    assert classify(rep6) == ChannelClass(True, False, ("code-not-subspace", (2,) * 6))
+    for ch in (rep10, rep6):
+        assert run_all(ch, seed=1).failures() == []
 
 
 def _separable_table_channel(rng, f, n_codewords, error_length, output_length):
@@ -160,6 +166,40 @@ def _separable_table_channel(rng, f, n_codewords, error_length, output_length):
     table = {(x, z): mx.vec_add(f, y, h[z])
              for x, y in zip(codewords, clean) for z in errors}
     return table_channel(f, codewords, error_length, output_length, table)
+
+
+def _with_error_map(ch, h):
+    """ch's code and spaces with F(x, z) = F(x, 0) + h[z]."""
+    out = ch.outputs
+    return Channel(ch.field, ch.codewords, ch.errors, out,
+                   lambda x, z: out.add(ch.zero_output(x), h[z]))
+
+
+def _perturbed(rng, ch):
+    """ch, an error-linear channel, with h shifted at one nonzero error: the
+    new h is not additive once |E| > 2."""
+    x0, out, zero = ch.codewords[0], ch.outputs, ch.errors.space.zero()
+    h = {z: out.sub(ch.evaluate(x0, z), ch.zero_output(x0)) for z in ch.errors.space.elements()}
+    z = rng.choice([z for z in h if z != zero])
+    h[z] = out.add(h[z], rng.choice([y for y in out.elements() if y != out.zero()]))
+    return _with_error_map(ch, h)
+
+
+def _coordinate_sum(rng, ch):
+    """ch, with vector errors, under h(z) = sum_t phi_t(z_t) for random maps
+    phi_t with phi_t(0) = 0: h splits at every coordinate, but it is additive
+    only where every phi_t is."""
+    out, q = ch.outputs, ch.field.q
+    nonzero = [y for y in out.elements() if y != out.zero()]
+    phi = [[out.zero()] + [rng.choice(nonzero) for _ in range(q - 1)]
+           for _ in range(ch.errors.space.length)]
+    h = {}
+    for z in ch.errors.space.elements():
+        hz = out.zero()
+        for phi_t, a in zip(phi, z):
+            hz = out.add(hz, phi_t[a])
+        h[z] = hz
+    return _with_error_map(ch, h)
 
 
 def test_classify_matches_checked_oracle():
@@ -179,12 +219,24 @@ def test_classify_matches_checked_oracle():
         random_sum_rank_channel(rng, gf2, rows=1, msg_blocks=(1, 1),
                                 err_blocks=(1, 1), out_blocks=(1, 1)),
     ]
+    # h non-additive on one coordinate axis, yet split at every coordinate;
+    # and linear h with one entry moved, over vector, rank and sum-rank errors
+    gf5 = Field(5)
+    vector_bases = [random_linear_channel(rng, f, msg_length=1, error_length=n,
+                                          output_length=2)
+                    for f, n in ((gf2, 3), (gf3, 2), (gf4, 2), (gf5, 2))]
+    coordinate_sums = [_coordinate_sum(rng, ch) for ch in vector_bases[1:]]
+    perturbed = [_perturbed(rng, ch) for ch in vector_bases + [
+        random_rank_channel(rng, gf2, rows=2, msg_cols=1, err_cols=2, out_cols=2),
+        random_sum_rank_channel(rng, gf2, rows=2)]]
     tags = set()
-    for ch in channels:
+    for ch in channels + vector_bases + coordinate_sums + perturbed:
         verdict = classify(ch)
         assert verdict == naive_classify(ch), ch
         tags.add(verdict.witness[0] if verdict.witness else verdict.error_linear)
     assert {"transfer-not-additive", "error-map-not-homomorphic", True} <= tags
+    for ch in coordinate_sums + perturbed:
+        assert classify(ch).witness[0] == "error-map-not-homomorphic", ch
 
 
 def _subspace_code_channel(rng, f, dim, output_length):

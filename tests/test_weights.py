@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from oracles import err_add as oracle_add, err_neg as oracle_neg, naive_weight_axioms
+from oracles import (SearchedMeasure, err_add as oracle_add, err_neg as oracle_neg,
+                     naive_weight_axioms)
 from gnetcode import (Field, WeightMeasure, HAMMING, RANK, SUM_RANK,
                       hamming_weight, rank_weight, sum_rank_weight,
                       decompose_hamming, decompose_rank, decompose_sum_rank,
@@ -129,10 +130,10 @@ def test_weight_axioms_pass(gf2):
     assert report.passed
 
 
-def test_weight_axioms_broken_measure(gf2):
+def test_weight_axioms_broken_measure(monkeypatch, gf2):
     vectors = list(VectorSpace(gf2, 3).elements())
-    report = verify_weight_axioms(gf2, vectors, WeightMeasure(HAMMING),
-                                  weight_fn=lambda z: 1)
+    monkeypatch.setattr(weights_module, "hamming_weight", lambda z: 1)
+    report = verify_weight_axioms(gf2, vectors, WeightMeasure(HAMMING))
     assert not report.nonnegativity.passed
     assert report.nonnegativity.witness == ((0, 0, 0), 1)
 
@@ -156,22 +157,23 @@ def test_subadditivity_and_inverse_exhaustive():
         assert report.subadditivity.passed and report.inverse_invariance.passed
 
 
-def test_weight_axioms_reject_bad_input_on_entry():
+def test_weight_axioms_reject_bad_input_on_entry(monkeypatch):
     gf3 = Field(3)
 
-    def never(z):
+    def never(*args):
         raise AssertionError("a weight was taken before the input was checked")
 
+    monkeypatch.setattr(weights_module, "hamming_weight", never)
+    monkeypatch.setattr(weights_module, "rank_weight", never)
     hamming = WeightMeasure(HAMMING)
     with pytest.raises(ValueError, match="at least one element"):
         verify_weight_axioms(gf3, [], hamming)
     with pytest.raises(ValueError, match="not a length-2 vector"):
-        verify_weight_axioms(gf3, [(0, 0), (0, 5)], hamming, weight_fn=never)
+        verify_weight_axioms(gf3, [(0, 0), (0, 5)], hamming)
     with pytest.raises(ValueError, match="not a length-2 vector"):
-        verify_weight_axioms(gf3, [(0, 0), (1, 2, 0)], hamming, weight_fn=never)
+        verify_weight_axioms(gf3, [(0, 0), (1, 2, 0)], hamming)
     with pytest.raises(ValueError, match="not a 2x2 matrix"):
-        verify_weight_axioms(gf3, [((0, 0), (0, 0)), ((1,), (2,))], WeightMeasure(RANK),
-                             weight_fn=never)
+        verify_weight_axioms(gf3, [((0, 0), (0, 0)), ((1,), (2,))], WeightMeasure(RANK))
 
 
 def _axiom_cases(rng, count):
@@ -203,7 +205,10 @@ def test_weight_axioms_match_checked_oracle(pair_budget):
     failed = set()
     for f, sample, measure, weight_fn in _axiom_cases(rng, 60):
         seed = rng.randrange(100)
-        got = verify_weight_axioms(f, sample, measure, pair_budget, seed, weight_fn)
+        # a perturbed weight is measured by a stand-in whose splits are
+        # searched for, as the oracle searches under the same weight_fn
+        searched = measure if weight_fn is None else SearchedMeasure(sample, weight_fn)
+        got = verify_weight_axioms(f, sample, searched, pair_budget, seed)
         want = naive_weight_axioms(f, sample, measure, pair_budget, seed, weight_fn)
         assert got == want, (measure, sample)
         failed |= {name for name in ("nonnegativity", "subadditivity",
