@@ -1,0 +1,102 @@
+"""Pinned structured outputs of the CLI on the toy and the demo configs.
+
+Each case's ``--format structured`` payload, without ``elapsed_s``, is
+hashed (sha256 of its key-sorted compact JSON) and pinned with the exit
+code; a command that prints no payload pins ``None``.  A change to the
+engine must leave every digest as it is: any changed structured output is
+a bug.  Re-record a digest only for an intended change of the output.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from gnetcode.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+# (source, command) -> (exit code, payload digest); "toy" is --toy-example,
+# any other source a file under demos/configs
+GOLDEN = {
+    ("toy", "distances"):
+        (0, "3c8dd2875098785eef86ae35061438dc2c19b5319738abdd4d3e407ac6539f79"),
+    ("toy", "capability"):
+        (0, "2888cb34b50142c303451d388a4e845720c00d556e78dff09232b9a1e95f5666"),
+    ("toy", "classify"):
+        (0, "60f966a72023645ce57a104c1e83f60595f10033f3edd74143e79fcd7c33ade4"),
+    ("toy", "verify"):
+        (0, "237109109603526eea79c3e3d7c883e030af043737fd496476663a8dc596e324"),
+    ("toy", "joint --c 0 --cprime 1"):
+        (0, "5272358bf929a2d53b21ad445b1c82fe685247965747b26c400786a1d11bd274"),
+    ("toy", "decode 1,0,0"):
+        (0, "960a6d76b4647efb6350ab3ba70c382427fb8222fe3b9cdb3f6bb84b5db898b7"),
+    ("toy", "decode --bounded 1 1,0,0"):
+        (0, "9125d06b3fe794e1cd6defa230383aa825f4f1c44b2cd38b54a626c35cde91ea"),
+    ("toy", "decode --bounded 2 1,0,0"):
+        (2, None),
+    ("rank_channel.ini", "distances"):
+        (0, "9992a60998fae70419ce2ae499e846335f18fff69b95cec5898a44451cc76539"),
+    ("rank_channel.ini", "capability"):
+        (0, "ec3626fee6ed0daccf9dbda50f2ecfe38c67f791bf5d37f7acf5f0d54c490559"),
+    ("rank_channel.ini", "classify"):
+        (0, "f3b3540f2aee3ee398e494269494e5d589c9631bc144dac3e90dc3511b62b94e"),
+    ("rank_channel.ini", "verify"):
+        (0, "6fa58def213ba61ec55edbc21dcdc0714cbeca79a6bc3f42e992695649dd644e"),
+    ("rank_channel.ini", "joint --c 0 --cprime 1"):
+        (0, "82cb22dbe70c1176303b6f1b78e5dc336d18d813015228ee8405cf8e0edd4851"),
+    ("rank_channel.ini", "decode 1,0;0,1"):
+        (0, "d68557d00adfcac75f230b24472d52cfc8be141196b8c43a445163a96ac816db"),
+    ("rank_channel.ini", "decode --bounded 0 1,0;0,1"):
+        (0, "251812138ee6c8c3b78f64750bda66686d4cbe3deea3589094ccabf445a41bbe"),
+    ("repetition.ini", "distances"):
+        (0, "c7179498976ccab2a7be3bc67d02dd9d3822a01c8f9995e638e4cda1950dc75b"),
+    ("repetition.ini", "capability"):
+        (0, "85a7765822ab35c88e5cb3f0d887ead1f081ee5c19f5aa34889592b395acdd95"),
+    ("repetition.ini", "classify"):
+        (0, "8808d3b0d2abea3340c3d11374800e60595ff346e97d8750eb1e4811716cbdd1"),
+    ("repetition.ini", "verify"):
+        (0, "b552e0fa4da8b962d319f542bff780c2e613576ca52aee2461d8268a62592d7e"),
+    ("repetition.ini", "joint --c 0 --cprime 1"):
+        (0, "080cdbf1e82a6e036953f3ba66b4044e687634886ec2a2ddec1e92292454e939"),
+    ("repetition.ini", "decode 1,0,0"):
+        (0, "ab23c1637f4c5ccd1326b1e6e3fae086fb10c56ef7eacf529962ebebde819647"),
+    ("repetition.ini", "decode --bounded 0 1,0,0"):
+        (0, "5280e09edd320293d27962fc674292e53aad6852ffeece93410f3035f6a2e1f9"),
+    ("toy_network.ini", "distances"):
+        (0, "e481d0f9908f27fa6926985c5bb68e9f60f43732e437d6cad3e3fbba2be5d6ba"),
+    ("toy_network.ini", "capability"):
+        (0, "3a789833dbf5f33a1962eb55652d43eaca665fe77fe0e765fc6bc1bd99740eda"),
+    ("toy_network.ini", "classify"):
+        (0, "0eec2f1a9ce3bfcbe484b1a67416c3a52f8afff7fbfd8ee8ae338b13065f5b62"),
+    ("toy_network.ini", "verify"):
+        (0, "5650fcd433b769781c13c06998b810ac465c83e01a0413fbf982127bf12ca67a"),
+    ("toy_network.ini", "joint --c 0 --cprime 1"):
+        (0, "7d52b127535aab4f53913a5df0d3285288823f0631803b7023b550b7b47c0447"),
+    ("toy_network.ini", "decode 1,0,0"):
+        (0, "63aef0a8230c6c150403f21920398bab5641c0799c12d1ca3e0d3efc6064ab6e"),
+    ("toy_network.ini", "decode --bounded 0 1,0,0"):
+        (0, "158bb20ac6fbf76ca7dc5fc2a7a082e6f79405716899b451ab09f9e77dbff52a"),
+}
+
+
+def payload_digest(text: str) -> str | None:
+    if not text:
+        return None
+    payload = json.loads(text)
+    del payload["elapsed_s"]
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("source, command", list(GOLDEN), ids=str)
+def test_structured_output_is_pinned(capsys, source, command):
+    head = ["--toy-example"] if source == "toy" else ["--config", str(CONFIGS / source)]
+    code = main([*head, "--format", "structured", *command.split()])
+    assert (code, payload_digest(capsys.readouterr().out)) == GOLDEN[source, command]
+
+
+def test_every_demo_config_is_pinned():
+    assert ({p.name for p in CONFIGS.glob("*.ini")}
+            == {source for source, _ in GOLDEN} - {"toy"})
