@@ -1,22 +1,27 @@
 """Minimum weight decoding and code capability classification.
 
-The minimum weight decoder folds the codewords' reach maps (see
-:mod:`gnetcode.distances`) into one index, y -> the least error weight and
-the codewords attaining it.  It decodes to a sole such codeword, otherwise
-(also when no solution exists, possible for non-surjective table channels)
-declares a detection.  The bounded variant MWD(c) decodes inside pairwise
-disjoint radius-c balls and is only defined when those balls are disjoint.
+Every verdict here is read off the codewords' reach maps (see
+:mod:`gnetcode.distances`): x_i's map sends each word y it reaches to
+W_i(y), the least weight of an error z with F(x_i, z) = y, and iterates in
+nondecreasing weight.  The minimum weight decoder folds the maps into one
+solution index, y -> the least W_i(y) and the codewords attaining it.  It
+decodes to a sole such codeword, otherwise (also when no solution exists,
+possible for non-surjective table channels) declares a detection.  The
+bounded variant MWD(c) decodes inside the radius-c balls {y : W_i(y) <= c}
+and is only defined when those balls are pairwise disjoint.
 
 An error z is correctable when x_i alone attains F(x_i, z) at its least
 weight, for every codeword x_i.  It is detectable when the received word
 never lands on a *different* codeword's weight-0 solution (its clean
 output), so the radius-0 decoder either flags the error or returns x_i
-unchanged; nonlinear node maps can swallow an error entirely.
-:func:`capability` reads both verdicts for every error in one pass over
-the cached transfer rows against the solution index.  A code corrects c
-errors while detecting c' more exactly when the refined joint minimum
-d2_min[c] is at least c'+1, so :func:`is_joint_correcting` reads that one
-memoized column of :func:`gnetcode.distances.minimum_distances`.
+unchanged; nonlinear node maps can swallow an error entirely.  Both
+verdicts depend on z only through the pair (x_i, F(x_i, z)), and W_i(y) is
+the least weight of an error giving that pair, so :func:`capability` reads
+the least failing weights off the reach maps against the solution index.
+A code corrects c errors while detecting c' more exactly when the refined
+joint minimum d2_min[c] is at least c'+1, so :func:`is_joint_correcting`
+reads that one memoized column of
+:func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import Channel
-from .distances import _ball, _reach, minimum_distances, is_finite
+from .distances import _reach, minimum_distances, is_finite
 
 
 class InvalidDecoderError(ValueError):
@@ -83,7 +88,9 @@ def _bounded_map(ch: Channel, c: int) -> dict:
     if got is None:
         got = {}
         for xi in range(len(ch.codewords)):
-            for y in _ball(ch, xi, c):
+            for y, w in _reach(ch, xi).items():
+                if w > c:
+                    break
                 other = got.get(y)
                 if other is not None and other != xi:
                     raise InvalidDecoderError(
@@ -132,8 +139,7 @@ class CapabilityReport:
     """How many errors the code corrects and detects, plus joint verdicts.
 
     ``max_correctable``/``max_detectable`` are one below the least weight
-    of an uncorrectable / undetectable error, read off one pass over the
-    transfer rows.  ``all_correctable`` flags codes that correct the
+    of an uncorrectable / undetectable error, read off the reach maps.  ``all_correctable`` flags codes that correct the
     entire error space.  ``joint`` maps (c, c') to the joint
     error-correction verdict d2_min[c] >= c'+1 on a small grid.
     """
@@ -155,22 +161,23 @@ class CapabilityReport:
 
 
 def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> CapabilityReport:
-    """Capabilities from one weight-ordered pass over each transfer row x_i.
+    """Capabilities from one pass over each codeword x_i's reach map.
 
-    An error is uncorrectable where x_i alone does not attain its output at
-    the least weight, and undetectable where that weight is also 0; a row
-    stops at the least undetectable weight found so far.  The capabilities
-    must equal floor((d0_min - 1)/2) and d1_min - 1 wherever those minima
-    are finite, else :class:`InternalConsistencyError` is raised.
+    A word y that x_i reaches at least weight w, and that x_i alone does
+    not attain at its least solution weight, makes every error of weight w
+    giving it uncorrectable, and undetectable where that least weight is
+    0.  The map runs in weight order, so its pass stops at the least
+    undetectable weight found so far.  The capabilities must equal
+    floor((d0_min - 1)/2) and d1_min - 1 wherever those minima are finite,
+    else :class:`InternalConsistencyError` is raised.
     """
     if joint_grid is not None and min(joint_grid) < 0:
         raise ValueError("joint grid bounds must be nonnegative")
     index = _solution_index(ch)
-    by_weight = ch._errors_by_weight()
     bad_c = bad_d = ch.w_max + 1  # least uncorrectable / undetectable weight
-    for xi, x in enumerate(ch.codewords):
+    for xi in range(len(ch.codewords)):
         mine = {xi}
-        for (_, w), y in zip(by_weight, ch._transfer_row(x)):
+        for y, w in _reach(ch, xi).items():
             if w >= bad_d:
                 break
             least, owners = index[y]

@@ -25,8 +25,10 @@ m[c], c = 0..w_max: the least radius of x_j's ball meeting x_i's radius-c
 ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
 d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
 that m is), and d0 = min of c + max(m[c], c-1) over the c with
-m[c] <= c+1.  All three are memoized per channel; the test suite anchors
-this engine against a cache-free brute-force oracle.
+m[c] <= c+1.  The reach maps, meet tables and distance report are
+memoized per channel; a ball is filtered from its reach map on request.
+The test suite anchors this engine against a cache-free brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def _cw_index(ch: Channel, x) -> int:
 def _reach(ch: Channel, xi: int) -> dict:
     """Received word -> least error weight reaching it from codeword xi.
 
-    Errors come in nondecreasing weight, so the first weight seen is least.
+    Errors come in nondecreasing weight, so the first weight seen is least
+    and the map iterates in nondecreasing weight.
     """
     store = ch._cache.setdefault("reach", {})
     reach = store.get(xi)
@@ -97,23 +100,12 @@ def _meet(ch: Channel, i: int, j: int) -> list:
     return m
 
 
-def _ball(ch: Channel, xi: int, c: int) -> frozenset:
-    """Members of the radius-c ball around codeword index xi (memoized)."""
-    c = min(c, ch.w_max)
-    store = ch._cache.setdefault("balls", {})
-    ball = store.get((xi, c))
-    if ball is None:
-        ball = frozenset(y for y, w in _reach(ch, xi).items() if w <= c)
-        store[xi, c] = ball
-    return ball
-
-
 def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
     """The decoding ball of radius c around codeword x."""
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    xi = _cw_index(ch, x)
-    return DecodingBall(x, c, _ball(ch, xi, c))
+    reach = _reach(ch, _cw_index(ch, x))
+    return DecodingBall(x, c, frozenset(y for y, w in reach.items() if w <= c))
 
 
 def dist_d0(ch: Channel, x1, x2):

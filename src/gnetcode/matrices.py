@@ -129,14 +129,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def columns(a: Matrix) -> list[Vector]:
-    return [tuple(row[j] for row in a) for j in range(dims(a)[1])]
-
-
-def from_columns(cols: list[Vector]) -> Matrix:
-    return tuple(zip(*cols)) if cols else ()
-
-
 def block_diag(blocks: list[Matrix]) -> Matrix:
     """Block-diagonal assembly of the given matrices."""
     total_r = sum(dims(b)[0] for b in blocks)
@@ -154,7 +146,11 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
 
 
 def _echelon(f: Field, a: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form (in place on a copy); returns (rows, pivot columns)."""
+    """Reduced row echelon form (on a copy); returns (rows, pivot columns).
+
+    Rows past ``len(pivots)`` are zero.  Symbols are checked: an element
+    outside the field raises ``ValueError``.
+    """
     mat = [list(r) for r in a]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -185,22 +181,3 @@ def rank(f: Field, a: Matrix) -> int:
 def pivot_columns(f: Field, a: Matrix) -> list[int]:
     """Leftmost maximal independent column set (lexicographically first)."""
     return _echelon(f, a)[1]
-
-
-def solve_in_span(f: Field, basis: list[Vector], target: Vector) -> Vector | None:
-    """Coefficients c with sum(c_i * basis_i) == target, or None.
-
-    The basis columns must be linearly independent, so a solution, when it
-    exists, is unique.
-    """
-    if not basis:
-        return () if all(x == 0 for x in target) else None
-    aug = from_columns(basis + [target])
-    reduced, pivots = _echelon(f, aug)
-    ncols = len(basis)
-    if ncols in pivots:
-        return None  # target is outside the span
-    coeffs = [0] * ncols
-    for row, col in zip(range(len(pivots)), pivots):
-        coeffs[col] = reduced[row][ncols]
-    return tuple(coeffs)

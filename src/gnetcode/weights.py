@@ -95,44 +95,31 @@ def _split_after_nonzeros(v: tuple, count: int):
 def decompose_rank(f: Field, z: mx.Matrix, c1: int, c2: int):
     """Split z = z1 + z2 with column ranks exactly (c1, c2).
 
-    Construction: take the leftmost maximal independent column set, assign
-    the first c1 of those columns to z1 and the next c2 to z2, then express
-    every remaining column v_j as f_j + g_j with f_j in the span of z1's
-    kept columns and g_j in the span of z2's.
+    One row reduction factors z = C·F: C holds z's pivot columns (its
+    leftmost maximal independent column set) and F the nonzero rows of its
+    reduced echelon form, so column j of F expresses z's column j in C's
+    basis.  Then z1 = C[:, :c1]·F[:c1] and z2 = C[:, c1:]·F[c1:]: z1 keeps
+    the first c1 pivot columns and every other column's part in their span.
+    The products add on the field's raw tables, as the checked elimination
+    has already rejected any symbol outside the field.
     """
-    r = rank_weight(f, z)
+    reduced, pivots = mx._echelon(f, z)
+    r = len(pivots)
     if c1 < 0 or c2 < 0 or c1 + c2 != r:
         raise ValueError(f"split ({c1}, {c2}) does not sum to the rank {r}")
-    pivots = mx.pivot_columns(f, z)
-    cols = mx.columns(z)
-    basis = [cols[j] for j in pivots]
-    first = set(pivots[:c1])
-    second = set(pivots[c1:])
-    nrows, _ = mx.dims(z)
-    zero_col = (0,) * nrows
-    cols1, cols2 = [], []
-    for j, col in enumerate(cols):
-        if j in first:
-            cols1.append(col)
-            cols2.append(zero_col)
-        elif j in second:
-            cols1.append(zero_col)
-            cols2.append(col)
-        else:
-            coeffs = mx.solve_in_span(f, basis, col)
-            part1 = zero_col
-            part2 = zero_col
-            for i, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                scaled = mx.vec_scale(f, c, basis[i])
-                if i < c1:
-                    part1 = mx.vec_add(f, part1, scaled)
-                else:
-                    part2 = mx.vec_add(f, part2, scaled)
-            cols1.append(part1)
-            cols2.append(part2)
-    return mx.from_columns(cols1), mx.from_columns(cols2)
+    add, mul = f.add_table, f.mul_table
+
+    def part(ks):
+        out = []
+        for row in z:
+            acc = [0] * len(row)
+            for k in ks:
+                scaled = mul[row[pivots[k]]]
+                acc = [add[a][scaled[b]] for a, b in zip(acc, reduced[k])]
+            out.append(tuple(acc))
+        return tuple(out)
+
+    return part(range(c1)), part(range(c1, r))
 
 
 def decompose_sum_rank(f: Field, z: mx.Matrix, c1: int, c2: int,
