@@ -410,9 +410,8 @@ def _codeword_map_linear(ch: Channel):
 
 # -- constructors ------------------------------------------------------------
 
-def classical_channel(field: Field, codewords,
-                      pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
-    """Point-to-point channel F(x, z) = x + z under the Hamming weight."""
+def _vector_code(field: Field, codewords) -> tuple[tuple, VectorSpace]:
+    """The codewords as tuples, all in one VectorSpace(field, len(first))."""
     codewords = tuple(tuple(x) for x in codewords)
     if not codewords:
         raise ConstructionError("empty codeword list")
@@ -421,6 +420,13 @@ def classical_channel(field: Field, codewords,
     for x in codewords:
         if not space.contains(x):
             raise ConstructionError(f"codeword {x!r} is not a length-{n} vector over {field}")
+    return codewords, space
+
+
+def classical_channel(field: Field, codewords,
+                      pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
+    """Point-to-point channel F(x, z) = x + z under the Hamming weight."""
+    codewords, space = _vector_code(field, codewords)
     errors = ErrorModel(space, WeightMeasure(HAMMING))
     add = mx.adder(field, space.shape)
     return Channel(field, codewords, errors, space,
@@ -493,9 +499,10 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
 
     The table must be total over the codeword list times the full error
     space F_q^error_length, with outputs in F_q^output_length; errors carry
-    the Hamming weight.
+    the Hamming weight.  The codewords must be vectors of one length over
+    the field.
     """
-    codewords = tuple(tuple(x) for x in codewords)
+    codewords, _ = _vector_code(field, codewords)
     err_space = VectorSpace(field, error_length)
     out_space = VectorSpace(field, output_length)
     table = {(tuple(x), tuple(z)): tuple(y) for (x, z), y in table.items()}

@@ -46,6 +46,15 @@ def test_single_codeword_rejected(gf2):
         classical_channel(gf2, [(0, 0)])
 
 
+@pytest.mark.parametrize("bad", [(3,), (-1,), (1, 1)],
+                         ids=["above-field", "negative", "wrong-length"])
+def test_table_channel_rejects_foreign_codewords(gf2, bad):
+    # a table total over both codewords does not admit a foreign one
+    table = {(x, (z,)): (x[0] % 2, z) for x in ((0,), bad) for z in range(2)}
+    with pytest.raises(ConstructionError, match="is not a length-1 vector"):
+        table_channel(gf2, [(0,), bad], 1, 2, table)
+
+
 def test_membership_validation(gf2, repetition):
     with pytest.raises(ValueError, match="not a codeword"):
         repetition.evaluate((1, 0, 0), (0, 0, 0))

@@ -146,6 +146,17 @@ def test_nonpositive_code_rows_exit_2(capsys, tmp_path):
     assert code == 2 and out == "" and "error: [code] rows" in err
 
 
+def test_table_config_with_foreign_codeword_exits_2(capsys, tmp_path):
+    from test_config import TABLE
+    cfg = tmp_path / "table.ini"
+    # codewords 0 and 1,1 with a table total over both
+    cfg.write_text(TABLE.replace("    1\n\n[transfer]", "    1,1\n\n[transfer]")
+                   .replace("1 ; 0 = 1,0\n1 ; 1 = 1,1", "1,1 ; 0 = 1,0\n1,1 ; 1 = 1,1"))
+    for command in ("classify", "verify"):
+        code, out, err = run_cli(capsys, "--config", str(cfg), command)
+        assert code == 2 and out == "" and "(1, 1) is not a length-1 vector" in err
+
+
 def test_invalid_bounded_radius(capsys, tmp_path):
     cfg = tmp_path / "repetition.ini"
     cfg.write_text(REPETITION)
