@@ -22,6 +22,34 @@ def constant_error_channel():
     return table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
+def random_networks(seed):
+    """Two seeded random DAG networks over each of GF(2) and GF(3), with at
+    most 6 edges and 2-3 codewords; draws that do not compile (codewords
+    colliding at zero error) are skipped."""
+    import itertools
+    import random
+    from gnetcode import ConstructionError, compile_network
+    from test_network import random_dag
+
+    rng = random.Random(seed)
+    out = []
+    for q in (2, 3, 2, 3):
+        while True:
+            inner = rng.randint(1, 3)
+            # inner + 1 tree edges; extras up to 6 edges and the DAG's pairs
+            room = min(5 - inner, (inner + 2) * (inner + 1) // 2 - (inner + 1))
+            spec = random_dag(rng, q, inner=inner, extra=rng.randint(0, room))
+            m = sum(tail == "s" for tail, _ in spec.edges)
+            words = list(itertools.product(range(q), repeat=m))
+            code = rng.sample(words, min(len(words), rng.randint(2, 3)))
+            try:
+                out.append(compile_network(Field(q), spec, code))
+                break
+            except ConstructionError:
+                continue
+    return out
+
+
 def test_mwd_toy(toy):
     assert mwd(toy, (0, 0, 0)).codeword == (0, 0, 0)
     assert mwd(toy, (1, 1, 1)).codeword == (1, 1, 1)
@@ -126,6 +154,7 @@ def test_joint_grid_matches_naive_oracle(toy, repetition, hamming_code_channel):
     # the grid runs past w_max, so also past the last stored d2_min[c]
     channels = [toy, repetition, hamming_code_channel, single_edge_channel(),
                 disjoint_images_channel(), constant_error_channel()]
+    channels += random_networks(71)
     rng = random.Random(71)
     channels += [random_table_channel(rng, Field(q), n_codewords=3,
                                       error_length=2, output_length=2)
@@ -177,6 +206,7 @@ def test_mwd_matches_naive_oracle(repetition):
     from oracles import naive_ball, naive_mwd
 
     channels = [repetition, single_edge_channel(), disjoint_images_channel()]
+    channels += random_networks(31)
     rng = random.Random(31)
     channels += [random_table_channel(rng, Field(q), n_codewords=3,
                                       error_length=2, output_length=2)
@@ -224,6 +254,7 @@ def test_capability_matches_naive_oracle(toy, repetition, hamming_code_channel):
     # and d1_min, so capability's own cross-check skips them
     channels = [toy, repetition, hamming_code_channel, single_edge_channel(),
                 disjoint_images_channel(), constant_error_channel()]
+    channels += random_networks(61)
     rng = random.Random(61)
     channels += [random_table_channel(rng, Field(q), n_codewords=3,
                                       error_length=2, output_length=2)
