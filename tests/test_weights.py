@@ -86,14 +86,24 @@ def test_decompose_rank_random_rank2():
     assert mx.mat_add(gf3, z1, z2) == z
 
 
-def test_decompose_rank_exhaustive_small(gf2):
-    for z in all_matrices(gf2, 2, 3):
-        r = rank_weight(gf2, z)
-        for c1 in range(r + 1):
-            z1, z2 = decompose_rank(gf2, z, c1, r - c1)
-            assert rank_weight(gf2, z1) == c1
-            assert rank_weight(gf2, z2) == r - c1
-            assert mx.mat_add(gf2, z1, z2) == z
+def test_decompose_rank_exhaustive_small():
+    for f, rows, cols in ((Field(2), 2, 3), (Field(3), 2, 3), (Field(2, 2), 2, 2)):
+        for z in all_matrices(f, rows, cols):
+            r = rank_weight(f, z)
+            for c1 in range(r + 1):
+                z1, z2 = decompose_rank(f, z, c1, r - c1)
+                assert rank_weight(f, z1) == c1
+                assert rank_weight(f, z2) == r - c1
+                assert mx.mat_add(f, z1, z2) == z
+
+
+@pytest.mark.parametrize("bad", [5, -1])
+def test_rank_splits_reject_symbols_outside_the_field(gf2, bad):
+    for z in (((bad, 0), (0, 1)), ((1, 0), (0, bad)), ((1, bad), (0, 0))):
+        with pytest.raises(ValueError, match="not an element"):
+            decompose_rank(gf2, z, 1, 1)
+        with pytest.raises(ValueError, match="not an element"):
+            decompose_sum_rank(gf2, z, 1, 1, (1, 1))
 
 
 def test_decompose_sum_rank(gf2):
