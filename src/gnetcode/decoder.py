@@ -1,27 +1,25 @@
 """Minimum weight decoding and code capability classification.
 
 Every verdict here is read off the codewords' reach maps (see
-:mod:`gnetcode.distances`): x_i's map sends each word y it reaches to
-W_i(y), the least weight of an error z with F(x_i, z) = y, and iterates in
-nondecreasing weight.  The minimum weight decoder folds the maps into one
-solution index, y -> the least W_i(y) and the codewords attaining it.  It
-decodes to a sole such codeword, otherwise (also when no solution exists,
-possible for non-surjective table channels) declares a detection.  The
-bounded variant MWD(c) decodes inside the radius-c balls {y : W_i(y) <= c}
-and is only defined when those balls are pairwise disjoint.
+:mod:`gnetcode.distances`), y -> W_i(y), the least weight of an error z
+with F(x_i, z) = y, in nondecreasing weight.  The minimum weight decoder
+folds them into one solution index, y -> the least W_i(y) and the
+codewords attaining it.  It decodes to a sole such codeword, otherwise
+(also when no solution exists, possible for non-surjective table
+channels) declares a detection.  The bounded variant MWD(c) decodes inside
+the radius-c balls {y : W_i(y) <= c} and is only defined when those balls
+are pairwise disjoint.
 
 An error z is correctable when x_i alone attains F(x_i, z) at its least
 weight, for every codeword x_i.  It is detectable when the received word
 never lands on a *different* codeword's weight-0 solution (its clean
 output), so the radius-0 decoder either flags the error or returns x_i
 unchanged; nonlinear node maps can swallow an error entirely.  Both
-verdicts depend on z only through the pair (x_i, F(x_i, z)), and W_i(y) is
-the least weight of an error giving that pair, so :func:`capability` reads
-the least failing weights off the reach maps against the solution index.
-A code corrects c errors while detecting c' more exactly when the refined
-joint minimum d2_min[c] is at least c'+1, so :func:`is_joint_correcting`
-reads that one memoized column of
-:func:`gnetcode.distances.minimum_distances`.
+verdicts depend on z only through (x_i, F(x_i, z)), so :func:`capability`
+reads the least failing weights off the reach maps.  A code corrects c
+errors while detecting c' more exactly when the refined joint minimum
+d2_min[c] is at least c'+1, so :func:`is_joint_correcting` reads that one
+memoized column of :func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
@@ -139,8 +137,8 @@ class CapabilityReport:
     """How many errors the code corrects and detects, plus joint verdicts.
 
     ``max_correctable``/``max_detectable`` are one below the least weight
-    of an uncorrectable / undetectable error, read off the reach maps.  ``all_correctable`` flags codes that correct the
-    entire error space.  ``joint`` maps (c, c') to the joint
+    of an uncorrectable / undetectable error, read off the reach maps.
+    ``all_correctable`` flags codes that correct the entire error space.  ``joint`` maps (c, c') to the joint
     error-correction verdict d2_min[c] >= c'+1 on a small grid.
     """
 
@@ -163,10 +161,10 @@ class CapabilityReport:
 def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> CapabilityReport:
     """Capabilities from one pass over each codeword x_i's reach map.
 
-    A word y that x_i reaches at least weight w, and that x_i alone does
-    not attain at its least solution weight, makes every error of weight w
-    giving it uncorrectable, and undetectable where that least weight is
-    0.  The map runs in weight order, so its pass stops at the least
+    The least uncorrectable weight is the least W_i(y) over the words y
+    that x_i alone does not attain at their least solution weight; the
+    least undetectable weight takes only those whose least solution weight
+    is 0.  A map runs in weight order, so its pass stops at the least
     undetectable weight found so far.  The capabilities must equal
     floor((d0_min - 1)/2) and d1_min - 1 wherever those minima are finite,
     else :class:`InternalConsistencyError` is raised.

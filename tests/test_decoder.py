@@ -36,8 +36,8 @@ def random_networks(seed):
     for q in (2, 3, 2, 3):
         while True:
             inner = rng.randint(1, 3)
-            # inner + 1 tree edges; extras up to 6 edges and the DAG's pairs
-            room = min(5 - inner, (inner + 2) * (inner + 1) // 2 - (inner + 1))
+            # inner + 1 tree edges; the other node pairs bound the extras
+            room = min(5 - inner, inner * (inner + 1) // 2)
             spec = random_dag(rng, q, inner=inner, extra=rng.randint(0, room))
             m = sum(tail == "s" for tail, _ in spec.edges)
             words = list(itertools.product(range(q), repeat=m))
