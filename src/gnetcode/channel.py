@@ -14,11 +14,12 @@ are out of scope and rejected by the constructors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .field import Field
 from . import matrices as mx
-from .weights import WeightMeasure, HAMMING, RANK
+from .weights import WeightMeasure, HAMMING, RANK, hamming_weights
 
 DEFAULT_PAIR_BUDGET = 10 ** 6
 
@@ -215,12 +216,20 @@ class Channel:
     # -- internal fast paths (no membership validation) ----------------------
 
     def _errors_by_weight(self):
-        """All errors as (z, weight), nondecreasing weight, stable within a class."""
+        """All errors as (z, weight), nondecreasing weight, stable within a class.
+
+        A Hamming space of n symbols (n = rows·cols for a matrix) takes its
+        weights in bulk from :func:`gnetcode.weights.hamming_weights`, in the
+        same enumeration order; rank and sum-rank weights are taken per error.
+        """
         cached = self._cache.get("errors_by_weight")
         if cached is None:
-            weigh = self.errors.weight
-            errors = list(self.errors.space.elements())
-            weights = [weigh(z) for z in errors]
+            space = self.errors.space
+            errors = list(space.elements())
+            if self.errors.measure.kind == HAMMING:
+                weights = hamming_weights(self.field.q, math.prod(space.shape))
+            else:
+                weights = list(map(self.errors.weight, errors))
             # enumeration indices sorted stably by weight; rows are permuted by it
             order = sorted(range(len(errors)), key=weights.__getitem__)
             self._cache["weight_order"] = order
@@ -274,19 +283,23 @@ def classify(ch: Channel) -> ChannelClass:
 
     The only decomposition consistent with a homomorphic error map is
     f(x) = F(x, 0) and h(z) = F(x0, z) - F(x0, 0), so that candidate is
-    checked against every (codeword, error) pair.  Whether h is a group
-    homomorphism is then decided in O(|E|) by :func:`_is_additive`, from
-    the errors' coordinates; only when it is not does the first failing
-    pair get searched for, as the witness.  The linear verdict
-    additionally requires the codeword set to form a subspace on which f
-    is additive and scalar-homogeneous.
+    checked against every (codeword, error) pair: F(x, z) = f(x) + h(z) is
+    the group identity F(x, z) = F(x0, z) + (f(x) - f(x0)), so each x other
+    than x0 costs one addition per error against x0's row, and x0 passes by
+    the definition of h.  The first failing pair is the same, in the same
+    (x, weight order) order, either way.  Only when every row passes is h
+    built, and whether it is a group homomorphism is then decided in O(|E|)
+    by :func:`_is_additive`, from the errors' coordinates; only when it is
+    not does the first failing pair get searched for, as the witness.  The
+    linear verdict additionally requires the codeword set to form a
+    subspace on which f is additive and scalar-homogeneous.
 
     Every sum is taken on the field's raw table without re-checking its
     operands, because every operand is already a valid element: each row
     output was validated when its row was built (or is an element by the
-    row kernel's construction), so h(z) = F(x0, z) + (-F(x0, 0)) is one too,
-    each f(x) was checked when the channel was built, and the errors come
-    from the space's own enumeration.
+    row kernel's construction), each f(x) was checked when the channel was
+    built, so f(x) - f(x0) and h(z) = F(x0, z) + (-f(x0)) are elements too,
+    and the errors come from the space's own enumeration.
 
     This classifies the transfer function only; the weight measure's side
     of the error-linearity hypotheses (subadditivity, inverse invariance,
@@ -296,17 +309,18 @@ def classify(ch: Channel) -> ChannelClass:
     """
     out = ch.outputs
     out_add = mx.adder(ch.field, out.shape)
-    neg_base = out.neg(ch.zero_output(ch.codewords[0]))
     errors = ch._errors_by_weight()
-    hs = [out_add(y, neg_base) for y in ch._transfer_row(ch.codewords[0])]
+    f0 = ch.zero_output(ch.codewords[0])
+    row0 = ch._transfer_row(ch.codewords[0])
 
-    # F(x, z) must equal f(x) + h(z) everywhere.
-    for x in ch.codewords:
-        fx = ch.zero_output(x)
-        for (z, _), y, hz in zip(errors, ch._transfer_row(x), hs):
-            if y != out_add(fx, hz):
+    for x in ch.codewords[1:]:
+        shift = out.sub(ch.zero_output(x), f0)
+        for (z, _), y, y0 in zip(errors, ch._transfer_row(x), row0):
+            if y != out_add(y0, shift):
                 return ChannelClass(False, False, ("transfer-not-additive", x, z))
 
+    neg_base = out.neg(f0)
+    hs = [out_add(y0, neg_base) for y0 in row0]
     if not _is_additive(ch, hs, out_add):
         return ChannelClass(False, False,
                             ("error-map-not-homomorphic",) + _first_failing_pair(ch, hs, out_add))

@@ -161,39 +161,61 @@ def _evaluator(program, sink_inputs, nedges: int, add_table):
 def _row_evaluator(program, sink_inputs, nedges: int, add_table):
     """The network's row x -> sink symbols under every error, in enumeration order.
 
-    A depth-first walk of the program fixes one error coordinate per edge,
-    so every prefix is shared: q + q^2 + ... + q^n edge evaluations instead
-    of n*q^n.  Error z lands at index sum(z_e * q^(n-1-e)) over the declared
-    edge index e (the error space's enumeration order), which differs from
-    the program position whenever edges are declared out of topological
-    order.
+    The program runs level by level.  After k steps the error symbols of
+    the first k program edges are fixed, and each live edge holds one
+    column: its symbol under each of the q^k error prefixes, the first
+    program edge's symbol the most significant digit.  Step k computes its
+    edge's base symbol once per prefix (the codeword coordinate, or the
+    table at the input columns' entries) and expands every prefix by the
+    edge's q error symbols, reading ``add_table[b]``, which lists b + d in
+    digit order d; every other live column repeats each entry q times.
+    Prefixes are shared as in a depth-first walk, q + q^2 + ... + q^n
+    entries per live column instead of n*q^n, and every step is a C-level
+    list operation.  A column is dropped after its last reader, a later
+    table or the sink, and an edge nobody reads gets none.
+
+    The row comes out indexed by program position.  The error space
+    enumerates z at sum(z_e * q^(n-1-e)) over the declared edge index e,
+    so when the program order differs from the declared order, the first
+    row builds the index permutation into enumeration order and every row
+    is permuted by it.
     """
     q = len(add_table)
-    strides = [q ** (nedges - 1 - ei) for ei, _, _, _ in program]
-    last = len(program) - 1
+    order = [ei for ei, _, _, _ in program]
+    last_reader = {i: k for k, (_, _, _, ins) in enumerate(program) for i in ins}
+    last_reader.update((i, len(program)) for i in sink_inputs)
+    steps = [(ei, coord, table, ins, ei in last_reader,
+              tuple(i for i in ins if last_reader[i] == k))
+             for k, (ei, coord, table, ins) in enumerate(program)]
+    in_order = order == list(range(nedges))
+    flat = itertools.chain.from_iterable
+    perm = []  # enumeration index -> program index, built by the first row
 
     def row(x):
-        out = [None] * q ** nedges
-        sym = [0] * nedges
-        get = sym.__getitem__
-
-        def walk(k, index):
-            ei, coord, table, ins = program[k]
-            base = x[coord] if table is None else table[tuple(map(get, ins))]
-            stride = strides[k]
-            if k == last:
-                for s in add_table[base]:
-                    sym[ei] = s
-                    out[index] = tuple(map(get, sink_inputs))
-                    index += stride
-            else:
-                for s in add_table[base]:
-                    sym[ei] = s
-                    walk(k + 1, index)
-                    index += stride
-
-        walk(0, 0)
-        return out
+        cols = {}
+        size = 1
+        for ei, coord, table, ins, read, drop in steps:
+            if read:
+                if table is None:
+                    new = add_table[x[coord]] * size
+                else:
+                    base = map(table.__getitem__, zip(*map(cols.__getitem__, ins)))
+                    new = list(flat(map(add_table.__getitem__, base)))
+            for i in drop:
+                del cols[i]
+            for i, col in cols.items():  # zip(*[col] * q) yields each entry q times
+                cols[i] = list(flat(zip(*[col] * q)))
+            if read:
+                cols[ei] = new
+            size *= q
+        out = list(zip(*map(cols.__getitem__, sink_inputs)))
+        if in_order:
+            return out
+        if not perm:
+            place = {ei: q ** (nedges - 1 - k) for k, ei in enumerate(order)}
+            digits = [[d * place[ei] for d in range(q)] for ei in range(nedges)]
+            perm.extend(map(sum, itertools.product(*digits)))
+        return list(map(out.__getitem__, perm))
 
     return row
 

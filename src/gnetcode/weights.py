@@ -37,6 +37,23 @@ def hamming_weight(v) -> int:
     return len(v) - v.count(0)
 
 
+def hamming_weights(q: int, n: int) -> list[int]:
+    """Hamming weights of all of GF(q)^n, in base-q enumeration order.
+
+    Element i of the list weighs element i of
+    ``itertools.product(range(q), repeat=n)`` (a matrix space's entries
+    flattened row-major enumerate the same way).  Appending a digit d to
+    an element of weight a gives weight a for d = 0 and a + 1 otherwise,
+    so each of the n levels expands every weight a into ``inc[a]``, with
+    C-level list operations only.
+    """
+    inc = [[a] + [a + 1] * (q - 1) for a in range(n)]
+    weights = [0]
+    for _ in range(n):
+        weights = list(itertools.chain.from_iterable(map(inc.__getitem__, weights)))
+    return weights
+
+
 def rank_weight(f: Field, a: mx.Matrix) -> int:
     """Column rank, by exact Gaussian elimination over the field."""
     return mx.rank(f, a)

@@ -124,6 +124,32 @@ def test_classify_toy_not_error_linear(toy):
     assert toy.evaluate(x, z) != mx.vec_add(toy.field, toy.zero_output(x), h)
 
 
+def test_classify_adds_each_error_once(toy, monkeypatch):
+    """The toy's witness is codeword 1 at weight-order position 7, so the
+    row check takes one addition for each of the first 8 errors against
+    codeword 0's row, codeword 0's own row is not checked, and h, which
+    would take another |E| additions, is never built."""
+    row0 = toy._transfer_row(toy.codewords[0])
+    calls = []
+    adder = mx.adder
+
+    def counting_adder(f, shape):
+        add = adder(f, shape)
+
+        def counted(a, b):
+            calls.append((a, b))
+            return add(a, b)
+        return counted
+
+    monkeypatch.setattr(mx, "adder", counting_adder)
+    verdict = classify(toy)
+    assert verdict.witness[1] == toy.codewords[1]
+    errors = [z for z, _ in toy._errors_by_weight()]
+    assert errors.index(verdict.witness[2]) == 7
+    assert len(calls) <= 9
+    assert [a for a, _ in calls] == row0[:len(calls)]
+
+
 def test_classify_reconstructs_transfer(gf2, repetition):
     # for an error-linear verdict, f + h rebuilds F exactly
     verdict = classify(repetition)

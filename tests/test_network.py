@@ -225,7 +225,15 @@ def test_source_edge_with_local_function_rejected(gf2):
 
 def random_dag(rng, q, inner, extra):
     """A random DAG s -> v1..v_inner -> t with random total tables, its
-    edges declared in a shuffled (non-topological) order."""
+    edges declared in a shuffled (non-topological) order.
+
+    Its spanning tree leaves inner*(inner+1)//2 forward node pairs free, so
+    ``extra`` may be at most that; a larger one raises ValueError.
+    """
+    room = inner * (inner + 1) // 2
+    if not 0 <= extra <= room:
+        raise ValueError(f"extra = {extra} edges do not fit: {inner} inner nodes "
+                         f"leave room for at most {room}")
     nodes = ["s"] + [f"v{i}" for i in range(1, inner + 1)] + ["t"]
     edges = {(rng.choice(nodes[:i]), nodes[i]) for i in range(1, len(nodes))}
     while len(edges) < len(nodes) - 1 + extra:
@@ -240,6 +248,19 @@ def random_dag(rng, q, inner, extra):
             spec.local_functions[tail, head] = {
                 key: rng.randrange(q) for key in itertools.product(range(q), repeat=len(ins))}
     return spec
+
+
+@pytest.mark.parametrize("inner, extra", [(1, 2), (2, 4), (3, 7), (2, -1)])
+def test_random_dag_rejects_extra_edges_that_do_not_fit(inner, extra):
+    with pytest.raises(ValueError, match=f"at most {inner * (inner + 1) // 2}"):
+        random_dag(random.Random(0), 2, inner, extra)
+
+
+def test_random_dag_fills_every_node_pair():
+    """At the limit every forward pair of s, v1..v_inner, t is an edge."""
+    for inner in (1, 2, 3):
+        spec = random_dag(random.Random(inner), 2, inner, inner * (inner + 1) // 2)
+        assert len(spec.edges) == (inner + 2) * (inner + 1) // 2
 
 
 def _row_networks():

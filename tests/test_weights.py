@@ -13,7 +13,7 @@ from gnetcode import matrices as mx
 from gnetcode import weights as weights_module
 from gnetcode.channel import MatrixSpace, VectorSpace
 from gnetcode.properties import AXIOM_PAIR_BUDGET
-from gnetcode.weights import verify_separable_axioms
+from gnetcode.weights import hamming_weights, verify_separable_axioms
 
 
 def all_matrices(f, rows, cols):
@@ -26,6 +26,16 @@ def test_hamming_weight_examples():
     # the fixture network's double error on the first and third source edges
     toy_z = (2, 0, 2, 0, 0, 0, 0, 0, 0)
     assert hamming_weight(toy_z) == 2
+
+
+@pytest.mark.parametrize("space", [
+    VectorSpace(Field(2), 6), VectorSpace(Field(3), 4), VectorSpace(Field(2, 2), 3),
+    MatrixSpace(Field(2), 2, 3), VectorSpace(Field(2), 1), VectorSpace(Field(3), 1),
+    VectorSpace(Field(2, 2), 1)],
+    ids=["gf2^6", "gf3^4", "gf4^3", "gf2-2x3", "gf2^1", "gf3^1", "gf4^1"])
+def test_hamming_weights_follow_the_enumeration(space):
+    n = space.length if isinstance(space, VectorSpace) else space.rows * space.cols
+    assert hamming_weights(space.field.q, n) == [hamming_weight(z) for z in space.elements()]
 
 
 def test_rank_weight_examples(gf2):
