@@ -439,14 +439,20 @@ def _vector_code(field: Field, codewords) -> tuple[tuple, VectorSpace]:
 
 def classical_channel(field: Field, codewords,
                       pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
-    """Point-to-point channel F(x, z) = x + z under the Hamming weight."""
+    """Point-to-point channel F(x, z) = x + z under the Hamming weight.
+
+    x's row is the product of the sets {x_k + d : d in GF(q)}, read off the
+    field's addition table (``add_table[x_k]`` lists x_k + d for d = 0..q-1);
+    ``itertools.product`` varies the last coordinate fastest, which is the
+    error space's enumeration order.
+    """
     codewords, space = _vector_code(field, codewords)
     errors = ErrorModel(space, WeightMeasure(HAMMING))
-    add = mx.adder(field, space.shape)
+    shifts = field.add_table.__getitem__
     return Channel(field, codewords, errors, space,
                    lambda x, z: mx.vec_add(field, x, z),
                    kind="classical", pair_budget=pair_budget,
-                   row=lambda x: [add(x, z) for z in space.elements()])
+                   row=lambda x: list(itertools.product(*map(shifts, x))))
 
 
 def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,

@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from .channel import Channel, BudgetError, ConstructionError, classify
 from .config import ConfigError, channel_from_config, config_digest
@@ -81,8 +82,12 @@ def _parse_received(text: str):
     return tuple(rows) if len(rows) > 1 else rows[0]
 
 
-def _run(args) -> tuple[dict, str, int]:
-    """Returns (report payload, text rendering, exit code)."""
+def _run(args) -> tuple[dict, Callable[[], str], int]:
+    """Returns (report payload, text rendering thunk, exit code).
+
+    The text is rendered only when it is printed, so a structured call
+    never builds it.
+    """
     ch, source = _load_channel(args)
     # "parallelism" is fixed at 1 (the engine is single-process); the payload
     # digests recorded in perfbench/expected.json still include the key
@@ -93,26 +98,26 @@ def _run(args) -> tuple[dict, str, int]:
     if args.command == "distances":
         report = minimum_distances(ch)
         payload["distances"] = report.to_dict()
-        text = report.render_text()
+        text = report.render_text
     elif args.command == "capability":
         cap = capability(ch)
         payload["capability"] = cap.to_dict()
-        text = (f"corrects {cap.max_correctable} error(s)"
-                + (" (the whole error space)" if cap.all_correctable else "")
-                + f", detects {cap.max_detectable} error(s)"
-                + (" (the whole error space)" if cap.all_detectable else "")
-                + "\njoint (c, c') verdicts: "
-                + ", ".join(f"({c},{cp})={'yes' if v else 'no'}"
-                            for (c, cp), v in sorted(cap.joint.items())))
+        text = lambda: (f"corrects {cap.max_correctable} error(s)"
+                        + (" (the whole error space)" if cap.all_correctable else "")
+                        + f", detects {cap.max_detectable} error(s)"
+                        + (" (the whole error space)" if cap.all_detectable else "")
+                        + "\njoint (c, c') verdicts: "
+                        + ", ".join(f"({c},{cp})={'yes' if v else 'no'}"
+                                    for (c, cp), v in sorted(cap.joint.items())))
     elif args.command == "joint":
         verdict = is_joint_correcting(ch, args.c, args.cprime)
         payload["joint"] = {"c": args.c, "cprime": args.cprime, "verdict": verdict}
-        text = (f"({args.c}, {args.cprime}) joint error correction: "
-                f"{'yes' if verdict else 'no'}")
+        text = lambda: (f"({args.c}, {args.cprime}) joint error correction: "
+                        f"{'yes' if verdict else 'no'}")
     elif args.command == "verify":
         ledger = run_all(ch, seed=args.seed)
         payload["ledger"] = ledger.to_dict()
-        text = ledger.render_text()
+        text = ledger.render_text
         code = 0 if ledger.passed else 1
     elif args.command == "decode":
         y = _parse_received(args.received)
@@ -123,7 +128,7 @@ def _run(args) -> tuple[dict, str, int]:
             "outcome": "detected" if outcome.detected else "decoded",
             "codeword": None if outcome.detected else list(outcome.codeword),
         }
-        text = repr(outcome)
+        text = lambda: repr(outcome)
     else:  # classify
         verdict = classify(ch)
         payload["classification"] = {
@@ -131,8 +136,8 @@ def _run(args) -> tuple[dict, str, int]:
             "linear": verdict.linear,
             "witness": repr(verdict.witness) if verdict.witness else None,
         }
-        text = (f"error_linear={verdict.error_linear} linear={verdict.linear}"
-                + (f"\nwitness: {verdict.witness!r}" if verdict.witness else ""))
+        text = lambda: (f"error_linear={verdict.error_linear} linear={verdict.linear}"
+                        + (f"\nwitness: {verdict.witness!r}" if verdict.witness else ""))
     return payload, text, code
 
 
@@ -149,7 +154,7 @@ def main(argv=None) -> int:
     if args.format == "structured":
         print(json.dumps(payload, indent=2))
     else:
-        print(text)
+        print(text())
     return code
 
 

@@ -25,15 +25,20 @@ m[c], c = 0..w_max: the least radius of x_j's ball meeting x_i's radius-c
 ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
 d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
 that m is), and d0 = min of c + max(m[c], c-1) over the c with
-m[c] <= c+1.  The reach maps, meet tables and distance report are
-memoized per channel; a ball is filtered from its reach map on request.
-The test suite anchors this engine against a cache-free brute-force
-oracle.
+m[c] <= c+1.  :func:`minimum_distances` reads each pair's meet table once
+and derives all of these in one pass, plus the refined table: per ordered
+pair, d2[c] for c = 0..w_max+2.  That range covers every consumer, since
+a finite d0 is at most 2*w_max+1, so tau+1 <= w_max+2; the theorem ledger
+indexes this table instead of recomputing d2[c].  The reach maps, meet
+tables, refined table and distance report are memoized per channel; a
+ball is filtered from its reach map on request.  The test suite anchors
+this engine against a cache-free brute-force oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .channel import Channel
 
@@ -108,44 +113,47 @@ def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
     return DecodingBall(x, c, frozenset(y for y, w in reach.items() if w <= c))
 
 
+def _pair_meet(ch: Channel, x1, x2) -> list:
+    return _meet(ch, _cw_index(ch, x1), _cw_index(ch, x2))
+
+
+def _d0(m: list):
+    # x2's least meeting radius within c-1..c+1 is max(m[c], c-1) if m[c] <= c+1
+    return min((c + max(r, c - 1) for c, r in enumerate(m) if r <= c + 1),
+               default=INFINITE)
+
+
+def _d2(m: list):
+    return min(map(add, range(len(m)), m))
+
+
+def _refined_row(m: list, hi: int) -> list:
+    """d2[c] = max(0, m[min(c, w_max)] - c) for c = 0..hi, off one meet table."""
+    last = len(m) - 1
+    return [max(0, m[min(c, last)] - c) for c in range(hi + 1)]  # inf stays inf
+
+
 def dist_d0(ch: Channel, x1, x2):
     """Error correction distance: balanced-radii ball intersection."""
-    return _d0_by_index(ch, _cw_index(ch, x1), _cw_index(ch, x2))
-
-
-def _d0_by_index(ch: Channel, i1: int, i2: int):
-    # x2's least meeting radius within c-1..c+1 is max(m[c], c-1) if m[c] <= c+1
-    return min((c + max(r, c - 1) for c, r in enumerate(_meet(ch, i1, i2))
-                if r <= c + 1), default=INFINITE)
+    return _d0(_pair_meet(ch, x1, x2))
 
 
 def dist_d1(ch: Channel, x1, x2):
     """Error detection distance: first radius of x2's ball reaching F(x1, 0)."""
-    return _d1_by_index(ch, _cw_index(ch, x1), _cw_index(ch, x2))
-
-
-def _d1_by_index(ch: Channel, i1: int, i2: int):
+    i1, i2 = _cw_index(ch, x1), _cw_index(ch, x2)
     return _reach(ch, i2).get(ch.zero_output(ch.codewords[i1]), INFINITE)
 
 
 def dist_d2(ch: Channel, x1, x2):
     """Joint distance: unconstrained-radii ball intersection."""
-    return _d2_by_index(ch, _cw_index(ch, x1), _cw_index(ch, x2))
-
-
-def _d2_by_index(ch: Channel, i1: int, i2: int):
-    return min(c + r for c, r in enumerate(_meet(ch, i1, i2)))
+    return _d2(_pair_meet(ch, x1, x2))
 
 
 def dist_d2_refined(ch: Channel, x1, x2, c: int):
     """Refined joint distance for a fixed correction radius c."""
     if c < 0:
         raise ValueError("correction radius must be nonnegative")
-    return _d2_refined_by_index(ch, _cw_index(ch, x1), _cw_index(ch, x2), c)
-
-
-def _d2_refined_by_index(ch: Channel, i1: int, i2: int, c: int):
-    return max(0, _meet(ch, i1, i2)[min(c, ch.w_max)] - c)  # stays infinite
+    return max(0, _pair_meet(ch, x1, x2)[min(c, ch.w_max)] - c)  # stays infinite
 
 
 def tau_and_cstar(ch: Channel, x1, x2) -> tuple[int, int]:
@@ -236,42 +244,60 @@ class DistanceReport:
 def minimum_distances(ch: Channel) -> DistanceReport:
     """Compute every distance table and the code minima (memoized).
 
-    Minima scan ordered distinct pairs throughout; for the symmetric d0
-    and d2 this coincides with the unordered scan.  A minimum is infinite
-    only when every entry is.
+    One pass over the ordered pairs reads each meet table once; it also
+    fills the refined table ``ch._cache["refined"]`` (see
+    :func:`refined_table`).  Minima scan ordered distinct pairs
+    throughout; for the symmetric d0 and d2 this coincides with the
+    unordered scan.  A minimum is infinite only when every entry is.
     """
     cached = ch._cache.get("distance_report")
     if cached is not None:
         return cached
-    n = len(ch.codewords)
-    d0, d1, d2, refined, tau, cstar = {}, {}, {}, {}, {}, {}
+    n, w_max = len(ch.codewords), ch.w_max
+    meets = []
+    d0, d1, d2, refined, tau, cstar, table = {}, {}, {}, {}, {}, {}, {}
     for i in range(n):
+        clean = ch.zero_output(ch.codewords[i])
         for j in range(n):
             if i == j:
                 continue
-            v0 = _d0_by_index(ch, i, j)
-            d0[i, j] = v0
-            d1[i, j] = _d1_by_index(ch, i, j)
-            d2[i, j] = _d2_by_index(ch, i, j)
+            m = _meet(ch, i, j)
+            meets.append(m)
+            v0 = d0[i, j] = _d0(m)
+            d1[i, j] = _reach(ch, j).get(clean, INFINITE)
+            d2[i, j] = _d2(m)
+            row = table[i, j] = _refined_row(m, w_max + 2)
             if is_finite(v0):
-                t = (int(v0) + 1) // 2
+                t = (v0 + 1) // 2
                 tau[i, j] = t
-                cstar[i, j] = int(v0) // 2
-                refined[i, j] = tuple(_d2_refined_by_index(ch, i, j, c)
-                                      for c in range(t + 1))
+                cstar[i, j] = v0 // 2
+                refined[i, j] = tuple(row[:t + 1])
             else:
                 tau[i, j] = None
                 cstar[i, j] = None
                 refined[i, j] = (INFINITE,)
-    taus = [t for t in tau.values() if t is not None]
-    c_hi = max(taus) if taus else 0
-    d2_min_refined = tuple(
-        min(_d2_refined_by_index(ch, i, j, c) for (i, j) in d0)
-        for c in range(c_hi + 1))
+    c_hi = max((t for t in tau.values() if t is not None), default=0)
+    column_min = _refined_row(list(map(min, zip(*meets))), c_hi)
     report = DistanceReport(
         codewords=ch.codewords,
         d0=d0, d1=d1, d2=d2, d2_refined=refined, tau=tau, cstar=cstar,
         d0_min=min(d0.values()), d1_min=min(d1.values()), d2_min=min(d2.values()),
-        d2_min_refined=d2_min_refined)
+        d2_min_refined=tuple(column_min))
+    ch._cache["refined"] = table
     ch._cache["distance_report"] = report
     return report
+
+
+def refined_table(ch: Channel, hi: int = 0) -> dict:
+    """(i, j) -> [d2[c] for c = 0..max(hi, w_max+2)] per ordered pair.
+
+    The memoized table, built by :func:`minimum_distances`, stops at
+    c = w_max+2, which every report's tau+1 stays within; a caller that
+    needs more (a tampered report's larger tau) gets longer rows built
+    afresh, so indexing up to ``hi`` never raises.
+    """
+    if "refined" not in ch._cache:
+        minimum_distances(ch)
+    if hi <= ch.w_max + 2:
+        return ch._cache["refined"]
+    return {pair: _refined_row(_meet(ch, *pair), hi) for pair in ch._cache["refined"]}

@@ -11,7 +11,7 @@ for the linear-collapse suite, infinite distances for threshold claims).
 the error-linear collapse suite, the metric reports, the two sufficient
 conditions for distance collapse, the decoder sufficiency checks, and the
 weight axioms into one deterministic ledger.  Each fact is read from one
-place: d2[c] from the engine's meet table, the metric axioms from the
+place: d2[c] from the engine's refined table, the metric axioms from the
 memoized :func:`check_metric`, the capabilities from one capability scan.
 
 The module also provides seeded random channel generators (table-defined
@@ -24,15 +24,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from operator import add, sub
 
 from .field import Field
 from . import matrices as mx
 from .channel import Channel, ChannelClass, classify, matrix_channel, table_channel
 from .weights import (WeightMeasure, HAMMING, RANK, SUM_RANK,
                       verify_separable_axioms, verify_weight_axioms)
-from .distances import (is_finite, minimum_distances,
-                        _d2_refined_by_index, DistanceReport)
+from .distances import is_finite, minimum_distances, refined_table, DistanceReport
 from . import decoder as dec
 
 PASS = "pass"
@@ -80,11 +79,24 @@ def _verdict(check: str, failures: list, applicable: bool,
     return TheoremVerdict(check, PASS, detail)
 
 
-def _balanced_split(ch: Channel, report: DistanceReport) -> dict:
+def _refined(ch: Channel, report: DistanceReport) -> dict:
+    """The refined table, its rows long enough for every c the checks read
+    from this report: up to tau+1 and cstar of each pair."""
+    hi = max([t + 1 for t in report.tau.values() if t is not None]
+             + [c for c in report.cstar.values() if c is not None], default=0)
+    return refined_table(ch, hi)
+
+
+def _balanced_split(report: DistanceReport, refined: dict) -> dict:
     """(i, j) -> (d2[cstar], d2[cstar] of (j, i)) per pair i < j with a defined cstar."""
-    return {(i, j): (_d2_refined_by_index(ch, i, j, report.cstar[i, j]),
-                     _d2_refined_by_index(ch, j, i, report.cstar[i, j]))
-            for (i, j) in report.pairs() if i < j and report.cstar[i, j] is not None}
+    return {(i, j): (refined[i, j][cs], refined[j, i][cs])
+            for (i, j) in report.pairs()
+            if i < j and (cs := report.cstar[i, j]) is not None}
+
+
+def _even_sums(row: list, hi: int):
+    """2c + d2[c] for c = 0..hi, off one refined row."""
+    return map(add, range(0, 2 * hi + 1, 2), row)
 
 
 def check_bounds(ch: Channel, report: DistanceReport | None = None) -> list[TheoremVerdict]:
@@ -132,19 +144,19 @@ def check_bounds(ch: Channel, report: DistanceReport | None = None) -> list[Theo
 def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[TheoremVerdict]:
     """Identities satisfied by the refined joint distance."""
     report = report or minimum_distances(ch)
-    d2c = partial(_d2_refined_by_index, ch)
+    refined = _refined(ch, report)
     pairs = report.pairs()
     out = []
 
-    fails = [(i, j, d2c(i, j, 0), report.d1[i, j])
-             for (i, j) in pairs if d2c(i, j, 0) != report.d1[i, j]]
+    fails = [(i, j, refined[i, j][0], report.d1[i, j])
+             for (i, j) in pairs if refined[i, j][0] != report.d1[i, j]]
     out.append(_verdict("refined-equals-detection-at-zero", fails, True,
                         "d2[0] == d1 per pair"))
 
     probed = {}
     for (i, j) in pairs:
         probe = report.tau[i, j] + 1 if report.tau[i, j] is not None else min(ch.w_max, 2)
-        probed[i, j] = [d2c(i, j, c) for c in range(probe + 1)]
+        probed[i, j] = refined[i, j][:probe + 1]
 
     fails = [(i, j, next(c for c, v in enumerate(values) if v > report.d1[i, j]))
              for (i, j), values in probed.items() if max(values) > report.d1[i, j]]
@@ -162,14 +174,15 @@ def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[The
         if tau is None:
             continue
         seen = True
+        row = refined[i, j]
         for c in range(min(tau + 1, ch.w_max) + 1):
-            if (d2c(i, j, c) == 0) != (c >= tau):
+            if (row[c] == 0) != (c >= tau):
                 fails.append((i, j, c, tau))
                 break
     out.append(_verdict("refined-zero-threshold", fails, seen,
                         "d2[c] == 0 exactly when c >= tau"))
 
-    split = _balanced_split(ch, report)
+    split = _balanced_split(report, refined)
     fails = [(i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
              if ((fwd, bwd) != (0, 0) if int(report.d0[i, j]) % 2 == 0
                  else min(fwd, bwd) != 1)]
@@ -187,8 +200,8 @@ def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[The
         if i > j:
             continue
         hi = report.tau[i, j] if report.tau[i, j] is not None else min(ch.w_max, 2)
-        best = min(min(2 * c + d2c(i, j, c) for c in range(hi + 1)),
-                   min(2 * c + d2c(j, i, c) for c in range(hi + 1)))
+        best = min(min(_even_sums(refined[i, j], hi)),
+                   min(_even_sums(refined[j, i], hi)))
         if best != report.d2[i, j]:
             fails.append((i, j, best, report.d2[i, j]))
     out.append(_verdict("joint-from-refined", fails, True,
@@ -206,9 +219,14 @@ def check_metric(ch: Channel, which: str,
     """Exhaustive metric axioms for one of the distances d0, d1, d2.
 
     Requires finite distances; with any infinite entry the axioms are
-    reported not-applicable (the distance is not real-valued there).
-    Memoized in ``ch._cache`` per distance for the last report object
-    scanned, so another report (a caller's altered copy) is scanned afresh.
+    reported not-applicable (the distance is not real-valued there).  The
+    n x n distance matrix is built once.  The triangle axiom fails at
+    (i, j) exactly when some k has d(i, k) - d(j, k) > d(i, j), so each
+    (i, j) costs one C-level scan of two matrix rows, and k is searched
+    only for the first failing (i, j): the counterexample is the
+    lexicographically first failing triple (i, j, k).  Memoized in ``ch._cache`` per
+    distance for the last report object scanned, so another report (a
+    caller's altered copy) is scanned afresh.
     """
     report = report or minimum_distances(ch)
     store = ch._cache.setdefault("metric", {})
@@ -217,21 +235,21 @@ def check_metric(ch: Channel, which: str,
     table = {"d0": report.d0, "d1": report.d1, "d2": report.d2}[which]
     n = len(ch.codewords)
 
-    def dist(i, j):
-        return 0 if i == j else table[i, j]
-
     if any(not is_finite(v) for v in table.values()):
         na = TheoremVerdict(f"metric-{which}", NOT_APPLICABLE, "infinite distances")
         result = MetricReport(which, na, na, na)
     else:
+        dist = [[0 if i == j else table[i, j] for j in range(n)] for i in range(n)]
         fails = [(i, j) for i in range(n) for j in range(n)
-                 if (dist(i, j) == 0) != (i == j) or dist(i, j) < 0]
+                 if (dist[i][j] == 0) != (i == j) or dist[i][j] < 0]
         nonneg = _verdict(f"metric-{which}-nonnegativity", fails, True,
                           "zero exactly on the diagonal")
         fails = [(i, j) for (i, j) in report.pairs() if table[i, j] != table[j, i]]
         sym = _verdict(f"metric-{which}-symmetry", fails, True, "d(x,y) == d(y,x)")
-        fails = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-                 if dist(i, j) + dist(j, k) < dist(i, k)]
+        first = ((i, j, k) for i, di in enumerate(dist) for j, dj in enumerate(dist)
+                 if max(map(sub, di, dj)) > di[j]
+                 for k in range(n) if di[j] + dj[k] < di[k])
+        fails = list(itertools.islice(first, 1))
         tri = _verdict(f"metric-{which}-triangle", fails, True,
                        "d(x,z) <= d(x,y) + d(y,z)")
         result = MetricReport(which, nonneg, sym, tri)
@@ -262,7 +280,7 @@ def check_error_linear_suite(ch: Channel, report: DistanceReport | None = None,
         why = f"channel is not error-linear (witness: {classification.witness!r})"
         return [TheoremVerdict(name, NOT_APPLICABLE, why) for name in names]
     report = report or minimum_distances(ch)
-    d2c = partial(_d2_refined_by_index, ch)
+    refined = _refined(ch, report)
     pairs = report.pairs()
     out = []
 
@@ -292,8 +310,9 @@ def check_error_linear_suite(ch: Channel, report: DistanceReport | None = None,
         if cs is None:
             continue
         seen = True
+        row = refined[i, j]
         for c in range(cs + 1):
-            if 2 * c + d2c(i, j, c) != report.d2[i, j]:
+            if 2 * c + row[c] != report.d2[i, j]:
                 fails.append((i, j, c))
                 break
     out.append(_verdict("refined-constant-sum", fails, seen,
@@ -323,7 +342,7 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
     """
     report = report or minimum_distances(ch)
     classification = classification or classify(ch)
-    d2c = partial(_d2_refined_by_index, ch)
+    refined = _refined(ch, report)
     pairs = report.pairs()
     out = []
 
@@ -337,12 +356,12 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
         if cs is None:
             defined_everywhere = False
             continue
-        mid = d2c(i, j, cs)
+        mid = refined[i, j][cs]
         relation[i, j] = (report.d2[i, j] == 2 * cs + mid == report.d1[i, j])
-        g = [2 * c + d2c(i, j, c) for c in range(tau + 1)]
+        g = list(_even_sums(refined[i, j], tau))
         function[i, j] = (mid <= 1 and g[0] == g[cs] == min(g))
 
-    split = _balanced_split(ch, report)
+    split = _balanced_split(report, refined)
     fails = [(i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
              if (fwd <= 1 and bwd <= 1) != (fwd == bwd)]
     out.append(_verdict("refined-symmetry-equivalence", fails, bool(split),

@@ -297,3 +297,21 @@ def naive_codeword_map_linear(ch):
             if ch.zero_output(x12) != out.add(y1, ch.zero_output(x2)):
                 return False, ("codeword-map-not-additive", x1, x2)
     return True, None
+
+
+def naive_metric(table, n):
+    """{axiom: its first failure, or None} for a distance table (i, j) -> d
+    over n codewords with a zero diagonal, from the all-pairs and
+    all-triples scans in lexicographic order."""
+    def dist(i, j):
+        return 0 if i == j else table[i, j]
+
+    idx = range(n)
+    fails = {
+        "nonnegativity": [(i, j) for i in idx for j in idx
+                          if (dist(i, j) == 0) != (i == j) or dist(i, j) < 0],
+        "symmetry": [(i, j) for i in idx for j in idx if dist(i, j) != dist(j, i)],
+        "triangle": [(i, j, k) for i in idx for j in idx for k in idx
+                     if dist(i, j) + dist(j, k) < dist(i, k)],
+    }
+    return {axiom: found[0] if found else None for axiom, found in fails.items()}

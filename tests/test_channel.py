@@ -365,3 +365,15 @@ def test_row_kernel_matches_per_pair_transfer(kind):
     ch = _ROW_CHANNELS[kind](random.Random(kind))
     for x in ch.codewords:
         assert ch._transfer_row(x) == [ch.evaluate(x, z) for z, _ in ch._errors_by_weight()]
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 3, 2)],
+                         ids=["gf2", "gf3", "gf4", "gf8"])
+def test_classical_row_is_every_shift(p, k, n):
+    """The row kernel lists x + z for every z in the enumeration order."""
+    f = Field(p, k)
+    space = VectorSpace(f, n)
+    codewords = random.Random(n).sample(list(space.elements()), 3)
+    ch = classical_channel(f, codewords)
+    for x in ch.codewords:
+        assert ch._row(x) == [mx.vec_add(f, x, z) for z in space.elements()]

@@ -2,7 +2,7 @@ import pytest
 
 from gnetcode import (Field, classical_channel, table_channel, mwd, mwd_bounded,
                       DETECTED, is_correctable, is_detectable, capability,
-                      is_joint_correcting, InvalidDecoderError)
+                      is_joint_correcting, minimum_distances, InvalidDecoderError)
 
 
 def single_edge_channel():
@@ -22,10 +22,15 @@ def constant_error_channel():
     return table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
+NETWORK_ATTEMPTS = 200
+
+
 def random_networks(seed):
     """Two seeded random DAG networks over each of GF(2) and GF(3), with at
-    most 6 edges and 2-3 codewords; draws that do not compile (codewords
-    colliding at zero error) are skipped."""
+    most 6 edges and 2-3 codewords, each a code with d0_min >= 2, so that
+    it corrects or detects something.  Draws that do not compile (codewords
+    colliding at zero error) or have d0_min = 1 are redrawn, at most
+    NETWORK_ATTEMPTS times per network."""
     import itertools
     import random
     from gnetcode import ConstructionError, compile_network
@@ -34,7 +39,7 @@ def random_networks(seed):
     rng = random.Random(seed)
     out = []
     for q in (2, 3, 2, 3):
-        while True:
+        for _ in range(NETWORK_ATTEMPTS):
             inner = rng.randint(1, 3)
             # inner + 1 tree edges; the other node pairs bound the extras
             room = min(5 - inner, inner * (inner + 1) // 2)
@@ -43,10 +48,16 @@ def random_networks(seed):
             words = list(itertools.product(range(q), repeat=m))
             code = rng.sample(words, min(len(words), rng.randint(2, 3)))
             try:
-                out.append(compile_network(Field(q), spec, code))
-                break
+                ch = compile_network(Field(q), spec, code)
             except ConstructionError:
                 continue
+            if minimum_distances(ch).d0_min >= 2:
+                out.append(ch)
+                break
+        else:
+            raise AssertionError(f"no GF({q}) network with d0_min >= 2 "
+                                 f"in {NETWORK_ATTEMPTS} draws")
+    assert all(minimum_distances(ch).d0_min >= 2 for ch in out)
     return out
 
 

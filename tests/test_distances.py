@@ -5,6 +5,7 @@ import pytest
 from gnetcode import (Field, INFINITE, is_finite, table_channel, decoding_ball, dist_d0, dist_d1, dist_d2,
                       dist_d2_refined, tau_and_cstar, minimum_distances,
                       ThresholdUndefinedError, random_table_channel)
+from gnetcode.distances import refined_table
 from oracles import naive_ball, naive_d0, naive_d1, naive_d2, naive_d2_refined
 
 EXPECTED_BALL_X0 = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -174,6 +175,32 @@ def test_engine_matches_oracle_small_channels(repetition):
             ch = random_table_channel(rng, f, n_codewords=3,
                                       error_length=2, output_length=2)
             assert_engine_matches_oracle(ch)
+
+
+def test_refined_tables_match_oracle(repetition, hamming_code_channel):
+    """minimum_distances' refined tuples (c = 0..tau), its d2_min[c] column
+    minima and the refined table, to w_max+2 and past it on request."""
+    rng = random.Random(11)
+    channels = [repetition, hamming_code_channel, disjoint_images_channel()]
+    channels += [random_table_channel(rng, Field(q), n_codewords=rng.choice([3, 4]),
+                                      error_length=2, output_length=2)
+                 for q in (2, 3, 2, 3)]
+    for ch in channels:
+        report = minimum_distances(ch)
+        hi = ch.w_max + 4
+        longer = refined_table(ch, hi)
+        naive = {}
+        for (i, j) in report.pairs():
+            x1, x2 = ch.codewords[i], ch.codewords[j]
+            naive[i, j] = [naive_d2_refined(ch, x1, x2, c) for c in range(hi + 1)]
+            assert longer[i, j] == naive[i, j]
+            assert refined_table(ch)[i, j] == naive[i, j][:ch.w_max + 3]
+            tau = report.tau[i, j]
+            assert report.d2_refined[i, j] == (
+                (INFINITE,) if tau is None else tuple(naive[i, j][:tau + 1]))
+        c_hi = max((t for t in report.tau.values() if t is not None), default=0)
+        assert report.d2_min_refined == tuple(
+            min(row[c] for row in naive.values()) for c in range(c_hi + 1))
 
 
 def test_ball_oracle_agreement(toy, repetition):

@@ -1,10 +1,11 @@
-"""Pinned structured outputs of the CLI on the toy and the demo configs.
+"""Pinned outputs of the CLI on the toy and the demo configs.
 
 Each case's ``--format structured`` payload, without ``elapsed_s``, is
 hashed (sha256 of its key-sorted compact JSON) and pinned with the exit
-code; a command that prints no payload pins ``None``.  A change to the
-engine must leave every digest as it is: any changed structured output is
-a bug.  Re-record a digest only for an intended change of the output.
+code; a command that prints no payload pins ``None``.  The same cases'
+``--format text`` stdout is pinned by its sha256 the same way.  A change
+to the engine must leave every digest as it is: any changed output is a
+bug.  Re-record a digest only for an intended change of the output.
 """
 
 import hashlib
@@ -80,6 +81,68 @@ GOLDEN = {
         (0, "158bb20ac6fbf76ca7dc5fc2a7a082e6f79405716899b451ab09f9e77dbff52a"),
 }
 
+# (source, command) -> (exit code, sha256 of the --format text stdout)
+TEXT_GOLDEN = {
+    ("toy", "distances"):
+        (0, "f1aa3456468fc5e5a98b085afedd0846f334ca0b455204dfc6c32031e6c46972"),
+    ("toy", "capability"):
+        (0, "cc3b3369229a244f932afe4b6f44ad457d26cfd0eba950eda547bd7a5bc0e249"),
+    ("toy", "classify"):
+        (0, "2b5a2e61f66a63dff367e8b3b773b2c33af99b47c690e28313d23ad279cef868"),
+    ("toy", "verify"):
+        (0, "4b5803752a75a0d96ec999cee32c1a711210ab11794507c31a5f1beb8d4b47b2"),
+    ("toy", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("toy", "decode 1,0,0"):
+        (0, "e9ab2843183ad9d57263da36e9d431cf630bebf3dcaa76703f145ffd5285cadd"),
+    ("toy", "decode --bounded 1 1,0,0"):
+        (0, "e9ab2843183ad9d57263da36e9d431cf630bebf3dcaa76703f145ffd5285cadd"),
+    ("toy", "decode --bounded 2 1,0,0"):
+        (2, None),
+    ("rank_channel.ini", "distances"):
+        (0, "2e028c82d3052123a3e062c94d97b6b53b20bf290f0d4be881858a73567f54b7"),
+    ("rank_channel.ini", "capability"):
+        (0, "efd15fd96ea13439f7e801ac5cf8fb87bfc7505d854a5afbc50d013de8aa76fc"),
+    ("rank_channel.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("rank_channel.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("rank_channel.ini", "joint --c 0 --cprime 1"):
+        (0, "d0f1c4fbf29a22d21ed1aef74e8a2f8a841c6874551c84579acee2cee56776dd"),
+    ("rank_channel.ini", "decode 1,0;0,1"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("rank_channel.ini", "decode --bounded 0 1,0;0,1"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("repetition.ini", "distances"):
+        (0, "956ef1d7462cf0c12efb5e683d3dcd1f80dffa40267de313ec3a90b079656e65"),
+    ("repetition.ini", "capability"):
+        (0, "1b408bcc8858c7310981f81386196fdb0d097d7ad82dd19b76cdd39b5657b68e"),
+    ("repetition.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("repetition.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("repetition.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("repetition.ini", "decode 1,0,0"):
+        (0, "e9ab2843183ad9d57263da36e9d431cf630bebf3dcaa76703f145ffd5285cadd"),
+    ("repetition.ini", "decode --bounded 0 1,0,0"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("toy_network.ini", "distances"):
+        (0, "f1aa3456468fc5e5a98b085afedd0846f334ca0b455204dfc6c32031e6c46972"),
+    ("toy_network.ini", "capability"):
+        (0, "cc3b3369229a244f932afe4b6f44ad457d26cfd0eba950eda547bd7a5bc0e249"),
+    ("toy_network.ini", "classify"):
+        (0, "2b5a2e61f66a63dff367e8b3b773b2c33af99b47c690e28313d23ad279cef868"),
+    ("toy_network.ini", "verify"):
+        (0, "4b5803752a75a0d96ec999cee32c1a711210ab11794507c31a5f1beb8d4b47b2"),
+    ("toy_network.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("toy_network.ini", "decode 1,0,0"):
+        (0, "e9ab2843183ad9d57263da36e9d431cf630bebf3dcaa76703f145ffd5285cadd"),
+    ("toy_network.ini", "decode --bounded 0 1,0,0"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+}
+
 
 def payload_digest(text: str) -> str | None:
     if not text:
@@ -100,3 +163,16 @@ def test_structured_output_is_pinned(capsys, source, command):
 def test_every_demo_config_is_pinned():
     assert ({p.name for p in CONFIGS.glob("*.ini")}
             == {source for source, _ in GOLDEN} - {"toy"})
+
+
+@pytest.mark.parametrize("source, command", list(TEXT_GOLDEN), ids=str)
+def test_text_output_is_pinned(capsys, source, command):
+    head = ["--toy-example"] if source == "toy" else ["--config", str(CONFIGS / source)]
+    code = main([*head, "--format", "text", *command.split()])
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest() if out else None
+    assert (code, digest) == TEXT_GOLDEN[source, command]
+
+
+def test_text_and_structured_cases_agree():
+    assert list(TEXT_GOLDEN) == list(GOLDEN)

@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import random
 
+import pytest
+
+from oracles import naive_metric
 from test_network import random_dag
-from gnetcode import (Field, classify, minimum_distances, run_all,
-                      check_bounds, check_refined, check_error_linear_suite,
+from gnetcode import (Field, classical_channel, classify, is_finite,
+                      minimum_distances, run_all, check_bounds, check_refined, check_error_linear_suite,
                       check_metric, check_conditions, check_decoders,
                       compile_network, verify_weight_axioms,
                       random_table_channel, random_linear_channel,
@@ -137,6 +140,74 @@ def test_metric_scans_a_corrupted_report_afresh(hamming_code_channel):
     assert bad.symmetry.status == "fail"
     assert bad.symmetry.counterexample is not None
     assert check_metric(ch, "d1").all_pass
+
+
+def assert_metric_matches_oracle(ch, which, report):
+    got = check_metric(ch, which, report)
+    expected = naive_metric(getattr(report, which), len(ch.codewords))
+    for axiom, verdict in (("nonnegativity", got.nonnegativity),
+                           ("symmetry", got.symmetry), ("triangle", got.triangle)):
+        first = expected[axiom]
+        assert verdict.status == ("pass" if first is None else "fail"), (which, axiom)
+        assert verdict.counterexample == first, (which, axiom)
+    return expected
+
+
+def test_check_metric_matches_naive_metric():
+    """Status and counterexample of every axiom against the all-triples scan,
+    on random table channels with 3-4 codewords, where the triangle fails."""
+    triangle_fails = {"d0": 0, "d2": 0}
+    for seed in range(100):
+        rng = random.Random(seed)
+        ch = random_table_channel(rng, Field((2, 3)[seed % 2]),
+                                  n_codewords=rng.choice([3, 4]),
+                                  error_length=2, output_length=2)
+        report = minimum_distances(ch)
+        for which in ("d0", "d1", "d2"):
+            if not all(map(is_finite, getattr(report, which).values())):
+                assert all(v.status == "not-applicable"
+                           for v in check_metric(ch, which, report).verdicts)
+                continue
+            expected = assert_metric_matches_oracle(ch, which, report)
+            if which in triangle_fails and expected["triangle"] is not None:
+                triangle_fails[which] += 1
+    assert all(triangle_fails.values()), triangle_fails
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["raised", "lowered"])
+def test_check_metric_matches_naive_metric_on_a_bumped_entry(hamming_code_channel,
+                                                             lowered):
+    """One d0 entry set far above its true value on the [7,4] code (one k
+    breaks the triangle), or below it on a 4-word code where k = 2 and
+    k = 3 both do, so the counterexample pins the order of the k search."""
+    if lowered:
+        ch = classical_channel(Field(2), [(0,) * 6, (1, 1, 1, 0, 0, 0), (1,) * 6,
+                                          (1, 1, 1, 1, 1, 0)])
+        pair, value = (0, 1), 1
+    else:
+        ch, pair, value = hamming_code_channel, (0, 5), 13
+    report = minimum_distances(ch)
+    bumped = dataclasses.replace(report, d0={**report.d0, pair: value})
+    expected = assert_metric_matches_oracle(ch, "d0", bumped)
+    assert expected["symmetry"] == pair and expected["triangle"] is not None
+    assert check_metric(ch, "d0").all_pass
+
+
+def test_checks_read_a_report_with_a_larger_tau(repetition):
+    """A report whose tau and cstar run past the refined table's w_max+2
+    entries gets longer rows, so every check reads it without an index
+    error and fails where the thresholds are wrong."""
+    report = minimum_distances(repetition)
+    w = repetition.w_max
+    wide = dataclasses.replace(report, tau={**report.tau, (0, 1): w + 5},
+                               cstar={**report.cstar, (0, 1): w + 4})
+    verdicts = by_name(check_refined(repetition, wide)
+                       + check_error_linear_suite(repetition, wide)
+                       + check_conditions(repetition, wide))
+    for name in ("refined-zero-threshold", "balanced-split-parity",
+                 "refined-constant-sum"):
+        assert verdicts[name].status == "fail", name
+        assert verdicts[name].counterexample[:2] == (0, 1), name
 
 
 def test_random_table_channels_regression():
