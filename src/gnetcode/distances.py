@@ -118,9 +118,9 @@ def _pair_meet(ch: Channel, x1, x2) -> list:
 
 
 def _d0(m: list):
-    # x2's least meeting radius within c-1..c+1 is max(m[c], c-1) if m[c] <= c+1
-    return min((c + max(r, c - 1) for c, r in enumerate(m) if r <= c + 1),
-               default=INFINITE)
+    # x2's least meeting radius within c-1..c+1 is max(m[c], c-1) if m[c] <= c+1;
+    # the first such c is least, since later ones cost at least 2c-1
+    return next((c + max(r, c - 1) for c, r in enumerate(m) if r <= c + 1), INFINITE)
 
 
 def _d2(m: list):
@@ -129,8 +129,8 @@ def _d2(m: list):
 
 def _refined_row(m: list, hi: int) -> list:
     """d2[c] = max(0, m[min(c, w_max)] - c) for c = 0..hi, off one meet table."""
-    last = len(m) - 1
-    return [max(0, m[min(c, last)] - c) for c in range(hi + 1)]  # inf stays inf
+    padded = m[:hi + 1] + m[-1:] * (hi + 1 - len(m))
+    return [r - c if r > c else 0 for c, r in enumerate(padded)]  # inf stays inf
 
 
 def dist_d0(ch: Channel, x1, x2):
@@ -254,6 +254,7 @@ def minimum_distances(ch: Channel) -> DistanceReport:
     if cached is not None:
         return cached
     n, w_max = len(ch.codewords), ch.w_max
+    reaches = [_reach(ch, j) for j in range(n)]
     meets = []
     d0, d1, d2, refined, tau, cstar, table = {}, {}, {}, {}, {}, {}, {}
     for i in range(n):
@@ -264,7 +265,7 @@ def minimum_distances(ch: Channel) -> DistanceReport:
             m = _meet(ch, i, j)
             meets.append(m)
             v0 = d0[i, j] = _d0(m)
-            d1[i, j] = _reach(ch, j).get(clean, INFINITE)
+            d1[i, j] = reaches[j].get(clean, INFINITE)
             d2[i, j] = _d2(m)
             row = table[i, j] = _refined_row(m, w_max + 2)
             if is_finite(v0):
