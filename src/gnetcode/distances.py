@@ -25,14 +25,16 @@ m[c], c = 0..w_max: the least radius of x_j's ball meeting x_i's radius-c
 ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
 d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
 that m is), and d0 = min of c + max(m[c], c-1) over the c with
-m[c] <= c+1.  :func:`minimum_distances` reads each pair's meet table once
-and derives all of these in one pass, plus the refined table: per ordered
-pair, d2[c] for c = 0..w_max+2.  That range covers every consumer, since
-a finite d0 is at most 2*w_max+1, so tau+1 <= w_max+2; the theorem ledger
-indexes this table instead of recomputing d2[c].  The reach maps, meet
-tables, refined table and distance report are memoized per channel; a
-ball is filtered from its reach map on request.  The test suite anchors
-this engine against a cache-free brute-force oracle.
+m[c] <= c+1, attained at the first such c.
+
+:func:`minimum_distances` reads each pair's meet table once and derives
+all of these in one pass, plus the refined table: per ordered pair, d2[c]
+for c = 0..w_max+2.  That range covers every consumer, since a finite d0
+is at most 2*w_max+1, so tau+1 <= w_max+2; the theorem ledger indexes
+this table instead of recomputing d2[c].  The reach maps, meet tables,
+refined table and distance report are memoized per channel; a ball is
+filtered from its reach map on request.  The test suite anchors this
+engine against a cache-free brute-force oracle.
 """
 
 from __future__ import annotations
@@ -293,9 +295,9 @@ def refined_table(ch: Channel, hi: int = 0) -> dict:
     """(i, j) -> [d2[c] for c = 0..max(hi, w_max+2)] per ordered pair.
 
     The memoized table, built by :func:`minimum_distances`, stops at
-    c = w_max+2, which every report's tau+1 stays within; a caller that
-    needs more (a tampered report's larger tau) gets longer rows built
-    afresh, so indexing up to ``hi`` never raises.
+    c = w_max+2, which every computed tau+1 stays within; a caller that
+    needs more (an altered report with a larger tau) gets longer rows
+    built afresh, so indexing up to ``hi`` never raises.
     """
     if "refined" not in ch._cache:
         minimum_distances(ch)

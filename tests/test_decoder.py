@@ -57,7 +57,6 @@ def random_networks(seed):
         else:
             raise AssertionError(f"no GF({q}) network with d0_min >= 2 "
                                  f"in {NETWORK_ATTEMPTS} draws")
-    assert all(minimum_distances(ch).d0_min >= 2 for ch in out)
     return out
 
 
