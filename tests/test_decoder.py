@@ -1,8 +1,9 @@
 import pytest
 
-from gnetcode import (Field, classical_channel, table_channel, mwd, mwd_bounded,
-                      DETECTED, is_correctable, is_detectable, capability,
-                      is_joint_correcting, minimum_distances, InvalidDecoderError)
+from gnetcode import (Field, WeightMeasure, RANK, classical_channel, matrix_channel,
+                      table_channel, mwd, mwd_bounded, DETECTED, is_correctable,
+                      is_detectable, capability, is_joint_correcting, minimum_distances,
+                      InvalidDecoderError)
 
 
 def single_edge_channel():
@@ -87,6 +88,16 @@ def test_mwd_bounded_all_clean_outputs(toy, repetition, hamming_code_channel):
     for ch in (toy, repetition, hamming_code_channel):
         for x in ch.codewords:
             assert mwd_bounded(ch, 0, ch.zero_output(x)).codeword == x
+
+
+def test_words_outside_the_output_space_are_detected(toy):
+    rank = matrix_channel(Field(2), [((0,), (0,)), ((1,), (1,))], ((1, 0),),
+                          ((1, 0), (0, 1)), WeightMeasure(RANK))
+    for ch, words in ((toy, [(9, 9, 9), (0, 0), (0, 0, 0, 0), (0, 0, -1)]),
+                      (rank, [(0, 1), ((0, 1),), ((0, 2), (1, 0)), ((0,), (1,))])):
+        for y in words:
+            assert mwd(ch, y) == DETECTED
+            assert mwd_bounded(ch, 0, y) == DETECTED
 
 
 def test_mwd_bounded_invalid_radius(repetition):

@@ -79,6 +79,34 @@ GOLDEN = {
         (0, "63aef0a8230c6c150403f21920398bab5641c0799c12d1ca3e0d3efc6064ab6e"),
     ("toy_network.ini", "decode --bounded 0 1,0,0"):
         (0, "158bb20ac6fbf76ca7dc5fc2a7a082e6f79405716899b451ab09f9e77dbff52a"),
+    ("reed_solomon_gf5.ini", "distances"):
+        (0, "aa2d46138144d25f34fac55bb1ec1b2e110c1173efa06abb4e18edd942b71452"),
+    ("reed_solomon_gf5.ini", "capability"):
+        (0, "483a2be93525e59d8f6d1326c566e76ecac857b1f2f024e3c929d55eb6e58829"),
+    ("reed_solomon_gf5.ini", "classify"):
+        (0, "197171c402c4851fe4b42b642ce45afc0e82941617a98f7d8323993dc2073b3d"),
+    ("reed_solomon_gf5.ini", "verify"):
+        (0, "1302ee46faa1d82cdd29f7b248af3eb4f2e4139e1c95d0f0ca80c9ed75dbeb72"),
+    ("reed_solomon_gf5.ini", "joint --c 0 --cprime 1"):
+        (0, "a9c0dcd1dac03e608bf46e1dad9964f575ae7375a1f516ac9e3a261991a86046"),
+    ("reed_solomon_gf5.ini", "decode 1,0,0,0"):
+        (0, "a8f4918f1ec4bd5c7d882b83e056b254f90c7609943b63abdd7b7caf3150c7b1"),
+    ("reed_solomon_gf5.ini", "decode --bounded 1 1,0,0,0"):
+        (0, "e035e27d25f739c669898e62f356c371b01fdb59b6bbdb187d2be4b8a8e75896"),
+    ("gabidulin_k1.ini", "distances"):
+        (0, "18235403a400046b063521ba6d64fc6670a6e6e5f319203b66b643ed1e121eb7"),
+    ("gabidulin_k1.ini", "capability"):
+        (0, "e5dd0b039402d219f4ff8cb1224f15122dcb14943fa89be07cd3229d0627dcbe"),
+    ("gabidulin_k1.ini", "classify"):
+        (0, "250db7a15b3fcf159f718feebef03f6c30a341cbce53f1af79a129898aea4eb8"),
+    ("gabidulin_k1.ini", "verify"):
+        (0, "7d2c6b4e9143d8cc80b855a8cf4144da659f1b395b551c67de328ad05140a8fe"),
+    ("gabidulin_k1.ini", "joint --c 0 --cprime 1"):
+        (0, "4f35a388a6b81dbcb4040a6f92e2e48755c89e0627d5a401a7f7d48fc24ad8b5"),
+    ("gabidulin_k1.ini", "decode 1,0,0;0,0,0;0,0,0"):
+        (0, "e6d24828985dabd60af9d71be95646ee484b0130c2be0b3bfcc760d36f4ac946"),
+    ("gabidulin_k1.ini", "decode --bounded 1 1,0,0;0,0,0;0,0,0"):
+        (0, "82ed1097b3bfb1da6f3893ea088918ef1a3bec8b2de54d71605dc58ec7ea3c9e"),
 }
 
 # (source, command) -> (exit code, sha256 of the --format text stdout)
@@ -141,6 +169,34 @@ TEXT_GOLDEN = {
         (0, "e9ab2843183ad9d57263da36e9d431cf630bebf3dcaa76703f145ffd5285cadd"),
     ("toy_network.ini", "decode --bounded 0 1,0,0"):
         (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("reed_solomon_gf5.ini", "distances"):
+        (0, "ff3de9702f055e5b21529643b80736de6565fbd23af0082b5a5057bc672e6407"),
+    ("reed_solomon_gf5.ini", "capability"):
+        (0, "1b408bcc8858c7310981f81386196fdb0d097d7ad82dd19b76cdd39b5657b68e"),
+    ("reed_solomon_gf5.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("reed_solomon_gf5.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("reed_solomon_gf5.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("reed_solomon_gf5.ini", "decode 1,0,0,0"):
+        (0, "ae275a54d104f13886cc979892775b2e7051e0199d2d6a69165e2cca375a7bf3"),
+    ("reed_solomon_gf5.ini", "decode --bounded 1 1,0,0,0"):
+        (0, "ae275a54d104f13886cc979892775b2e7051e0199d2d6a69165e2cca375a7bf3"),
+    ("gabidulin_k1.ini", "distances"):
+        (0, "8712419154db5f3a6667c2604b59069bdc1f76c5b94bc0898c67e2f572dfce4e"),
+    ("gabidulin_k1.ini", "capability"):
+        (0, "1b408bcc8858c7310981f81386196fdb0d097d7ad82dd19b76cdd39b5657b68e"),
+    ("gabidulin_k1.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("gabidulin_k1.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("gabidulin_k1.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("gabidulin_k1.ini", "decode 1,0,0;0,0,0;0,0,0"):
+        (0, "78cfe4bffec749ab5c5fad918f2d19ac3cc26f7d3353c1f7dfae557ffc96fd88"),
+    ("gabidulin_k1.ini", "decode --bounded 1 1,0,0;0,0,0;0,0,0"):
+        (0, "78cfe4bffec749ab5c5fad918f2d19ac3cc26f7d3353c1f7dfae557ffc96fd88"),
 }
 
 
