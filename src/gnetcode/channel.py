@@ -16,7 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import ne
 
+from .codec import Codec
 from .field import Field
 from . import matrices as mx
 from .weights import WeightMeasure, HAMMING, RANK, hamming_weights
@@ -149,13 +152,17 @@ class Channel:
     directly, unless you bring your own transfer callable.
 
     ``transfer(x, z)`` answers single-error questions (:meth:`evaluate`,
-    the per-error decoder verdicts).  Whole rows come from ``row(x)``: x's
-    outputs against every error, in the error space's enumeration order.
-    The constructors pass a row kernel whose outputs are elements by
-    construction.  Without one, each row is evaluated pair by pair and
-    every output is validated once, when its row is built, raising
-    :class:`ConstructionError` with the offending (x, z); every scan over
-    a row then trusts its outputs.
+    the per-error decoder verdicts).  Whole rows come from the row kernel
+    ``row(x, codec)``: the codes of x's outputs against every error, in the
+    error space's enumeration order, packed by the channel's
+    :class:`~gnetcode.codec.Codec`.  The channel creates that codec with
+    its first row, never at construction, and every scan over a row (reach
+    maps, decoders, classification) runs on the codes; outputs become
+    tuples again only at the public boundary.  The constructors pass a row
+    kernel whose outputs are elements by construction.  Without one, each
+    row is evaluated pair by pair and every output is validated once, when
+    its row is built, raising :class:`ConstructionError` with the
+    offending (x, z); every scan over a row then trusts its codes.
     """
 
     def __init__(self, field: Field, codewords, errors: ErrorModel, outputs,
@@ -233,21 +240,33 @@ class Channel:
             # enumeration indices sorted stably by weight; rows are permuted by it
             order = sorted(range(len(errors)), key=weights.__getitem__)
             self._cache["weight_order"] = order
+            self._cache["weights"] = list(map(weights.__getitem__, order))
             cached = [(errors[i], weights[i]) for i in order]
             self._cache["errors_by_weight"] = cached
         return cached
 
-    def _transfer_row(self, x):
-        """Outputs of x against every error, aligned with _errors_by_weight."""
-        rows = self._cache.setdefault("transfer_rows", {})
+    def _codec(self) -> Codec:
+        """The output space's codec, created with the first row."""
+        codec = self._cache.get("codec")
+        if codec is None:
+            codec = self._cache["codec"] = Codec(self.outputs)
+        return codec
+
+    def _code_row(self, x) -> list[int]:
+        """Codes of x's outputs against every error, aligned with _errors_by_weight."""
+        rows = self._cache.setdefault("code_rows", {})
         row = rows.get(x)
         if row is None:
             self._errors_by_weight()  # fills weight_order
-            row = list(map(self._row(x).__getitem__, self._cache["weight_order"]))
+            row = list(map(self._row(x, self._codec()).__getitem__, self._cache["weight_order"]))
             rows[x] = row
         return row
 
-    def _checked_row(self, x):
+    def _transfer_row(self, x):
+        """x's outputs as tuples, decoded from :meth:`_code_row` (not cached)."""
+        return list(map(self._codec().decode, self._code_row(x)))
+
+    def _checked_row(self, x, codec):
         """Row kernel of a channel built without one: per pair, validated."""
         transfer, contains = self._transfer, self.outputs.contains
         row = []
@@ -258,7 +277,7 @@ class Channel:
                     f"transfer output {y!r} for (x, z) = ({x!r}, {z!r}) is outside "
                     "the declared output space")
             row.append(y)
-        return row
+        return codec.encode_all(row)
 
 
 def enumerate_errors_up_to(ch: Channel, c: int) -> list[tuple]:
@@ -286,20 +305,22 @@ def classify(ch: Channel) -> ChannelClass:
     checked against every (codeword, error) pair: F(x, z) = f(x) + h(z) is
     the group identity F(x, z) = F(x0, z) + (f(x) - f(x0)), so each x other
     than x0 costs one addition per error against x0's row, and x0 passes by
-    the definition of h.  The first failing pair is the same, in the same
-    (x, weight order) order, either way.  Only when every row passes is h
-    built, and whether it is a group homomorphism is then decided in O(|E|)
-    by :func:`_is_additive`, from the errors' coordinates; only when it is
-    not does the first failing pair get searched for, as the witness.  The
-    linear verdict additionally requires the codeword set to form a
-    subspace on which f is additive and scalar-homogeneous.
+    the definition of h.  The rows are compared as codes, by a lazy C-level
+    scan that stops at the first mismatch, so the first failing pair is the
+    same, in the same (x, weight order) order, either way.  Only when every
+    row passes is h built, and whether it is a group homomorphism is then
+    decided in O(|E|) by :func:`_is_additive`, from the errors'
+    coordinates; only when it is not does the first failing pair get
+    searched for, as the witness.  The linear verdict additionally requires
+    the codeword set to form a subspace on which f is additive and
+    scalar-homogeneous.
 
-    Every sum is taken on the field's raw table without re-checking its
-    operands, because every operand is already a valid element: each row
-    output was validated when its row was built (or is an element by the
-    row kernel's construction), each f(x) was checked when the channel was
-    built, so f(x) - f(x0) and h(z) = F(x0, z) + (-f(x0)) are elements too,
-    and the errors come from the space's own enumeration.
+    Every sum is a code addition (see :mod:`gnetcode.codec`), which trusts
+    its operands: each row output was validated when its row was built (or
+    is an element by the row kernel's construction), each f(x) was checked
+    when the channel was built, so f(x) - f(x0) and h(z) = F(x0, z) +
+    (-f(x0)) are elements too, and the errors come from the space's own
+    enumeration.
 
     This classifies the transfer function only; the weight measure's side
     of the error-linearity hypotheses (subadditivity, inverse invariance,
@@ -307,30 +328,30 @@ def classify(ch: Channel) -> ChannelClass:
     :func:`gnetcode.weights.verify_weight_axioms`, and holds for all three
     built-in measures.
     """
-    out = ch.outputs
-    out_add = mx.adder(ch.field, out.shape)
+    out, codec = ch.outputs, ch._codec()
+    add = codec.add
     errors = ch._errors_by_weight()
     f0 = ch.zero_output(ch.codewords[0])
-    row0 = ch._transfer_row(ch.codewords[0])
+    row0 = ch._code_row(ch.codewords[0])
 
     for x in ch.codewords[1:]:
-        shift = out.sub(ch.zero_output(x), f0)
-        for (z, _), y, y0 in zip(errors, ch._transfer_row(x), row0):
-            if y != out_add(y0, shift):
-                return ChannelClass(False, False, ("transfer-not-additive", x, z))
+        shift = codec.encode(out.sub(ch.zero_output(x), f0))
+        expected = map(add, row0, repeat(shift))
+        bad = next(compress(count(), map(ne, ch._code_row(x), expected)), None)
+        if bad is not None:
+            return ChannelClass(False, False, ("transfer-not-additive", x, errors[bad][0]))
 
-    neg_base = out.neg(f0)
-    hs = [out_add(y0, neg_base) for y0 in row0]
-    if not _is_additive(ch, hs, out_add):
+    hs = list(map(add, row0, repeat(codec.encode(out.neg(f0)))))
+    if not _is_additive(ch, hs, add):
         return ChannelClass(False, False,
-                            ("error-map-not-homomorphic",) + _first_failing_pair(ch, hs, out_add))
+                            ("error-map-not-homomorphic",) + _first_failing_pair(ch, hs, add))
 
     linear, witness = _codeword_map_linear(ch)
     return ChannelClass(True, linear, witness)
 
 
-def _is_additive(ch: Channel, hs: list, out_add) -> bool:
-    """Is h additive?  ``hs`` lists h(z) in weight order; O(|E|) sums.
+def _is_additive(ch: Channel, hs: list, add) -> bool:
+    """Is h additive?  ``hs`` lists h(z)'s codes in weight order; O(|E|) sums.
 
     Both error spaces enumerate their errors as base-q numbers over N
     coordinates (a matrix's entries row-major, the last coordinate lowest),
@@ -346,28 +367,27 @@ def _is_additive(ch: Channel, hs: list, out_add) -> bool:
     Induction on the support size turns (b) into h(z) = sum_t h(z_t·e_t),
     and (a) then makes that sum additive; both are necessary.
     """
-    q, add = ch.field.q, ch.field.add_table
+    q, table = ch.field.q, ch.field.add_table
     h = [None] * len(hs)
-    for k, i in enumerate(ch._cache["weight_order"]):
-        h[i] = hs[k]
+    for i, hz in zip(ch._cache["weight_order"], hs):
+        h[i] = hz
     step = 1
     while step < len(h):
         for a in range(q):
             for b in range(q):
-                if h[add[a][b] * step] != out_add(h[a * step], h[b * step]):
+                if h[table[a][b] * step] != add(h[a * step], h[b * step]):
                     return False
         # the errors whose lowest-order nonzero digit is d sit at d*step
         # plus a multiple of block; those multiples are their splits
         block = q * step
         for d in range(1, q):
-            hd = h[d * step]
-            if h[d * step::block] != [out_add(hj, hd) for hj in h[::block]]:
+            if h[d * step::block] != list(map(add, h[::block], repeat(h[d * step]))):
                 return False
         step = block
     return True
 
 
-def _first_failing_pair(ch: Channel, hs: list, out_add):
+def _first_failing_pair(ch: Channel, hs: list, add):
     """The first (za, zb) in weight order, za outer, with
     h(za + zb) != h(za) + h(zb), given that one exists.
 
@@ -384,7 +404,7 @@ def _first_failing_pair(ch: Channel, hs: list, out_add):
         if wa > 1:
             break
         for (zb, _), hb in zip(errors, hs):
-            if h[err_add(za, zb)] != out_add(ha, hb):
+            if h[err_add(za, zb)] != add(ha, hb):
                 return za, zb
     raise AssertionError("h is not additive, yet every weight-one error adds")
 
@@ -392,20 +412,25 @@ def _first_failing_pair(ch: Channel, hs: list, out_add):
 def _codeword_map_linear(ch: Channel):
     """Is C a subspace with x -> F(x, 0) additive and scalar-homogeneous?
 
-    Adds and scales on the field's raw tables: every codeword and clean
-    output was validated when the channel was built.
+    Scales on the field's raw tables, and adds on codes (the codewords'
+    own and the outputs'), x1 + x2 for every x2 at once: every codeword
+    and clean output was validated when the channel was built.
     """
     first = ch.codewords[0]
     f = ch.field
-    shape = (len(first), len(first[0])) if isinstance(first[0], tuple) else (len(first),)
-    add, scale = mx.adder(f, shape), mx.scaler(f, shape)
-    out_add, out_scale = mx.adder(f, ch.outputs.shape), mx.scaler(f, ch.outputs.shape)
-    zero = mx.zeros(*shape) if len(shape) == 2 else (0,) * shape[0]
+    space = (MatrixSpace(f, len(first), len(first[0])) if isinstance(first[0], tuple)
+             else VectorSpace(f, len(first)))
+    scale, out_scale = mx.scaler(f, space.shape), mx.scaler(f, ch.outputs.shape)
+    zero = space.zero()
     cwset = set(ch.codewords)
     if zero not in cwset:
         return False, ("code-not-subspace", zero)
+    cw, out = Codec(space), ch._codec()
+    codes = cw.encode_all(ch.codewords)
     clean = ch._zero_outputs
-    for x1 in ch.codewords:
+    clean_codes = out.encode_all(map(clean.__getitem__, ch.codewords))
+    clean_of = dict(zip(codes, clean_codes))
+    for x1, c1, y1c in zip(ch.codewords, codes, clean_codes):
         y1 = clean[x1]
         for s in range(f.q):
             sx = scale(s, x1)
@@ -413,12 +438,14 @@ def _codeword_map_linear(ch: Channel):
                 return False, ("code-not-subspace", sx)
             if clean[sx] != out_scale(s, y1):
                 return False, ("codeword-map-not-homogeneous", s, x1)
-        for x2 in ch.codewords:
-            x12 = add(x1, x2)
-            if x12 not in cwset:
-                return False, ("code-not-subspace", x12)
-            if clean[x12] != out_add(y1, clean[x2]):
-                return False, ("codeword-map-not-additive", x1, x2)
+        # F(x1 + x2, 0) against F(x1, 0) + F(x2, 0); None marks a sum outside C
+        sums = list(map(cw.add, codes, repeat(c1)))
+        got = map(clean_of.get, sums)
+        bad = next(compress(count(), map(ne, got, map(out.add, clean_codes, repeat(y1c)))), None)
+        if bad is not None:
+            if sums[bad] not in clean_of:
+                return False, ("code-not-subspace", cw.decode(sums[bad]))
+            return False, ("codeword-map-not-additive", x1, ch.codewords[bad])
     return True, None
 
 
@@ -452,7 +479,7 @@ def classical_channel(field: Field, codewords,
     return Channel(field, codewords, errors, space,
                    lambda x, z: mx.vec_add(field, x, z),
                    kind="classical", pair_budget=pair_budget,
-                   row=lambda x: list(itertools.product(*map(shifts, x))))
+                   row=lambda x, codec: codec.encode_all(itertools.product(*map(shifts, x))))
 
 
 def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
@@ -464,6 +491,11 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
     with matrix codewords they are matrices under the rank weight (or
     sum-rank, when the measure says so).  A and B act by right
     multiplication and must land in one output space.
+
+    A, B and the codewords are validated once, here; every product after
+    that runs unchecked on the field's raw tables.  A row is f(x) + h(z)
+    on codes: h(z) = z*B is built once for the whole error space, by
+    linearity (see :func:`_image_codes`), and f(x) = x*A once per row.
     """
     codewords = tuple(tuple(tuple(r) for r in x) if isinstance(x[0], (tuple, list))
                       else tuple(x) for x in codewords)
@@ -474,43 +506,71 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
     if n != nb:
         raise ConstructionError(
             f"A ({ka}x{n}) and B ({u}x{nb}) must have the same number of columns")
+    for name, mat, rows in (("A", a, ka), ("B", b, u)):
+        if not mx.is_element(field, mat, (rows, n)):
+            raise ConstructionError(f"{name} must be a {rows}x{n} matrix over {field}")
     matrix_code = isinstance(codewords[0][0], tuple)
     if matrix_code:
         m = len(codewords[0])
-        if any(mx.dims(x) != (m, ka) for x in codewords):
-            raise ConstructionError(f"matrix codewords must all be {m}x{ka}")
+        if any(not mx.is_element(field, x, (m, ka)) for x in codewords):
+            raise ConstructionError(f"matrix codewords must all be {m}x{ka} over {field}")
         err_space = MatrixSpace(field, m, u)
         out_space = MatrixSpace(field, m, n)
         measure = measure or WeightMeasure(RANK)
         if measure.kind == HAMMING:
             raise ConstructionError("matrix codewords need a rank or sum-rank weight")
-        mul = mx.mat_mul
     else:
-        if any(len(x) != ka for x in codewords):
-            raise ConstructionError(f"vector codewords must have length {ka}")
+        if any(not mx.is_element(field, x, (ka,)) for x in codewords):
+            raise ConstructionError(f"vector codewords must have length {ka} over {field}")
         err_space = VectorSpace(field, u)
         out_space = VectorSpace(field, n)
         measure = measure or WeightMeasure(HAMMING)
         if measure.kind != HAMMING:
             raise ConstructionError(f"vector errors only support the Hamming weight, "
                                     f"got {measure.kind}")
-        mul = mx.vec_mat_mul
+    times_a = mx.multiplier(field, a, out_space.shape)
+    times_b = mx.multiplier(field, b, err_space.shape)
+    add = mx.adder(field, out_space.shape)
 
     def transfer(x, z):
-        return out_space.add(mul(field, x, a), mul(field, z, b))
+        return add(times_a(x), times_b(z))
 
-    add = mx.adder(field, out_space.shape)
-    hs: list = []  # h(z) = z*B in enumeration order, built by the first row
+    hs: list = []  # codes of h(z) = z*B in enumeration order, built by the first row
 
-    def row(x):
+    def row(x, codec):
         if not hs:
-            hs.extend(mul(field, z, b) for z in err_space.elements())
-        fx = mul(field, x, a)
-        return [add(fx, hz) for hz in hs]
+            hs.extend(_image_codes(field, b, err_space, codec))
+        return list(map(codec.add, hs, repeat(codec.encode(times_a(x)))))
 
     errors = ErrorModel(err_space, measure)
     return Channel(field, codewords, errors, out_space, transfer,
                    kind="matrix", pair_budget=pair_budget, row=row)
+
+
+def _image_codes(field: Field, b: mx.Matrix, err_space, codec) -> list[int]:
+    """Codes of z*B for every z, in the error space's enumeration order.
+
+    The space enumerates z as a base-q number over its coordinates, a
+    matrix's entries row-major and the first coordinate most significant.
+    The symbol d at coordinate (i, t) contributes d*B[t] to row i of z*B,
+    so each coordinate in turn extends every code so far by its sums with
+    that coordinate's q contributions.
+    """
+    q, scale = field.q, mx.scaler(field, (len(b[0]),))
+    rows = err_space.shape[0] if len(err_space.shape) == 2 else None
+    zero_row = (0,) * len(b[0])
+    codes = [0]
+    for i in range(rows or 1):
+        for bt in b:
+            if rows is None:
+                units = [scale(d, bt) for d in range(q)]
+            else:
+                units = [(zero_row,) * i + (scale(d, bt),) + (zero_row,) * (rows - 1 - i)
+                         for d in range(q)]
+            # zip(*[codes] * q) yields each code q times, each beside a unit
+            codes = list(map(codec.add, itertools.chain.from_iterable(zip(*[codes] * q)),
+                             codec.encode_all(units) * len(codes)))
+    return codes
 
 
 def table_channel(field: Field, codewords, error_length: int, output_length: int,
@@ -520,7 +580,7 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
     The table must be total over the codeword list times the full error
     space F_q^error_length, with outputs in F_q^output_length; errors carry
     the Hamming weight.  The codewords must be vectors of one length over
-    the field.
+    the field.  Outputs are encoded by the row kernel, not here.
     """
     codewords, _ = _vector_code(field, codewords)
     err_space = VectorSpace(field, error_length)
@@ -534,7 +594,10 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
             if not out_space.contains(y):
                 raise ConstructionError(f"table output {y!r} for ({x!r}, {z!r}) is not a "
                                         f"length-{output_length} vector over {field}")
+
+    def row(x, codec):
+        return codec.encode_all(map(table.__getitem__, zip(repeat(x), err_space.elements())))
+
     return Channel(field, codewords, ErrorModel(err_space, WeightMeasure(HAMMING)),
                    out_space, lambda x, z: table[(x, z)],
-                   kind="table", pair_budget=pair_budget,
-                   row=lambda x: [table[x, z] for z in err_space.elements()])
+                   kind="table", pair_budget=pair_budget, row=row)

@@ -2,11 +2,13 @@
 
 Every verdict here is read off the codewords' reach maps (see
 :mod:`gnetcode.distances`), y -> W_i(y), the least weight of an error z
-with F(x_i, z) = y, in nondecreasing weight.  The minimum weight decoder
-folds them into one solution index, y -> the least W_i(y) and the
-codewords attaining it.  It decodes to a sole such codeword, otherwise
-(also when no solution exists, possible for non-surjective table
-channels) declares a detection.  The bounded variant MWD(c) decodes inside
+with F(x_i, z) = y, in nondecreasing weight, keyed by y's integer code.
+The minimum weight decoder folds them into one solution index, y -> the
+least W_i(y) and the codewords attaining it.  It decodes to a sole such
+codeword, otherwise (also when no solution exists, possible for
+non-surjective table channels) declares a detection.  A received word is
+encoded once, at the boundary; a word outside the output space has no
+code and no solution, so it is detected too.  The bounded variant MWD(c) decodes inside
 the radius-c balls {y : W_i(y) <= c} and is only defined when those balls
 are pairwise disjoint.
 
@@ -56,7 +58,7 @@ DETECTED = DecodeOutcome(None)
 
 
 def _solution_index(ch: Channel) -> dict:
-    """y -> (minimum solution weight, codeword indices attaining it)."""
+    """y's code -> (minimum solution weight, codeword indices attaining it)."""
     index = ch._cache.get("solution_index")
     if index is None:
         index = {}
@@ -72,15 +74,21 @@ def _solution_index(ch: Channel) -> dict:
 
 
 def mwd(ch: Channel, y) -> DecodeOutcome:
-    """Minimum weight decoding of a received word."""
-    best = _solution_index(ch).get(y)
+    """Minimum weight decoding of a received word.
+
+    A word outside the output space has no solution, so it is detected.
+    """
+    index = _solution_index(ch)
+    if not ch.outputs.contains(y):
+        return DETECTED
+    best = index.get(ch._codec().encode(y))
     if best is None or len(best[1]) != 1:
         return DETECTED
     return DecodeOutcome(ch.codewords[next(iter(best[1]))])
 
 
 def _bounded_map(ch: Channel, c: int) -> dict:
-    """y -> codeword index map of the radius-c balls; errors if they overlap."""
+    """y's code -> codeword index map of the radius-c balls; errors if they overlap."""
     maps = ch._cache.setdefault("bounded_maps", {})
     got = maps.get(c)
     if got is None:
@@ -93,7 +101,7 @@ def _bounded_map(ch: Channel, c: int) -> dict:
                 if other is not None and other != xi:
                     raise InvalidDecoderError(
                         f"radius-{c} balls of {ch.codewords[other]!r} and "
-                        f"{ch.codewords[xi]!r} intersect at {y!r}; bounded "
+                        f"{ch.codewords[xi]!r} intersect at {ch._codec().decode(y)!r}; bounded "
                         "decoding is undefined at this radius")
                 got[y] = xi
         maps[c] = got
@@ -104,7 +112,10 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """Bounded-distance decoding over disjoint radius-c balls."""
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    xi = _bounded_map(ch, c).get(y)
+    balls = _bounded_map(ch, c)
+    if not ch.outputs.contains(y):
+        return DETECTED
+    xi = balls.get(ch._codec().encode(y))
     return DETECTED if xi is None else DecodeOutcome(ch.codewords[xi])
 
 
@@ -113,8 +124,8 @@ def is_correctable(ch: Channel, z) -> bool:
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
     # F(x, z) is reachable from x, so MWD returns x iff x alone attains it
-    index = _solution_index(ch)
-    return all(index[ch._transfer(x, z)][1] == {xi}
+    index, encode = _solution_index(ch), ch._codec().encode
+    return all(index[encode(ch._transfer(x, z))][1] == {xi}
                for xi, x in enumerate(ch.codewords))
 
 
@@ -124,9 +135,9 @@ def is_detectable(ch: Channel, z) -> bool:
         raise ValueError(f"{z!r} is not in the error space")
     if z == ch.errors.space.zero():
         raise ValueError("detectability is defined for nonzero errors only")
-    index = _solution_index(ch)
+    index, encode = _solution_index(ch), ch._codec().encode
     for xi, x in enumerate(ch.codewords):
-        least, owners = index[ch._transfer(x, z)]
+        least, owners = index[encode(ch._transfer(x, z))]
         if least == 0 and owners != {xi}:  # another codeword's clean output
             return False
     return True
@@ -138,8 +149,9 @@ class CapabilityReport:
 
     ``max_correctable``/``max_detectable`` are one below the least weight
     of an uncorrectable / undetectable error, read off the reach maps.
-    ``all_correctable`` flags codes that correct the entire error space.  ``joint`` maps (c, c') to the joint
-    error-correction verdict d2_min[c] >= c'+1 on a small grid.
+    ``all_correctable`` flags codes that correct the entire error space.
+    ``joint`` maps (c, c') to the joint error-correction verdict
+    d2_min[c] >= c'+1 on a small grid.
     """
 
     max_correctable: int

@@ -20,9 +20,10 @@ propagates through minima, and the thresholds tau = floor((d0+1)/2) and
 cstar = floor(d0/2) are undefined for it.
 
 The engine stores, per codeword x_i, its reach map y -> W_i(y) =
-min{wt(z) : F(x_i, z) = y}, and per ordered pair (i, j) the meet table
-m[c], c = 0..w_max: the least radius of x_j's ball meeting x_i's radius-c
-ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
+min{wt(z) : F(x_i, z) = y}, built from x_i's transfer row and keyed by
+y's integer code (see :mod:`gnetcode.codec`), and per ordered pair (i, j)
+the meet table m[c], c = 0..w_max: the least radius of x_j's ball meeting
+x_i's radius-c ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
 d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
 that m is), and d0 = min of c + max(m[c], c-1) over the c with
 m[c] <= c+1, attained at the first such c.
@@ -33,8 +34,9 @@ for c = 0..w_max+2.  That range covers every consumer, since a finite d0
 is at most 2*w_max+1, so tau+1 <= w_max+2; the theorem ledger indexes
 this table instead of recomputing d2[c].  The reach maps, meet tables,
 refined table and distance report are memoized per channel; a ball is
-filtered from its reach map on request.  The test suite anchors this
-engine against a cache-free brute-force oracle.
+filtered from its reach map on request, and only then are its members
+decoded to tuples.  The test suite anchors this engine against a
+cache-free brute-force oracle.
 """
 
 from __future__ import annotations
@@ -70,18 +72,19 @@ def _cw_index(ch: Channel, x) -> int:
 
 
 def _reach(ch: Channel, xi: int) -> dict:
-    """Received word -> least error weight reaching it from codeword xi.
+    """Received word's code -> least error weight reaching it from codeword xi.
 
-    Errors come in nondecreasing weight, so the first weight seen is least
-    and the map iterates in nondecreasing weight.
+    Errors come in nondecreasing weight, so the map iterates in
+    nondecreasing weight, each word at its first occurrence in the row:
+    ``dict.fromkeys`` places the words in that order, and the update from
+    the reversed row leaves each at the weight of its first occurrence.
     """
     store = ch._cache.setdefault("reach", {})
     reach = store.get(xi)
     if reach is None:
-        reach = {}
-        for (_, w), y in zip(ch._errors_by_weight(),
-                             ch._transfer_row(ch.codewords[xi])):
-            reach.setdefault(y, w)
+        row = ch._code_row(ch.codewords[xi])
+        reach = dict.fromkeys(row)
+        reach.update(zip(reversed(row), reversed(ch._cache["weights"])))
         store[xi] = reach
     return reach
 
@@ -108,11 +111,12 @@ def _meet(ch: Channel, i: int, j: int) -> list:
 
 
 def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
-    """The decoding ball of radius c around codeword x."""
+    """The decoding ball of radius c around codeword x, its members as tuples."""
     if c < 0:
         raise ValueError("radius must be nonnegative")
     reach = _reach(ch, _cw_index(ch, x))
-    return DecodingBall(x, c, frozenset(y for y, w in reach.items() if w <= c))
+    members = (y for y, w in reach.items() if w <= c)
+    return DecodingBall(x, c, frozenset(map(ch._codec().decode, members)))
 
 
 def _pair_meet(ch: Channel, x1, x2) -> list:
@@ -143,7 +147,8 @@ def dist_d0(ch: Channel, x1, x2):
 def dist_d1(ch: Channel, x1, x2):
     """Error detection distance: first radius of x2's ball reaching F(x1, 0)."""
     i1, i2 = _cw_index(ch, x1), _cw_index(ch, x2)
-    return _reach(ch, i2).get(ch.zero_output(ch.codewords[i1]), INFINITE)
+    reach = _reach(ch, i2)
+    return reach.get(ch._codec().encode(ch.zero_output(ch.codewords[i1])), INFINITE)
 
 
 def dist_d2(ch: Channel, x1, x2):
@@ -257,10 +262,11 @@ def minimum_distances(ch: Channel) -> DistanceReport:
         return cached
     n, w_max = len(ch.codewords), ch.w_max
     reaches = [_reach(ch, j) for j in range(n)]
+    encode = ch._codec().encode
     meets = []
     d0, d1, d2, refined, tau, cstar, table = {}, {}, {}, {}, {}, {}, {}
     for i in range(n):
-        clean = ch.zero_output(ch.codewords[i])
+        clean = encode(ch.zero_output(ch.codewords[i]))
         for j in range(n):
             if i == j:
                 continue

@@ -1,8 +1,9 @@
 """Dense exact linear algebra over a :class:`~gnetcode.field.Field`.
 
 Vectors are tuples of field elements (integers), matrices are tuples of
-row tuples.  Everything is immutable and hashable, which the channel and
-distance engines rely on for set membership.
+row tuples.  Everything is immutable and hashable, so elements can key
+dicts and sets at the public boundary; the engines' scans over transfer
+rows run on packed integer codes instead (see :mod:`gnetcode.codec`).
 """
 
 from __future__ import annotations
@@ -102,13 +103,25 @@ def scaler(f: Field, shape: tuple[int, ...]):
     return lambda s, a: tuple(vec(s, r) for r in a)
 
 
-def mat_mul(f: Field, a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    if ca != rb:
-        raise ValueError(f"dimension mismatch: {ra}x{ca} times {rb}x{cb}")
-    bt = transpose(b)
-    return tuple(tuple(_dot(f, row, col) for col in bt) for row in a)
+def multiplier(f: Field, m: Matrix, shape: tuple[int, ...]):
+    """Unchecked ``a * m`` for vectors ``(n,)`` or matrices ``(rows, n)``,
+    as :func:`adder` adds: the caller guarantees ``a`` and ``m`` are
+    elements over ``f`` of matching sizes."""
+    mul, add = f.mul_table, f.add_table
+    cols = transpose(m)
+
+    def vec(v):
+        out = []
+        for col in cols:
+            acc = 0
+            for s, t in zip(v, col):
+                acc = add[acc][mul[s][t]]
+            out.append(acc)
+        return tuple(out)
+
+    if len(shape) == 1:
+        return vec
+    return lambda a: tuple(map(vec, a))
 
 
 def vec_mat_mul(f: Field, v: Vector, a: Matrix) -> Vector:

@@ -28,6 +28,7 @@ import graphlib
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+from .codec import Codec
 from .field import Field
 from .channel import (Channel, ConstructionError, ErrorModel, VectorSpace,
                       DEFAULT_PAIR_BUDGET, BudgetError)
@@ -159,7 +160,7 @@ def _evaluator(program, sink_inputs, nedges: int, add_table):
 
 
 def _row_evaluator(program, sink_inputs, nedges: int, add_table):
-    """The network's row x -> sink symbols under every error, in enumeration order.
+    """The network's row kernel: x's output codes under every error, in enumeration order.
 
     The program runs level by level.  After k steps the error symbols of
     the first k program edges are fixed, and each live edge holds one
@@ -172,7 +173,9 @@ def _row_evaluator(program, sink_inputs, nedges: int, add_table):
     Prefixes are shared as in a depth-first walk, q + q^2 + ... + q^n
     entries per live column instead of n*q^n, and every step is a C-level
     list operation.  A column is dropped after its last reader, a later
-    table or the sink, and an edge nobody reads gets none.
+    table or the sink, and an edge nobody reads gets none.  The sink
+    columns are packed into codes by ``codec.from_columns``, in C-level
+    passes.
 
     The row comes out indexed by program position.  The error space
     enumerates z at sum(z_e * q^(n-1-e)) over the declared edge index e,
@@ -191,7 +194,7 @@ def _row_evaluator(program, sink_inputs, nedges: int, add_table):
     flat = itertools.chain.from_iterable
     perm = []  # enumeration index -> program index, built by the first row
 
-    def row(x):
+    def row(x, codec):
         cols = {}
         size = 1
         for ei, coord, table, ins, read, drop in steps:
@@ -208,7 +211,7 @@ def _row_evaluator(program, sink_inputs, nedges: int, add_table):
             if read:
                 cols[ei] = new
             size *= q
-        out = list(zip(*map(cols.__getitem__, sink_inputs)))
+        out = codec.from_columns(list(map(cols.__getitem__, sink_inputs)))
         if in_order:
             return out
         if not perm:
@@ -269,12 +272,13 @@ def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
         raise BudgetError("matrix agreement check exceeds the pair budget")
     msg_space = VectorSpace(net_field, m)
     err_space = VectorSpace(net_field, nedges)
+    codec = Codec(VectorSpace(net_field, len(sink_inputs)))
     row = _row_evaluator(program, sink_inputs, nedges, net_field.add_table)
     for x in msg_space.elements():
         xf = mx.vec_mat_mul(net_field, x, f_st)
-        for z, direct in zip(err_space.elements(), row(x)):
+        for z, direct in zip(err_space.elements(), row(x, codec)):
             linear = mx.vec_add(net_field, xf, mx.vec_mat_mul(net_field, z, h_t))
-            if direct != linear:
+            if direct != codec.encode(linear):
                 raise AssertionError(  # pragma: no cover - internal consistency
                     f"matrix form disagrees with evaluation at x={x}, z={z}")
     return f_st, h_t

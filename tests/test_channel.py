@@ -81,6 +81,26 @@ def test_matrix_channel_dimension_mismatch(gf2):
         matrix_channel(gf2, [(0, 0, 0), (1, 1, 1)], mx.identity(2), mx.identity(2))
 
 
+def test_matrix_channel_rejects_symbols_outside_the_field(gf2):
+    eye = mx.identity(2)
+    with pytest.raises(ConstructionError, match="A must be"):
+        matrix_channel(gf2, [(0, 0), (1, 1)], ((1, 2), (0, 1)), eye)
+    with pytest.raises(ConstructionError, match="B must be"):
+        matrix_channel(gf2, [(0, 0), (1, 1)], eye, ((1, 0), (0, 2)))
+    with pytest.raises(ConstructionError, match="vector codewords"):
+        matrix_channel(gf2, [(0, 0), (1, 2)], eye, eye)
+    with pytest.raises(ConstructionError, match="matrix codewords"):
+        matrix_channel(gf2, [((0,), (0,)), ((1,), (2,))], ((1, 0),), eye,
+                       WeightMeasure(RANK))
+
+
+def test_codec_is_created_with_the_first_row(gf2):
+    ch = matrix_channel(gf2, [(0, 0), (1, 1)], mx.identity(2), mx.identity(2))
+    assert "codec" not in ch._cache
+    minimum_distances(ch)
+    assert "codec" in ch._cache
+
+
 def test_classify_classical_linear(gf2, repetition):
     verdict = classify(repetition)
     assert verdict.error_linear and verdict.linear and verdict.witness is None
@@ -126,27 +146,24 @@ def test_classify_toy_not_error_linear(toy):
 
 def test_classify_adds_each_error_once(toy, monkeypatch):
     """The toy's witness is codeword 1 at weight-order position 7, so the
-    row check takes one addition for each of the first 8 errors against
-    codeword 0's row, codeword 0's own row is not checked, and h, which
-    would take another |E| additions, is never built."""
-    row0 = toy._transfer_row(toy.codewords[0])
+    row check takes one code addition for each of the first 8 errors
+    against codeword 0's row, codeword 0's own row is not checked, and h,
+    which would take another |E| additions, is never built."""
+    row0 = toy._code_row(toy.codewords[0])
+    codec = toy._codec()
     calls = []
-    adder = mx.adder
+    add = codec.add
 
-    def counting_adder(f, shape):
-        add = adder(f, shape)
+    def counted(a, b):
+        calls.append((a, b))
+        return add(a, b)
 
-        def counted(a, b):
-            calls.append((a, b))
-            return add(a, b)
-        return counted
-
-    monkeypatch.setattr(mx, "adder", counting_adder)
+    monkeypatch.setattr(codec, "add", counted)
     verdict = classify(toy)
     assert verdict.witness[1] == toy.codewords[1]
     errors = [z for z, _ in toy._errors_by_weight()]
     assert errors.index(verdict.witness[2]) == 7
-    assert len(calls) <= 9
+    assert 1 <= len(calls) <= 9
     assert [a for a, _ in calls] == row0[:len(calls)]
 
 
@@ -370,10 +387,13 @@ def test_row_kernel_matches_per_pair_transfer(kind):
 @pytest.mark.parametrize("p, k, n", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (2, 3, 2)],
                          ids=["gf2", "gf3", "gf4", "gf8"])
 def test_classical_row_is_every_shift(p, k, n):
-    """The row kernel lists x + z for every z in the enumeration order."""
+    """The row kernel lists the codes of x + z for every z in the
+    enumeration order."""
     f = Field(p, k)
     space = VectorSpace(f, n)
     codewords = random.Random(n).sample(list(space.elements()), 3)
     ch = classical_channel(f, codewords)
+    codec = ch._codec()
     for x in ch.codewords:
-        assert ch._row(x) == [mx.vec_add(f, x, z) for z in space.elements()]
+        assert ch._row(x, codec) == [codec.encode(mx.vec_add(f, x, z))
+                                     for z in space.elements()]

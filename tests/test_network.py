@@ -8,6 +8,7 @@ from gnetcode import (Field, NetworkSpec, NonlinearNetworkError, compile_network
                       ConstructionError, mwd_bounded)
 from gnetcode import matrices as mx
 from gnetcode.channel import VectorSpace
+from gnetcode.codec import Codec
 from gnetcode.network import _evaluator, _row_evaluator, _validate_and_order
 
 
@@ -280,5 +281,6 @@ def test_row_kernel_matches_per_pair_evaluation(net_field, spec):
     transfer = _evaluator(program, sinks, nedges, net_field.add_table)
     row = _row_evaluator(program, sinks, nedges, net_field.add_table)
     errors = list(VectorSpace(net_field, nedges).elements())
+    codec = Codec(VectorSpace(net_field, len(sinks)))
     for x in VectorSpace(net_field, m).elements():
-        assert row(x) == [transfer(x, z) for z in errors]
+        assert list(map(codec.decode, row(x, codec))) == [transfer(x, z) for z in errors]

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gnetcode import Field, NetworkSpec
 from gnetcode.channel import VectorSpace
+from gnetcode.codec import Codec
 from gnetcode.network import _evaluator, _row_evaluator, _validate_and_order
 
 FIELDS = (Field(2), Field(3), Field(2, 2))
@@ -58,5 +59,6 @@ def test_row_kernel_equals_the_per_pair_evaluator(network):
     transfer = _evaluator(program, sinks, nedges, f.add_table)
     row = _row_evaluator(program, sinks, nedges, f.add_table)
     errors = list(VectorSpace(f, nedges).elements())
+    codec = Codec(VectorSpace(f, len(sinks)))
     for x in VectorSpace(f, m).elements():
-        assert row(x) == [transfer(x, z) for z in errors]
+        assert list(map(codec.decode, row(x, codec))) == [transfer(x, z) for z in errors]
