@@ -239,9 +239,10 @@ class Channel:
                 weights = list(map(self.errors.weight, errors))
             # enumeration indices sorted stably by weight; rows are permuted by it
             order = sorted(range(len(errors)), key=weights.__getitem__)
+            ordered = list(map(weights.__getitem__, order))
             self._cache["weight_order"] = order
-            self._cache["weights"] = list(map(weights.__getitem__, order))
-            cached = [(errors[i], weights[i]) for i in order]
+            self._cache["weights"] = ordered
+            cached = list(zip(map(errors.__getitem__, order), ordered))
             self._cache["errors_by_weight"] = cached
         return cached
 

@@ -28,10 +28,14 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
+import sys
 from itertools import chain, repeat
 
 _from_bytes = int.from_bytes
 _flat = chain.from_iterable
+# memoryview formats of the unsigned machine integers, by size in bytes
+_UNSIGNED = {struct.calcsize(c): c for c in "BHIQ"}
 
 
 class Codec:
@@ -46,7 +50,7 @@ class Codec:
     def __init__(self, space):
         f = space.field
         self.shape = space.shape
-        self.length = math.prod(self.shape)
+        length = math.prod(self.shape)
         p, k = f.p, f.k
         if p == 2:
             width = (k + 7) // 8
@@ -57,7 +61,7 @@ class Codec:
             width = k * digit
             w = 8 * digit
             symbol = [sum(c << (w * i) for i, c in enumerate(f.coeffs(s))) for s in range(f.q)]
-            ones = sum(1 << (w * i) for i in range(self.length * k))
+            ones = sum(1 << (w * i) for i in range(length * k))
             bias, top = ((1 << (w - 1)) - p) * ones, w - 1
 
             def add(a, b):
@@ -65,15 +69,15 @@ class Codec:
                 return s - p * (((s + bias) >> top) & ones)
             self.add = add
         self.bits = 8 * width
-        self._plain = symbol == list(range(f.q))  # each symbol is its own field
-        self._symbol = symbol
         self._bytes = [v.to_bytes(width, "big") for v in symbol]
+        self._byte_tables = [[b[j] for b in self._bytes] for j in range(width)]
         self._of_bytes = {b: s for s, b in enumerate(self._bytes)}
-        self._nbytes = width * self.length
-        if self._plain and width == 1:
-            self._pack = bytes  # a word's symbols are its bytes
-        else:
-            self._pack = lambda flat: b"".join(map(self._bytes.__getitem__, flat))
+        self._nbytes = width * length
+        # each symbol's field holds the symbol itself in one byte: a word's
+        # symbols are its bytes
+        self._one_byte = (p == 2 or k == 1) and width == 1
+        self._pack = bytes if self._one_byte else (
+            lambda flat: b"".join(map(self._bytes.__getitem__, flat)))
 
     def encode(self, y) -> int:
         flat = y if len(self.shape) == 1 else _flat(y)
@@ -85,17 +89,41 @@ class Codec:
         return list(map(_from_bytes, map(self._pack, words), repeat("big")))
 
     def from_columns(self, cols: list) -> list[int]:
-        """Codes of the words whose k-th symbols are ``cols[k]``, k = 0..N-1."""
-        if not self._plain:
-            cols = [list(map(self._symbol.__getitem__, col)) for col in cols]
-        codes = cols[0]
-        for col in cols[1:]:
-            codes = map(operator.or_, map(operator.lshift, codes, repeat(self.bits)), col)
-        return list(codes)
+        """Codes of the words whose k-th symbols are ``cols[k]``, k = 0..N-1.
+
+        The words' bytes are interleaved in one buffer, one C-level slice
+        assignment per symbol byte, and read back by :meth:`_ints`.
+        """
+        n, width = self._nbytes, self.bits // 8
+        buf = bytearray(len(cols[0]) * n)
+        for k, col in enumerate(cols):
+            for j, table in enumerate(self._byte_tables):
+                buf[k * width + j::n] = bytes(col if self._one_byte
+                                              else map(table.__getitem__, col))
+        return self._ints(buf)
+
+    def _ints(self, packed) -> list[int]:
+        """Codes of the words whose big-endian bytes ``packed`` concatenates.
+
+        A word of at most 8 bytes is read as a machine integer: each is
+        copied into its own slot of 1, 2, 4 or 8 bytes in the host's byte
+        order, and one memoryview cast reads them all.  A longer word takes
+        one ``int.from_bytes``.
+        """
+        n = self._nbytes
+        if n > 8:
+            starts, ends = range(0, len(packed), n), range(n, len(packed) + 1, n)
+            words = map(packed.__getitem__, map(slice, starts, ends))
+            return list(map(_from_bytes, words, repeat("big")))
+        slot = 1 << (n - 1).bit_length()
+        out = bytearray(len(packed) // n * slot)
+        for j in range(n):  # byte j of a word is its (n-1-j)-th least significant
+            out[(n - 1 - j if sys.byteorder == "little" else slot - n + j)::slot] = packed[j::n]
+        return memoryview(out).cast(_UNSIGNED[slot]).tolist()
 
     def decode(self, code: int):
         raw = code.to_bytes(self._nbytes, "big")
-        if self._pack is bytes:
+        if self._one_byte:
             flat = tuple(raw)
         else:
             step = self.bits // 8

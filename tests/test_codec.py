@@ -1,4 +1,4 @@
-"""The output codec, exhaustively on small spaces and sampled on GF(251).
+"""The output codec, exhaustively on small spaces and sampled on wide words.
 
 For every space: decode(encode(y)) == y and distinct words get distinct
 codes, over the whole space; code addition agrees with the space's checked
@@ -44,28 +44,36 @@ def test_codec_round_trips_and_adds_exhaustively(space):
         assert codec.add(code_of[a], code_of[b]) == code_of[space.add(a, b)]
 
 
-@pytest.mark.parametrize("space", [s for s in SPACES if len(s.shape) == 1], ids=_id)
+def _sample(space, count=3000):
+    """``count`` seeded random words of ``space``."""
+    rng = random.Random(_id(space))
+    cols = space.shape[-1]
+    words = []
+    for _ in range(count):
+        flat = tuple(rng.randrange(space.field.q) for _ in range(math.prod(space.shape)))
+        words.append(flat if len(space.shape) == 1
+                     else tuple(flat[i:i + cols] for i in range(0, len(flat), cols)))
+    return words
+
+
+# words of more than 8 bytes, symbols of 2 bytes (GF(9), GF(251), GF(512))
+WIDE = [VectorSpace(Field(2), 10), VectorSpace(Field(3), 9), VectorSpace(Field(3, 2), 5),
+        VectorSpace(Field(251), 3), VectorSpace(Field(251), 5),
+        VectorSpace(Field(2, 9, max_size=512), 3)]
+
+
+@pytest.mark.parametrize("space", [s for s in SPACES if len(s.shape) == 1] + WIDE, ids=_id)
 def test_codec_packs_symbol_columns(space):
     codec = Codec(space)
-    words = list(space.elements())
+    words = list(space.elements()) if space.size <= 4096 else _sample(space)
     assert codec.from_columns([list(col) for col in zip(*words)]) == codec.encode_all(words)
 
 
-@pytest.mark.parametrize("space", [VectorSpace(Field(251), 3), MatrixSpace(Field(251), 2, 2)],
-                         ids=_id)
-def test_codec_on_sampled_gf251_words(space):
-    """p >= 128 takes 16-bit digits; sampled, since the spaces are large."""
+@pytest.mark.parametrize("space", WIDE + [MatrixSpace(Field(251), 2, 2)], ids=_id)
+def test_codec_on_sampled_wide_words(space):
+    """Sampled, since the spaces are large; p >= 128 takes 16-bit digits."""
     codec = Codec(space)
-    rng = random.Random(251)
-
-    def word():
-        flat = tuple(rng.randrange(251) for _ in range(math.prod(space.shape)))
-        if len(space.shape) == 1:
-            return flat
-        cols = space.shape[1]
-        return tuple(flat[i:i + cols] for i in range(0, len(flat), cols))
-
-    words = [word() for _ in range(3000)]
+    words = _sample(space)
     codes = codec.encode_all(words)
     assert [codec.decode(c) for c in codes] == words
     assert len(set(codes)) == len(set(words))
