@@ -540,7 +540,7 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
 
     def row(x, codec):
         if not hs:
-            hs.extend(_image_codes(field, b, err_space, codec))
+            hs.extend(_image_codes(times_b, err_space, codec))
         return list(map(codec.add, hs, repeat(codec.encode(times_a(x)))))
 
     errors = ErrorModel(err_space, measure)
@@ -548,29 +548,25 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
                    kind="matrix", pair_budget=pair_budget, row=row)
 
 
-def _image_codes(field: Field, b: mx.Matrix, err_space, codec) -> list[int]:
+def _image_codes(times_b, err_space, codec) -> list[int]:
     """Codes of z*B for every z, in the error space's enumeration order.
 
-    The space enumerates z as a base-q number over its coordinates, a
-    matrix's entries row-major and the first coordinate most significant.
-    The symbol d at coordinate (i, t) contributes d*B[t] to row i of z*B,
-    so each coordinate in turn extends every code so far by its sums with
-    that coordinate's q contributions.
+    The space enumerates z as a base-q number over its N coordinates (a
+    matrix's entries row-major), the first most significant, and z -> z*B
+    is additive, so each coordinate t in turn extends every code so far by
+    its sums with the codes of (d*e_t)*B, d = 0..q-1.
     """
-    q, scale = field.q, mx.scaler(field, (len(b[0]),))
-    rows = err_space.shape[0] if len(err_space.shape) == 2 else None
-    zero_row = (0,) * len(b[0])
+    q, shape = err_space.field.q, err_space.shape
+    n = math.prod(shape)
     codes = [0]
-    for i in range(rows or 1):
-        for bt in b:
-            if rows is None:
-                units = [scale(d, bt) for d in range(q)]
-            else:
-                units = [(zero_row,) * i + (scale(d, bt),) + (zero_row,) * (rows - 1 - i)
-                         for d in range(q)]
-            # zip(*[codes] * q) yields each code q times, each beside a unit
-            codes = list(map(codec.add, itertools.chain.from_iterable(zip(*[codes] * q)),
-                             codec.encode_all(units) * len(codes)))
+    for t in range(n):
+        units = [(0,) * t + (d,) + (0,) * (n - 1 - t) for d in range(q)]
+        if len(shape) == 2:
+            units = [tuple(u[i:i + shape[1]] for i in range(0, n, shape[1])) for u in units]
+        images = codec.encode_all(map(times_b, units))
+        # zip(*[codes] * q) yields each code q times, each beside an image
+        codes = list(map(codec.add, itertools.chain.from_iterable(zip(*[codes] * q)),
+                         images * len(codes)))
     return codes
 
 

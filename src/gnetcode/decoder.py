@@ -8,9 +8,9 @@ least W_i(y) and the codewords attaining it.  It decodes to a sole such
 codeword, otherwise (also when no solution exists, possible for
 non-surjective table channels) declares a detection.  A received word is
 encoded once, at the boundary; a word outside the output space has no
-code and no solution, so it is detected too.  The bounded variant MWD(c) decodes inside
-the radius-c balls {y : W_i(y) <= c} and is only defined when those balls
-are pairwise disjoint.
+code and no solution, so it is detected too.  The bounded variant MWD(c)
+decodes inside the radius-c balls {y : W_i(y) <= c} and is only defined
+when those balls are pairwise disjoint.
 
 An error z is correctable when x_i alone attains F(x_i, z) at its least
 weight, for every codeword x_i.  It is detectable when the received word
@@ -101,8 +101,9 @@ def _bounded_map(ch: Channel, c: int) -> dict:
                 if other is not None and other != xi:
                     raise InvalidDecoderError(
                         f"radius-{c} balls of {ch.codewords[other]!r} and "
-                        f"{ch.codewords[xi]!r} intersect at {ch._codec().decode(y)!r}; bounded "
-                        "decoding is undefined at this radius")
+                        f"{ch.codewords[xi]!r} intersect at "
+                        f"{ch._codec().decode(y)!r}; bounded decoding is "
+                        "undefined at this radius")
                 got[y] = xi
         maps[c] = got
     return got
