@@ -8,7 +8,7 @@ classifies channels by (error-)linearity, and mechanically verifies the
 distance theorems on concrete channels at desk scale.
 """
 
-from .field import Field, enumerate_field, default_modulus, is_irreducible
+from .field import Field, default_modulus, is_irreducible
 from .weights import (WeightMeasure, HAMMING, RANK, SUM_RANK,
                       hamming_weight, rank_weight, sum_rank_weight,
                       decompose_hamming, decompose_rank, decompose_sum_rank,

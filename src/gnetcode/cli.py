@@ -24,11 +24,11 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from .channel import Channel, BudgetError, ConstructionError, classify
-from .config import ConfigError, channel_from_config, config_digest
+from .channel import Channel, BudgetError, classify
+from .config import channel_from_config, config_digest
 from .network import toy_channel
 from .distances import minimum_distances
-from .decoder import capability, is_joint_correcting, mwd, mwd_bounded, InvalidDecoderError
+from .decoder import capability, is_joint_correcting, mwd, mwd_bounded
 from .properties import run_all
 
 DEFAULT_SEED = 1
@@ -146,8 +146,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         payload, text, code = _run(args)
-    except (ConfigError, ConstructionError, BudgetError, InvalidDecoderError,
-            FileNotFoundError, ValueError) as exc:
+    except (BudgetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload["elapsed_s"] = round(time.perf_counter() - started, 4)

@@ -1,16 +1,18 @@
 """Minimum weight decoding and code capability classification.
 
-Every verdict here is read off the codewords' reach maps (see
-:mod:`gnetcode.distances`), y -> W_i(y), the least weight of an error z
-with F(x_i, z) = y, in nondecreasing weight, keyed by y's integer code.
-The minimum weight decoder folds them into one solution index, y -> the
-least W_i(y) and the codewords attaining it.  It decodes to a sole such
-codeword, otherwise (also when no solution exists, possible for
-non-surjective table channels) declares a detection.  A received word is
-encoded once, at the boundary; a word outside the output space has no
-code and no solution, so it is detected too.  The bounded variant MWD(c)
-decodes inside the radius-c balls {y : W_i(y) <= c} and is only defined
-when those balls are pairwise disjoint.
+Every verdict here is a lookup in one solution index, built in one pass
+over the codewords' reach maps y -> W_i(y) (see :mod:`gnetcode.distances`):
+y's integer code -> ``(least, owner, runner_up)``, the least W_i(y), the
+lowest codeword index attaining it, and the least W_j(y) over the other
+codewords (INFINITE if none reaches y), so a tie shows as
+``runner_up == least``.  MWD decodes y to its owner iff
+``least < runner_up``, otherwise (also for an unreached word, possible for
+non-surjective table channels) it declares a detection.  A received word
+is encoded once, at the boundary; a word outside the output space has no
+code and no solution, so it is detected too.  The radius-c balls
+{y : W_i(y) <= c} are pairwise disjoint iff no word has
+``runner_up <= c``; only then is the bounded variant MWD(c) defined, and
+it decodes y to its owner iff ``least <= c``.
 
 An error z is correctable when x_i alone attains F(x_i, z) at its least
 weight, for every codeword x_i.  It is detectable when the received word
@@ -18,10 +20,10 @@ never lands on a *different* codeword's weight-0 solution (its clean
 output), so the radius-0 decoder either flags the error or returns x_i
 unchanged; nonlinear node maps can swallow an error entirely.  Both
 verdicts depend on z only through (x_i, F(x_i, z)), so :func:`capability`
-reads the least failing weights off the reach maps.  A code corrects c
-errors while detecting c' more exactly when the refined joint minimum
-d2_min[c] is at least c'+1, so :func:`is_joint_correcting` reads that one
-memoized column of :func:`gnetcode.distances.minimum_distances`.
+reads the least failing weights off the index.  A code corrects c errors
+while detecting c' more exactly when the refined joint minimum d2_min[c]
+is at least c'+1, so :func:`is_joint_correcting` reads that one memoized
+column of :func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import Channel
-from .distances import _reach, minimum_distances, is_finite
+from .distances import INFINITE, _reach, minimum_distances, is_finite
 
 
 class InvalidDecoderError(ValueError):
@@ -58,17 +60,20 @@ DETECTED = DecodeOutcome(None)
 
 
 def _solution_index(ch: Channel) -> dict:
-    """y's code -> (minimum solution weight, codeword indices attaining it)."""
+    """y's code -> (least solution weight, lowest codeword index attaining
+    it, least weight over the other codewords or INFINITE)."""
     index = ch._cache.get("solution_index")
     if index is None:
         index = {}
         for xi in range(len(ch.codewords)):
             for y, w in _reach(ch, xi).items():
-                best = index.get(y)
-                if best is None or w < best[0]:
-                    index[y] = (w, {xi})
-                elif w == best[0]:
-                    best[1].add(xi)
+                got = index.get(y)
+                if got is None:
+                    index[y] = (w, xi, INFINITE)
+                elif w < got[0]:
+                    index[y] = (w, xi, got[0])
+                elif w < got[2]:
+                    index[y] = (got[0], got[1], w)
         ch._cache["solution_index"] = index
     return index
 
@@ -81,43 +86,30 @@ def mwd(ch: Channel, y) -> DecodeOutcome:
     index = _solution_index(ch)
     if not ch.outputs.contains(y):
         return DETECTED
-    best = index.get(ch._codec().encode(y))
-    if best is None or len(best[1]) != 1:
+    got = index.get(ch._codec().encode(y))
+    if got is None or got[0] == got[2]:
         return DETECTED
-    return DecodeOutcome(ch.codewords[next(iter(best[1]))])
-
-
-def _bounded_map(ch: Channel, c: int) -> dict:
-    """y's code -> codeword index map of the radius-c balls; errors if they overlap."""
-    maps = ch._cache.setdefault("bounded_maps", {})
-    got = maps.get(c)
-    if got is None:
-        got = {}
-        for xi in range(len(ch.codewords)):
-            for y, w in _reach(ch, xi).items():
-                if w > c:
-                    break
-                other = got.get(y)
-                if other is not None and other != xi:
-                    raise InvalidDecoderError(
-                        f"radius-{c} balls of {ch.codewords[other]!r} and "
-                        f"{ch.codewords[xi]!r} intersect at "
-                        f"{ch._codec().decode(y)!r}; bounded decoding is "
-                        "undefined at this radius")
-                got[y] = xi
-        maps[c] = got
-    return got
+    return DecodeOutcome(ch.codewords[got[1]])
 
 
 def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """Bounded-distance decoding over disjoint radius-c balls."""
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    balls = _bounded_map(ch, c)
+    index = _solution_index(ch)
+    shared = next((code for code, got in index.items() if got[2] <= c), None)
+    if shared is not None:
+        a = index[shared][1]
+        b = next(j for j in range(len(ch.codewords))
+                 if j != a and _reach(ch, j).get(shared, INFINITE) <= c)
+        raise InvalidDecoderError(
+            f"radius-{c} balls of {ch.codewords[a]!r} and {ch.codewords[b]!r} "
+            f"intersect at {ch._codec().decode(shared)!r}; bounded decoding is "
+            "undefined at this radius")
     if not ch.outputs.contains(y):
         return DETECTED
-    xi = balls.get(ch._codec().encode(y))
-    return DETECTED if xi is None else DecodeOutcome(ch.codewords[xi])
+    got = index.get(ch._codec().encode(y))
+    return DETECTED if got is None or got[0] > c else DecodeOutcome(ch.codewords[got[1]])
 
 
 def is_correctable(ch: Channel, z) -> bool:
@@ -126,8 +118,11 @@ def is_correctable(ch: Channel, z) -> bool:
         raise ValueError(f"{z!r} is not in the error space")
     # F(x, z) is reachable from x, so MWD returns x iff x alone attains it
     index, encode = _solution_index(ch), ch._codec().encode
-    return all(index[encode(ch._transfer(x, z))][1] == {xi}
-               for xi, x in enumerate(ch.codewords))
+    for xi, x in enumerate(ch.codewords):
+        least, owner, runner_up = index[encode(ch._transfer(x, z))]
+        if owner != xi or least == runner_up:
+            return False
+    return True
 
 
 def is_detectable(ch: Channel, z) -> bool:
@@ -138,8 +133,8 @@ def is_detectable(ch: Channel, z) -> bool:
         raise ValueError("detectability is defined for nonzero errors only")
     index, encode = _solution_index(ch), ch._codec().encode
     for xi, x in enumerate(ch.codewords):
-        least, owners = index[encode(ch._transfer(x, z))]
-        if least == 0 and owners != {xi}:  # another codeword's clean output
+        least, owner, _ = index[encode(ch._transfer(x, z))]
+        if least == 0 and owner != xi:  # another codeword's clean output
             return False
     return True
 
@@ -149,7 +144,7 @@ class CapabilityReport:
     """How many errors the code corrects and detects, plus joint verdicts.
 
     ``max_correctable``/``max_detectable`` are one below the least weight
-    of an uncorrectable / undetectable error, read off the reach maps.
+    of an uncorrectable / undetectable error, read off the solution index.
     ``all_correctable`` flags codes that correct the entire error space.
     ``joint`` maps (c, c') to the joint error-correction verdict
     d2_min[c] >= c'+1 on a small grid.
@@ -172,30 +167,22 @@ class CapabilityReport:
 
 
 def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> CapabilityReport:
-    """Capabilities from one pass over each codeword x_i's reach map.
+    """Capabilities read off the solution index.
 
-    The least uncorrectable weight is the least W_i(y) over the words y
-    that x_i alone does not attain at their least solution weight; the
-    least undetectable weight takes only those whose least solution weight
-    is 0.  A map runs in weight order, so its pass stops at the least
-    undetectable weight found so far.  The capabilities must equal
+    An uncorrectable error of least weight lands on a word y at y's
+    runner-up weight, so the least uncorrectable weight is the least
+    runner-up over the index.  An undetectable one lands on a codeword's
+    clean output, so the least undetectable weight is the least runner-up
+    over the clean outputs.  The capabilities must equal
     floor((d0_min - 1)/2) and d1_min - 1 wherever those minima are finite,
     else :class:`InternalConsistencyError` is raised.
     """
     if joint_grid is not None and min(joint_grid) < 0:
         raise ValueError("joint grid bounds must be nonnegative")
-    index = _solution_index(ch)
-    bad_c = bad_d = ch.w_max + 1  # least uncorrectable / undetectable weight
-    for xi in range(len(ch.codewords)):
-        mine = {xi}
-        for y, w in _reach(ch, xi).items():
-            if w >= bad_d:
-                break
-            least, owners = index[y]
-            if owners != mine:
-                bad_c = min(bad_c, w)
-                if least == 0:
-                    bad_d = w
+    index, encode = _solution_index(ch), ch._codec().encode
+    # least uncorrectable / undetectable weight
+    bad_c = min(ch.w_max + 1, min(got[2] for got in index.values()))
+    bad_d = min(ch.w_max + 1, *(index[encode(ch.zero_output(x))][2] for x in ch.codewords))
     t_c, t_d = bad_c - 1, bad_d - 1
 
     report = minimum_distances(ch)

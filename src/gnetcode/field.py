@@ -280,7 +280,3 @@ class Field:
             return f"GF({self.p})"
         return f"GF({self.q})=GF({self.p}^{self.k}) mod {_poly_str(self.modulus)}"
 
-
-def enumerate_field(field: Field) -> list[int]:
-    """Deterministic element order of ``field``; see the module docstring."""
-    return field.elements()

@@ -426,10 +426,9 @@ def check_decoders(ch: Channel, report: DistanceReport | None = None
                    ) -> list[TheoremVerdict]:
     """Decoder guarantees implied by the distance minima.
 
-    The capability scan stops at the first failing error in nondecreasing
-    weight, so every error up to weight thr passes exactly when the
-    capability is at least thr.  A failure's counterexample is
-    (capability, thr).
+    A capability is one below the least weight of a failing error, so
+    every error up to weight thr passes exactly when the capability is at
+    least thr.  A failure's counterexample is (capability, thr).
     """
     report = report or minimum_distances(ch)
     cap = dec.capability(ch, joint_grid=(0, 0))
@@ -530,10 +529,11 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     is a sum of symbol weights, so
     :func:`~gnetcode.weights.verify_separable_axioms` checks it over the
     whole error space: separability on every error (off the cached
-    weights), the four axioms once on GF(q)^1.  Rank and sum-rank weights
-    keep :func:`~gnetcode.weights.verify_weight_axioms` over every error
-    when there are at most AXIOM_ELEMENT_BUDGET, else over a seeded sample
-    of that many, with AXIOM_PAIR_BUDGET seeded pairs past the budget.
+    weights), the four axioms once on all of GF(q)^1's pairs, at any field
+    size.  Rank and sum-rank weights keep
+    :func:`~gnetcode.weights.verify_weight_axioms` over every error when
+    there are at most AXIOM_ELEMENT_BUDGET, else over a seeded sample of
+    that many, with AXIOM_PAIR_BUDGET seeded pairs past the budget.
     The ledger also records the smallest observed d1/d0 ratio (no claim is
     attached to it; a lower bound on d0 in terms of d1 is not available).
     """
@@ -543,8 +543,7 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
 
     measure = ch.errors.measure
     if measure.kind == HAMMING:
-        axioms = verify_separable_axioms(ch.field, ch._errors_by_weight(), measure,
-                                         pair_budget=AXIOM_PAIR_BUDGET, seed=seed)
+        axioms = verify_separable_axioms(ch.field, ch._errors_by_weight(), measure)
     else:
         axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure,
                                       pair_budget=AXIOM_PAIR_BUDGET, seed=seed)

@@ -343,8 +343,7 @@ def _symbol_weights(f: Field, measure: WeightMeasure, shape: tuple[int, ...]):
             lambda z: sum(sum(map(weigh, r)) for r in z))
 
 
-def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
-                            pair_budget: int | None = None, seed: int = 0) -> AxiomReport:
+def verify_separable_axioms(f: Field, errors, measure: WeightMeasure) -> AxiomReport:
     """Check the Hamming weight's axioms over a whole error space.
 
     ``errors`` is every element of the error space as ``(z, w(z))`` pairs,
@@ -356,9 +355,9 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
 
     * separability, ``w(z) == sum_i w(z_i)``, on every error;
     * the four axioms on the factor space GF(q)^1, by
-      :func:`verify_weight_axioms` with ``pair_budget`` and ``seed``; a
-      factor witness is lifted to the whole space by placing its symbol in
-      the first coordinate with every other one zero.
+      :func:`verify_weight_axioms` over all of its q^2 pairs; a factor
+      witness is lifted to the whole space by placing its symbol in the
+      first coordinate with every other one zero.
 
     When separability holds and the zero symbol weighs 0 (else
     nonnegativity fails), the nonnegativity, subadditivity and inverse
@@ -388,7 +387,7 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure,
             separable = AxiomCheck(False, (z, wz, total))
             break
 
-    factor = verify_weight_axioms(f, symbols, measure, pair_budget, seed)
+    factor = verify_weight_axioms(f, symbols, measure)
     nonneg, subadd, inverse, decomp = (factor.nonnegativity, factor.subadditivity,
                                        factor.inverse_invariance, factor.decomposability)
     if not nonneg.passed:

@@ -126,6 +126,13 @@ def test_missing_config_file(capsys):
     assert code == 2
 
 
+def test_unreadable_config_exits_2(capsys, tmp_path):
+    """A config path that cannot be read is a usage error, not a failing ledger."""
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), "distances")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_bad_received_word(capsys):
     code, _, err = run_cli(capsys, "--toy-example", "decode", "abc")
     assert code == 2 and "error:" in err

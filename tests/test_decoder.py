@@ -100,9 +100,26 @@ def test_words_outside_the_output_space_are_detected(toy):
             assert mwd_bounded(ch, 0, y) == DETECTED
 
 
-def test_mwd_bounded_invalid_radius(repetition):
-    with pytest.raises(InvalidDecoderError, match="intersect"):
-        mwd_bounded(repetition, 2, (0, 0, 0))
+def assert_names_a_real_intersection(ch, c):
+    """MWD(c) raises, and its message names codewords A != B and a word Y
+    that lies in both radius-c balls by the ball definition."""
+    import ast
+    import re
+    from oracles import naive_ball
+
+    with pytest.raises(InvalidDecoderError) as info:
+        mwd_bounded(ch, c, ch.zero_output(ch.codewords[0]))
+    got = re.fullmatch(rf"radius-{c} balls of (.+?) and (.+?) intersect at (.+?); "
+                       "bounded decoding is undefined at this radius", str(info.value))
+    assert got, info.value
+    a, b, y = map(ast.literal_eval, got.groups())
+    assert a != b and {a, b} <= set(ch.codewords)
+    assert y in naive_ball(ch, a, c) and y in naive_ball(ch, b, c)
+
+
+def test_mwd_bounded_invalid_radius(toy, repetition):
+    for ch in (toy, repetition):
+        assert_names_a_real_intersection(ch, 2)
 
 
 def test_correctable(toy):
@@ -244,8 +261,7 @@ def test_mwd_matches_naive_oracle(repetition):
             balls = {x: naive_ball(ch, x, c) for x in ch.codewords}
             if any(balls[a] & balls[b] for a in ch.codewords
                    for b in ch.codewords if a != b):
-                with pytest.raises(InvalidDecoderError):
-                    mwd_bounded(ch, c, words[0])
+                assert_names_a_real_intersection(ch, c)
                 continue
             for y in words:
                 owner = next((x for x in ch.codewords if y in balls[x]), None)

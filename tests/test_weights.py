@@ -12,7 +12,6 @@ from gnetcode import (Field, WeightMeasure, HAMMING, RANK, SUM_RANK,
 from gnetcode import matrices as mx
 from gnetcode import weights as weights_module
 from gnetcode.channel import MatrixSpace, VectorSpace
-from gnetcode.properties import AXIOM_PAIR_BUDGET
 from gnetcode.weights import hamming_weights, verify_separable_axioms
 
 
@@ -291,7 +290,7 @@ def _check_separable_route(f, space, measure):
     separability and nonnegativity pass, each axiom's status equals the
     oracle's; returns the report."""
     errors = [(z, measure.weight(f, z)) for z in space]
-    got = verify_separable_axioms(f, errors, measure, pair_budget=AXIOM_PAIR_BUDGET)
+    got = verify_separable_axioms(f, errors, measure)
     want = naive_weight_axioms(f, space, measure)
     assert got.passed == want.passed, (measure, got, want)
     for name in ("separability",) + AXIOMS:
@@ -336,6 +335,24 @@ def test_separable_route_under_perturbed_symbol_weights(monkeypatch, f, space, m
     # e.g. GF(3)'s symbol 2 weighing 2 breaks inverse invariance, a nonzero
     # symbol weighing 0 breaks nonnegativity; over GF(2), -a = a
     assert failed == set(AXIOMS) - ({"inverse_invariance"} if f.q == 2 else set())
+
+
+def test_separable_route_scans_every_symbol_pair_of_a_large_field(monkeypatch):
+    """Over GF(2^9) the factor space has 512^2 pairs.  With symbols a and b
+    weighing 1, a + b weighing 3 and every other nonzero symbol 2, the
+    only pairs that break subadditivity are (a, b) and (b, a); the route
+    must find one of them."""
+    f = Field(2, 9, max_size=512)
+    a, b = 1, 2
+    table = [2] * f.q
+    table[0], table[a], table[b], table[f.add(a, b)] = 0, 1, 1, 3
+    monkeypatch.setattr(weights_module, "hamming_weight", _symbol_weights(table))
+    measure = WeightMeasure(HAMMING)
+    errors = [(z, measure.weight(f, z)) for z in VectorSpace(f, 2).elements()]
+    got = verify_separable_axioms(f, errors, measure)
+    assert got.separability.passed and got.nonnegativity.passed
+    assert not got.subadditivity.passed
+    assert set(got.subadditivity.witness) == {(a, 0), (b, 0)}
 
 
 @pytest.mark.parametrize("f, space, measure", _separable_spaces(), ids=SPACE_IDS)
