@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gnetcode import Field, classical_channel, toy_channel
+from gnetcode import Field, classical_channel, table_channel, toy_channel
 
 
 def hamming_7_4_codewords():
@@ -22,6 +22,13 @@ def hamming_7_4_codewords():
                 w = tuple(a ^ b for a, b in zip(w, g[i]))
         words.add(w)
     return sorted(words)
+
+
+def disjoint_images_channel():
+    """F(x, z) = (x, z): the codeword images never intersect."""
+    gf2 = Field(2)
+    table = {((x,), (z,)): (x, z) for x in range(2) for z in range(2)}
+    return table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
 @pytest.fixture(scope="session")

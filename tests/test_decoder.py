@@ -5,15 +5,11 @@ from gnetcode import (Field, WeightMeasure, RANK, classical_channel, matrix_chan
                       is_detectable, capability, is_joint_correcting, minimum_distances,
                       InvalidDecoderError)
 
+from conftest import disjoint_images_channel
+
 
 def single_edge_channel():
     return classical_channel(Field(2), [(0,), (1,)])
-
-
-def disjoint_images_channel():
-    gf2 = Field(2)
-    table = {((x,), (z,)): (x, z) for x in range(2) for z in range(2)}
-    return table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
 def constant_error_channel():

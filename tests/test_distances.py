@@ -2,23 +2,17 @@ import random
 
 import pytest
 
-from gnetcode import (Field, INFINITE, is_finite, table_channel, decoding_ball, dist_d0, dist_d1, dist_d2,
+from gnetcode import (Field, INFINITE, is_finite, decoding_ball, dist_d0, dist_d1, dist_d2,
                       dist_d2_refined, tau_and_cstar, minimum_distances,
                       ThresholdUndefinedError, random_table_channel)
 from gnetcode.distances import refined_table
+from conftest import disjoint_images_channel
 from oracles import naive_ball, naive_d0, naive_d1, naive_d2, naive_d2_refined
 
 EXPECTED_BALL_X0 = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                  (2, 0, 0), (0, 2, 0), (0, 0, 2)}
 EXPECTED_BALL_X1 = {(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 0, 2),
                  (2, 0, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)}
-
-
-def disjoint_images_channel():
-    """F(x, z) = (x, z): the codeword images never intersect."""
-    gf2 = Field(2)
-    table = {((x,), (z,)): (x, z) for x in range(2) for z in range(2)}
-    return table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
 def test_radius_zero_ball_is_singleton(toy, repetition):
