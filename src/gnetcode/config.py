@@ -341,8 +341,8 @@ def _table_from_config(parser, fld: Field, budget: int):
     for key in ("error_length", "output_length"):
         if key not in csec:
             raise ConfigError(f"[channel] table channels need {key}")
-    err_len = _int("channel", "error_length", csec["error_length"])
-    out_len = _int("channel", "output_length", csec["output_length"])
+    err_len = _positive("channel", "error_length", csec["error_length"])
+    out_len = _positive("channel", "output_length", csec["output_length"])
     if "transfer" not in parser:
         raise ConfigError("table channels need a [transfer] section")
     table = {}

@@ -11,7 +11,8 @@ non-surjective table channels) it declares a detection.  A received word
 is encoded once, at the boundary; a word outside the output space has no
 code and no solution, so it is detected too.  The radius-c balls
 {y : W_i(y) <= c} are pairwise disjoint iff no word has
-``runner_up <= c``; only then is the bounded variant MWD(c) defined, and
+``runner_up <= c``, that is iff c is below the least runner-up, taken
+once with the index; only then is the bounded variant MWD(c) defined, and
 it decodes y to its owner iff ``least <= c``.
 
 An error z is correctable when x_i alone attains F(x_i, z) at its least
@@ -61,7 +62,11 @@ DETECTED = DecodeOutcome(None)
 
 def _solution_index(ch: Channel) -> dict:
     """y's code -> (least solution weight, lowest codeword index attaining
-    it, least weight over the other codewords or INFINITE)."""
+    it, least weight over the other codewords or INFINITE).
+
+    Built once per channel, together with the least runner-up over the
+    whole index, cached as ``ch._cache["least_runner_up"]``.
+    """
     index = ch._cache.get("solution_index")
     if index is None:
         index = {}
@@ -75,6 +80,7 @@ def _solution_index(ch: Channel) -> dict:
                 elif w < got[2]:
                     index[y] = (got[0], got[1], w)
         ch._cache["solution_index"] = index
+        ch._cache["least_runner_up"] = min(got[2] for got in index.values())
     return index
 
 
@@ -97,8 +103,8 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     if c < 0:
         raise ValueError("radius must be nonnegative")
     index = _solution_index(ch)
-    shared = next((code for code, got in index.items() if got[2] <= c), None)
-    if shared is not None:
+    if c >= ch._cache["least_runner_up"]:
+        shared = next(code for code, got in index.items() if got[2] <= c)
         a = index[shared][1]
         b = next(j for j in range(len(ch.codewords))
                  if j != a and _reach(ch, j).get(shared, INFINITE) <= c)
@@ -181,7 +187,7 @@ def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> Capabi
         raise ValueError("joint grid bounds must be nonnegative")
     index, encode = _solution_index(ch), ch._codec().encode
     # least uncorrectable / undetectable weight
-    bad_c = min(ch.w_max + 1, min(got[2] for got in index.values()))
+    bad_c = min(ch.w_max + 1, ch._cache["least_runner_up"])
     bad_d = min(ch.w_max + 1, *(index[encode(ch.zero_output(x))][2] for x in ch.codewords))
     t_c, t_d = bad_c - 1, bad_d - 1
 

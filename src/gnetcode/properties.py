@@ -1,11 +1,12 @@
 """Mechanical verification of the distance theorems on a concrete channel.
 
 Every check quantifies exhaustively over codeword pairs (and triples for
-the metric axioms) and returns verdicts rather than raising: ``pass``,
-``fail`` (with a minimal counterexample -- on a channel satisfying the
-claim's hypotheses this is an implementation bug, never a refutation), or
-``not-applicable`` when the hypotheses do not hold (a nonlinear channel
-for the linear-collapse suite, infinite distances for threshold claims).
+the metric axioms) and returns verdicts rather than raising, all by one
+rule (:func:`_verdict`): ``not-applicable`` exactly when no instance meets
+the claim's hypotheses (a nonlinear channel for the linear-collapse suite,
+infinite distances for threshold claims), else ``fail`` with the first
+counterexample in instance order (on a channel satisfying the hypotheses
+this is an implementation bug, never a refutation), else ``pass``.
 
 ``run_all`` aggregates the bound checks, the refined-distance identities,
 the error-linear collapse suite, the metric reports, the two sufficient
@@ -39,7 +40,6 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 AXIOM_ELEMENT_BUDGET = 256  # rank and sum-rank axioms sample beyond this
-AXIOM_PAIR_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,22 @@ class MetricReport:
         return all(v.status == PASS for v in self.verdicts)
 
 
-def _verdict(check: str, failures: list, applicable: bool,
-             detail: str = "") -> TheoremVerdict:
-    if not applicable:
-        why = "no pair satisfies the hypotheses"
+def _verdict(check: str, instances, failures, detail: str = "",
+             why: str | None = None) -> TheoremVerdict:
+    """The ledger's one verdict rule.
+
+    ``instances`` are what the claim quantifies over once its hypotheses
+    hold (pairs, radii, minima); with none the claim is not-applicable,
+    for the reason ``why`` when given.  Otherwise it fails with the first
+    counterexample of ``failures``, a lazy scan in instance order, and
+    passes when the scan yields none.
+    """
+    if not instances:
         return TheoremVerdict(check, NOT_APPLICABLE,
-                              f"{detail}; {why}" if detail else why)
-    if failures:
-        return TheoremVerdict(check, FAIL, detail, tuple(failures[0]))
+                              why or f"{detail}; no pair satisfies the hypotheses")
+    first = next(iter(failures), None)
+    if first is not None:
+        return TheoremVerdict(check, FAIL, detail, tuple(first))
     return TheoremVerdict(check, PASS, detail)
 
 
@@ -102,116 +110,88 @@ def _even_sums(row: list, hi: int):
 def check_bounds(ch: Channel, report: DistanceReport | None = None) -> list[TheoremVerdict]:
     """Bounds tying the detection and joint distances to the correction one."""
     report = report or minimum_distances(ch)
+    d0, d1, d2 = report.d0, report.d1, report.d2
     pairs = report.pairs()
-    finite = [(i, j) for (i, j) in pairs if is_finite(report.d0[i, j])]
-
-    out = []
-    fails = [(i, j, report.d1[i, j], report.d0[i, j]) for (i, j) in finite
-             if report.d1[i, j] < report.d0[i, j] // 2 + 1]
-    out.append(_verdict("detection-floor-bound", fails, bool(finite),
-                        "d1 >= floor(d0/2)+1 per pair"))
-
-    fails = [(i, j) for (i, j) in pairs if report.d0[i, j] < report.d2[i, j]]
-    out.append(_verdict("joint-under-correction", fails, True, "d0 >= d2 per pair"))
-
-    fails = [(i, j) for (i, j) in pairs if report.d1[i, j] < report.d2[i, j]]
-    out.append(_verdict("joint-under-detection", fails, True, "d1 >= d2 per pair"))
-
-    fails = [(i, j, report.d2[i, j], report.d0[i, j]) for (i, j) in finite
-             if report.d2[i, j] < -(-int(report.d0[i, j]) // 2)]
-    out.append(_verdict("joint-halving-bound", fails, bool(finite),
-                        "d2 >= ceil(d0/2) per pair"))
-
-    if is_finite(report.d0_min):
-        fails = []
-        if report.d1_min < int(report.d0_min) // 2 + 1:
-            fails.append((report.d1_min, report.d0_min))
-        out.append(_verdict("min-detection-floor-bound", fails, True,
-                            "d1_min >= floor(d0_min/2)+1"))
-        fails = []
-        if not (report.d0_min >= report.d2_min >= -(-int(report.d0_min) // 2)):
-            fails.append((report.d0_min, report.d2_min))
-        out.append(_verdict("min-joint-bounds", fails, True,
-                            "d0_min >= d2_min >= ceil(d0_min/2)"))
-    else:
-        out.append(TheoremVerdict("min-detection-floor-bound", NOT_APPLICABLE,
-                                  "d0_min is infinite"))
-        out.append(TheoremVerdict("min-joint-bounds", NOT_APPLICABLE,
-                                  "d0_min is infinite"))
-    return out
+    finite = [(i, j) for (i, j) in pairs if is_finite(d0[i, j])]
+    minima = [report.d0_min] if is_finite(report.d0_min) else []
+    return [
+        _verdict("detection-floor-bound", finite,
+                 ((i, j, d1[i, j], d0[i, j]) for (i, j) in finite
+                  if d1[i, j] < d0[i, j] // 2 + 1),
+                 "d1 >= floor(d0/2)+1 per pair"),
+        _verdict("joint-under-correction", pairs,
+                 ((i, j) for (i, j) in pairs if d0[i, j] < d2[i, j]), "d0 >= d2 per pair"),
+        _verdict("joint-under-detection", pairs,
+                 ((i, j) for (i, j) in pairs if d1[i, j] < d2[i, j]), "d1 >= d2 per pair"),
+        _verdict("joint-halving-bound", finite,
+                 ((i, j, d2[i, j], d0[i, j]) for (i, j) in finite
+                  if d2[i, j] < -(-int(d0[i, j]) // 2)),
+                 "d2 >= ceil(d0/2) per pair"),
+        _verdict("min-detection-floor-bound", minima,
+                 ((report.d1_min, m) for m in minima if report.d1_min < int(m) // 2 + 1),
+                 "d1_min >= floor(d0_min/2)+1", why="d0_min is infinite"),
+        _verdict("min-joint-bounds", minima,
+                 ((m, report.d2_min) for m in minima
+                  if not (m >= report.d2_min >= -(-int(m) // 2))),
+                 "d0_min >= d2_min >= ceil(d0_min/2)", why="d0_min is infinite"),
+    ]
 
 
 def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[TheoremVerdict]:
     """Identities satisfied by the refined joint distance."""
     report = report or minimum_distances(ch)
     refined = _refined(ch, report)
+    d1, tau = report.d1, report.tau
     pairs = report.pairs()
-    out = []
-
-    fails = [(i, j, refined[i, j][0], report.d1[i, j])
-             for (i, j) in pairs if refined[i, j][0] != report.d1[i, j]]
-    out.append(_verdict("refined-equals-detection-at-zero", fails, True,
-                        "d2[0] == d1 per pair"))
 
     probed = {}
     for (i, j) in pairs:
-        probe = report.tau[i, j] + 1 if report.tau[i, j] is not None else min(ch.w_max, 2)
+        probe = tau[i, j] + 1 if tau[i, j] is not None else min(ch.w_max, 2)
         probed[i, j] = refined[i, j][:probe + 1]
 
-    fails = [(i, j, next(c for c, v in enumerate(values) if v > report.d1[i, j]))
-             for (i, j), values in probed.items() if max(values) > report.d1[i, j]]
-    out.append(_verdict("refined-at-most-detection", fails, True,
-                        "d2[c] <= d1 per pair"))
+    def from_refined(i, j):
+        hi = tau[i, j] if tau[i, j] is not None else min(ch.w_max, 2)
+        return min(min(_even_sums(refined[i, j], hi)), min(_even_sums(refined[j, i], hi)))
 
-    fails = [(i, j, tuple(values)) for (i, j), values in probed.items()
-             if any(a < b for a, b in zip(values, values[1:]))]
-    out.append(_verdict("refined-nonincreasing", fails, True,
-                        "d2[c] nonincreasing in c per pair"))
-
-    fails, seen = [], False
-    for (i, j) in pairs:
-        tau = report.tau[i, j]
-        if tau is None:
-            continue
-        seen = True
-        row = refined[i, j]
-        for c in range(min(tau + 1, ch.w_max) + 1):
-            if (row[c] == 0) != (c >= tau):
-                fails.append((i, j, c, tau))
-                break
-    out.append(_verdict("refined-zero-threshold", fails, seen,
-                        "d2[c] == 0 exactly when c >= tau"))
-
+    thresholds = [(i, j, tau[i, j]) for (i, j) in pairs if tau[i, j] is not None]
     split = _balanced_split(report, refined)
-    fails = [(i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
-             if ((fwd, bwd) != (0, 0) if int(report.d0[i, j]) % 2 == 0
-                 else min(fwd, bwd) != 1)]
-    out.append(_verdict("balanced-split-parity", fails, bool(split),
-                        "d2[cstar]: both zero for even d0, min one for odd"))
-
-    totals = {(i, j): 2 * report.cstar[i, j] + min(v) for (i, j), v in split.items()}
-    fails = [(i, j, total, report.d0[i, j]) for (i, j), total in totals.items()
-             if total != report.d0[i, j]]
-    out.append(_verdict("balanced-split-identity", fails, bool(split),
-                        "2*cstar + min(d2[cstar], both orders) == d0"))
-
-    fails = []
-    for (i, j) in pairs:
-        if i > j:
-            continue
-        hi = report.tau[i, j] if report.tau[i, j] is not None else min(ch.w_max, 2)
-        best = min(min(_even_sums(refined[i, j], hi)),
-                   min(_even_sums(refined[j, i], hi)))
-        if best != report.d2[i, j]:
-            fails.append((i, j, best, report.d2[i, j]))
-    out.append(_verdict("joint-from-refined", fails, True,
-                        "d2 == min over both orders of min_c {2c + d2[c]}"))
-
-    best = min(2 * c + v for c, v in enumerate(report.d2_min_refined))
-    fails = [] if best == report.d2_min else [(best, report.d2_min)]
-    out.append(_verdict("min-joint-from-refined", fails, True,
-                        "d2_min == min_c {2c + d2_min[c]}"))
-    return out
+    upper = [(i, j) for (i, j) in pairs if i < j]
+    bests = [min(2 * c + v for c, v in enumerate(report.d2_min_refined))]
+    return [
+        _verdict("refined-equals-detection-at-zero", pairs,
+                 ((i, j, refined[i, j][0], d1[i, j]) for (i, j) in pairs
+                  if refined[i, j][0] != d1[i, j]),
+                 "d2[0] == d1 per pair"),
+        _verdict("refined-at-most-detection", probed,
+                 ((i, j, next(c for c, v in enumerate(values) if v > d1[i, j]))
+                  for (i, j), values in probed.items() if max(values) > d1[i, j]),
+                 "d2[c] <= d1 per pair"),
+        _verdict("refined-nonincreasing", probed,
+                 ((i, j, tuple(values)) for (i, j), values in probed.items()
+                  if any(a < b for a, b in zip(values, values[1:]))),
+                 "d2[c] nonincreasing in c per pair"),
+        _verdict("refined-zero-threshold", thresholds,
+                 ((i, j, c, t) for i, j, t in thresholds
+                  for c in range(min(t + 1, ch.w_max) + 1)
+                  if (refined[i, j][c] == 0) != (c >= t)),
+                 "d2[c] == 0 exactly when c >= tau"),
+        _verdict("balanced-split-parity", split,
+                 ((i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
+                  if ((fwd, bwd) != (0, 0) if int(report.d0[i, j]) % 2 == 0
+                      else min(fwd, bwd) != 1)),
+                 "d2[cstar]: both zero for even d0, min one for odd"),
+        _verdict("balanced-split-identity", split,
+                 ((i, j, total, report.d0[i, j]) for (i, j), v in split.items()
+                  if (total := 2 * report.cstar[i, j] + min(v)) != report.d0[i, j]),
+                 "2*cstar + min(d2[cstar], both orders) == d0"),
+        _verdict("joint-from-refined", upper,
+                 ((i, j, best, report.d2[i, j]) for (i, j) in upper
+                  if (best := from_refined(i, j)) != report.d2[i, j]),
+                 "d2 == min over both orders of min_c {2c + d2[c]}"),
+        _verdict("min-joint-from-refined", bests,
+                 ((b, report.d2_min) for b in bests if b != report.d2_min),
+                 "d2_min == min_c {2c + d2_min[c]}"),
+    ]
 
 
 def check_metric(ch: Channel, which: str,
@@ -235,32 +215,35 @@ def check_metric(ch: Channel, which: str,
     table = {"d0": report.d0, "d1": report.d1, "d2": report.d2}[which]
     n = len(ch.codewords)
 
-    if any(not is_finite(v) for v in table.values()):
-        na = TheoremVerdict(f"metric-{which}", NOT_APPLICABLE, "infinite distances")
+    if not all(map(is_finite, table.values())):
+        na = _verdict(f"metric-{which}", (), (), why="infinite distances")
         result = MetricReport(which, na, na, na)
     else:
         dist = [[0 if i == j else table[i, j] for j in range(n)] for i in range(n)]
-        fails = [(i, j) for i in range(n) for j in range(n)
-                 if (dist[i][j] == 0) != (i == j) or dist[i][j] < 0]
-        nonneg = _verdict(f"metric-{which}-nonnegativity", fails, True,
-                          "zero exactly on the diagonal")
-        fails = [(i, j) for (i, j) in report.pairs() if table[i, j] != table[j, i]]
-        sym = _verdict(f"metric-{which}-symmetry", fails, True, "d(x,y) == d(y,x)")
-        first = ((i, j, k) for i, di in enumerate(dist) for j, dj in enumerate(dist)
-                 if max(map(sub, di, dj)) > di[j]
-                 for k in range(n) if di[j] + dj[k] < di[k])
-        fails = list(itertools.islice(first, 1))
-        tri = _verdict(f"metric-{which}-triangle", fails, True,
-                       "d(x,z) <= d(x,y) + d(y,z)")
-        result = MetricReport(which, nonneg, sym, tri)
+        pairs = report.pairs()
+        result = MetricReport(
+            which,
+            _verdict(f"metric-{which}-nonnegativity", dist,
+                     ((i, j) for i in range(n) for j in range(n)
+                      if (dist[i][j] == 0) != (i == j) or dist[i][j] < 0),
+                     "zero exactly on the diagonal"),
+            _verdict(f"metric-{which}-symmetry", pairs,
+                     ((i, j) for (i, j) in pairs if table[i, j] != table[j, i]),
+                     "d(x,y) == d(y,x)"),
+            _verdict(f"metric-{which}-triangle", dist,
+                     ((i, j, k) for i, di in enumerate(dist) for j, dj in enumerate(dist)
+                      if max(map(sub, di, dj)) > di[j]
+                      for k in range(n) if di[j] + dj[k] < di[k]),
+                     "d(x,z) <= d(x,y) + d(y,z)"))
     store[which] = (report, result)
     return result
 
 
-def _metric_failures(ch: Channel, report: DistanceReport, names) -> list:
-    """(distance, counterexample) for each failing metric axiom of the named distances."""
-    return [(which, v.counterexample) for which in names
-            for v in check_metric(ch, which, report).verdicts if v.status == FAIL]
+def _metric_failures(ch: Channel, report: DistanceReport, names):
+    """(distance, counterexample) for each failing metric axiom of the named
+    distances, lazily: a distance's metric report is read only when reached."""
+    return ((which, v.counterexample) for which in names
+            for v in check_metric(ch, which, report).verdicts if v.status == FAIL)
 
 
 def check_error_linear_suite(ch: Channel, report: DistanceReport | None = None,
@@ -273,59 +256,41 @@ def check_error_linear_suite(ch: Channel, report: DistanceReport | None = None,
     pair already intersects, making d2[tau] = 0 while 2*tau = d0 + 1).
     """
     classification = classification or classify(ch)
-    names = ["correction-equals-detection", "all-distances-coincide",
-             "metric-d0", "metric-d1", "metric-d2",
-             "refined-constant-sum", "min-refined-constant-sum"]
     if not classification.error_linear:
         why = f"channel is not error-linear (witness: {classification.witness!r})"
-        return [TheoremVerdict(name, NOT_APPLICABLE, why) for name in names]
+        return [_verdict(name, (), (), why=why) for name in (
+            "correction-equals-detection", "all-distances-coincide", "metric-d0",
+            "metric-d1", "metric-d2", "refined-constant-sum", "min-refined-constant-sum")]
     report = report or minimum_distances(ch)
     refined = _refined(ch, report)
+    d0, d1, d2 = report.d0, report.d1, report.d2
     pairs = report.pairs()
-    out = []
-
-    fails = [(i, j, report.d0[i, j], report.d1[i, j]) for (i, j) in pairs
-             if report.d0[i, j] != report.d1[i, j]]
-    out.append(_verdict("correction-equals-detection", fails, True,
-                        "d0 == d1 per pair"))
-
-    fails = [(i, j) for (i, j) in pairs
-             if not report.d0[i, j] == report.d1[i, j] == report.d2[i, j]]
-    out.append(_verdict("all-distances-coincide", fails, True,
-                        "d0 == d1 == d2 per pair"))
-
+    out = [
+        _verdict("correction-equals-detection", pairs,
+                 ((i, j, d0[i, j], d1[i, j]) for (i, j) in pairs if d0[i, j] != d1[i, j]),
+                 "d0 == d1 per pair"),
+        _verdict("all-distances-coincide", pairs,
+                 ((i, j) for (i, j) in pairs if not d0[i, j] == d1[i, j] == d2[i, j]),
+                 "d0 == d1 == d2 per pair"),
+    ]
     for which in ("d0", "d1", "d2"):
-        metric = check_metric(ch, which, report)
-        bad = [v for v in metric.verdicts if v.status == FAIL]
-        if any(v.status == NOT_APPLICABLE for v in metric.verdicts):
-            out.append(TheoremVerdict(f"metric-{which}", NOT_APPLICABLE,
-                                      "infinite distances"))
-        else:
-            out.append(_verdict(f"metric-{which}", [v.counterexample for v in bad],
-                                True, "nonnegativity, symmetry, triangle"))
+        axioms = [v for v in check_metric(ch, which, report).verdicts
+                  if v.status != NOT_APPLICABLE]
+        out.append(_verdict(f"metric-{which}", axioms,
+                            (v.counterexample for v in axioms if v.status == FAIL),
+                            "nonnegativity, symmetry, triangle", why="infinite distances"))
 
-    fails, seen = [], False
-    for (i, j) in pairs:
-        cs = report.cstar[i, j]
-        if cs is None:
-            continue
-        seen = True
-        row = refined[i, j]
-        for c in range(cs + 1):
-            if 2 * c + row[c] != report.d2[i, j]:
-                fails.append((i, j, c))
-                break
-    out.append(_verdict("refined-constant-sum", fails, seen,
+    balanced = [(i, j, cs) for (i, j) in pairs if (cs := report.cstar[i, j]) is not None]
+    minima = [report.d2_min] if is_finite(report.d2_min) else []
+    out.append(_verdict("refined-constant-sum", balanced,
+                        ((i, j, c) for i, j, cs in balanced for c in range(cs + 1)
+                         if 2 * c + refined[i, j][c] != d2[i, j]),
                         "2c + d2[c] == d2 for c <= cstar per pair"))
-
-    if is_finite(report.d2_min):
-        fails = [(c,) for c in range(int(report.d2_min) // 2 + 1)
-                 if 2 * c + report.d2_min_refined[c] != report.d2_min]
-        out.append(_verdict("min-refined-constant-sum", fails, True,
-                            "2c + d2_min[c] == d2_min for c <= floor(d2_min/2)"))
-    else:
-        out.append(TheoremVerdict("min-refined-constant-sum", NOT_APPLICABLE,
-                                  "d2_min is infinite"))
+    out.append(_verdict("min-refined-constant-sum", minima,
+                        ((c,) for m in minima for c in range(int(m) // 2 + 1)
+                         if 2 * c + report.d2_min_refined[c] != m),
+                        "2c + d2_min[c] == d2_min for c <= floor(d2_min/2)",
+                        why="d2_min is infinite"))
     return out
 
 
@@ -343,83 +308,67 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
     report = report or minimum_distances(ch)
     classification = classification or classify(ch)
     refined = _refined(ch, report)
+    d0, d1, d2 = report.d0, report.d1, report.d2
     pairs = report.pairs()
-    out = []
 
     # On pairs whose balls never intersect the conditions reference an
     # undefined cstar, so those pairs are left out; the quantified claims
     # below become not-applicable when any such pair exists.
     relation, function = {}, {}
-    defined_everywhere = True
     for (i, j) in pairs:
         cs, tau = report.cstar[i, j], report.tau[i, j]
         if cs is None:
-            defined_everywhere = False
             continue
         mid = refined[i, j][cs]
-        relation[i, j] = (report.d2[i, j] == 2 * cs + mid == report.d1[i, j])
+        relation[i, j] = (d2[i, j] == 2 * cs + mid == d1[i, j])
         g = list(_even_sums(refined[i, j], tau))
         function[i, j] = (mid <= 1 and g[0] == g[cs] == min(g))
+    defined = len(relation) == len(pairs)
+    not_evaluable = "some pair has no intersecting balls, so the condition is undefined"
+
+    def holding(name: str, condition: dict):
+        """Every pair when the condition holds on all of them, else none and why not."""
+        if not defined:
+            return [], not_evaluable
+        if not all(condition.values()):
+            return [], f"{name} condition does not hold on every pair"
+        return pairs, None
+
+    def collapse(held):
+        return itertools.chain(
+            ((i, j) for (i, j) in held if not d0[i, j] == d1[i, j] == d2[i, j]),
+            _metric_failures(ch, report, ("d0", "d1", "d2")))
 
     split = _balanced_split(report, refined)
-    fails = [(i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
-             if (fwd <= 1 and bwd <= 1) != (fwd == bwd)]
-    out.append(_verdict("refined-symmetry-equivalence", fails, bool(split),
-                        "both d2[cstar] <= 1 iff the two orders agree"))
-
-    relation_holds = defined_everywhere and all(relation.values())
-    function_holds = defined_everywhere and all(function.values())
-    collapse = []
-    if relation_holds or function_holds:
-        collapse = [(i, j) for (i, j) in pairs
-                    if not report.d0[i, j] == report.d1[i, j] == report.d2[i, j]]
-        collapse += _metric_failures(ch, report, ("d0", "d1", "d2"))
-
-    not_evaluable = "some pair has no intersecting balls, so the condition is undefined"
-    if relation_holds:
-        out.append(_verdict("relation-condition-collapse", collapse, True,
-                            "relation condition holds on every pair, so the "
-                            "distances coincide and are metrics"))
-    else:
-        out.append(TheoremVerdict(
-            "relation-condition-collapse", NOT_APPLICABLE,
-            not_evaluable if not defined_everywhere
-            else "relation condition does not hold on every pair"))
-
-    if function_holds:
-        out.append(_verdict("function-condition-collapse", collapse, True,
-                            "function condition holds on every pair, so the "
-                            "distances coincide and are metrics"))
-        fails = [(i, j) for (i, j) in relation if not relation[i, j]]
-        out.append(_verdict("function-implies-relation", fails, True,
-                            "the function condition implies the relation condition"))
-    else:
-        why = (not_evaluable if not defined_everywhere
-               else "function condition does not hold on every pair")
-        out.append(TheoremVerdict("function-condition-collapse", NOT_APPLICABLE, why))
-        out.append(TheoremVerdict("function-implies-relation", NOT_APPLICABLE, why))
-
-    if not classification.error_linear:
-        out.append(TheoremVerdict("error-linear-satisfies-conditions",
-                                  NOT_APPLICABLE, "channel is not error-linear"))
-    elif not defined_everywhere:
-        out.append(TheoremVerdict("error-linear-satisfies-conditions",
-                                  NOT_APPLICABLE, not_evaluable))
-    else:
-        fails = [(i, j, relation[i, j], function[i, j]) for (i, j) in relation
-                 if not (relation[i, j] and function[i, j])]
-        out.append(_verdict("error-linear-satisfies-conditions", fails, True,
-                            "an error-linear channel satisfies both conditions"))
-
-    if (all(report.d1[i, j] == report.d2[i, j] for (i, j) in pairs)
-            and all(is_finite(report.d1[i, j]) for (i, j) in pairs)):
-        out.append(_verdict("equal-distances-are-metrics",
-                            _metric_failures(ch, report, ("d1", "d2")), True,
-                            "d1 == d2 on every pair forces both to be metrics"))
-    else:
-        out.append(TheoremVerdict("equal-distances-are-metrics", NOT_APPLICABLE,
-                                  "d1 and d2 differ on some pair (or are infinite)"))
-    return out
+    by_relation, relation_why = holding("relation", relation)
+    by_function, function_why = holding("function", function)
+    linear = pairs if classification.error_linear and defined else []
+    equal = all(d1[i, j] == d2[i, j] and is_finite(d1[i, j]) for (i, j) in pairs)
+    return [
+        _verdict("refined-symmetry-equivalence", split,
+                 ((i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
+                  if (fwd <= 1 and bwd <= 1) != (fwd == bwd)),
+                 "both d2[cstar] <= 1 iff the two orders agree"),
+        _verdict("relation-condition-collapse", by_relation, collapse(by_relation),
+                 "relation condition holds on every pair, so the distances coincide "
+                 "and are metrics", why=relation_why),
+        _verdict("function-condition-collapse", by_function, collapse(by_function),
+                 "function condition holds on every pair, so the distances coincide "
+                 "and are metrics", why=function_why),
+        _verdict("function-implies-relation", by_function,
+                 ((i, j) for (i, j) in by_function if not relation[i, j]),
+                 "the function condition implies the relation condition", why=function_why),
+        _verdict("error-linear-satisfies-conditions", linear,
+                 ((i, j, relation[i, j], function[i, j]) for (i, j) in linear
+                  if not (relation[i, j] and function[i, j])),
+                 "an error-linear channel satisfies both conditions",
+                 why=not_evaluable if classification.error_linear
+                 else "channel is not error-linear"),
+        _verdict("equal-distances-are-metrics", pairs if equal else [],
+                 _metric_failures(ch, report, ("d1", "d2")),
+                 "d1 == d2 on every pair forces both to be metrics",
+                 why="d1 and d2 differ on some pair (or are infinite)"),
+    ]
 
 
 def check_decoders(ch: Channel, report: DistanceReport | None = None
@@ -432,44 +381,31 @@ def check_decoders(ch: Channel, report: DistanceReport | None = None
     """
     report = report or minimum_distances(ch)
     cap = dec.capability(ch, joint_grid=(0, 0))
-    out = []
-
-    fails = []
-    for x in ch.codewords:
-        got = dec.mwd_bounded(ch, 0, ch.zero_output(x))
-        if got.codeword != x:
-            fails.append((x, got))
-    out.append(_verdict("radius-zero-decoding", fails, True,
-                        "the radius-0 decoder returns every cleanly received codeword"))
-
-    thr = (int(report.d0_min) - 1) // 2 if is_finite(report.d0_min) else ch.w_max
-    fails = [] if cap.max_correctable >= thr else [(cap.max_correctable, thr)]
-    out.append(_verdict("half-distance-correctable", fails, True,
-                        "every error of weight <= floor((d0_min-1)/2) is correctable"))
-
-    thr = int(report.d1_min) - 1 if is_finite(report.d1_min) else ch.w_max
-    fails = [] if cap.max_detectable >= thr else [(cap.max_detectable, thr)]
-    out.append(_verdict("under-min-detectable", fails, True,
-                        "every nonzero error of weight <= d1_min - 1 is detectable"))
-
-    fails, seen = [], False
-    for c in range(min(ch.w_max, 3) + 1):
-        for cp in range(min(ch.w_max, 3) + 1):
-            if report.d2_min >= 2 * c + cp + 1:
-                seen = True
-                if not dec.is_joint_correcting(ch, c, cp):
-                    fails.append((c, cp))
-    out.append(_verdict("joint-sufficiency-from-min", fails, seen,
-                        "d2_min >= 2c + c' + 1 forces (c, c') joint correction"))
-
-    fails = []
-    if not dec.is_joint_correcting(ch, cap.max_correctable, 0):
-        fails.append(("correct", cap.max_correctable))
-    if not dec.is_joint_correcting(ch, 0, cap.max_detectable):
-        fails.append(("detect", cap.max_detectable))
-    out.append(_verdict("capability-joint-consistency", fails, True,
-                        "(t_c, 0) and (0, t_d) joint correction both hold"))
-    return out
+    t_c, t_d = cap.max_correctable, cap.max_detectable
+    decoded = ((x, dec.mwd_bounded(ch, 0, ch.zero_output(x))) for x in ch.codewords)
+    correct = [(int(report.d0_min) - 1) // 2 if is_finite(report.d0_min) else ch.w_max]
+    detect = [int(report.d1_min) - 1 if is_finite(report.d1_min) else ch.w_max]
+    grid = range(min(ch.w_max, 3) + 1)
+    sufficient = [(c, cp) for c in grid for cp in grid if report.d2_min >= 2 * c + cp + 1]
+    extremes = [("correct", t_c, (t_c, 0)), ("detect", t_d, (0, t_d))]
+    return [
+        _verdict("radius-zero-decoding", ch.codewords,
+                 ((x, got) for x, got in decoded if got.codeword != x),
+                 "the radius-0 decoder returns every cleanly received codeword"),
+        _verdict("half-distance-correctable", correct,
+                 ((t_c, thr) for thr in correct if t_c < thr),
+                 "every error of weight <= floor((d0_min-1)/2) is correctable"),
+        _verdict("under-min-detectable", detect,
+                 ((t_d, thr) for thr in detect if t_d < thr),
+                 "every nonzero error of weight <= d1_min - 1 is detectable"),
+        _verdict("joint-sufficiency-from-min", sufficient,
+                 ((c, cp) for c, cp in sufficient if not dec.is_joint_correcting(ch, c, cp)),
+                 "d2_min >= 2c + c' + 1 forces (c, c') joint correction"),
+        _verdict("capability-joint-consistency", extremes,
+                 ((kind, t) for kind, t, grid_point in extremes
+                  if not dec.is_joint_correcting(ch, *grid_point)),
+                 "(t_c, 0) and (0, t_d) joint correction both hold"),
+    ]
 
 
 @dataclass
@@ -533,7 +469,7 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     size.  Rank and sum-rank weights keep
     :func:`~gnetcode.weights.verify_weight_axioms` over every error when
     there are at most AXIOM_ELEMENT_BUDGET, else over a seeded sample of
-    that many, with AXIOM_PAIR_BUDGET seeded pairs past the budget.
+    that many, and over every pair of those errors.
     The ledger also records the smallest observed d1/d0 ratio (no claim is
     attached to it; a lower bound on d0 in terms of d1 is not available).
     """
@@ -545,16 +481,15 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     if measure.kind == HAMMING:
         axioms = verify_separable_axioms(ch.field, ch._errors_by_weight(), measure)
     else:
-        axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure,
-                                      pair_budget=AXIOM_PAIR_BUDGET, seed=seed)
-    checks = {name: getattr(axioms, name) for name in (
+        axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure)
+    checks = [(name, check) for name in (
         "separability", "nonnegativity", "subadditivity", "inverse_invariance",
-        "decomposability")}
-    verdicts.append(_verdict("weight-axioms",
-                             [(name, check.witness) for name, check in checks.items()
-                              if check is not None and not check.passed],
-                             True, "nonnegativity, subadditivity, inverse "
-                                   "invariance, decomposability"))
+        "decomposability") if (check := getattr(axioms, name)) is not None]
+    verdicts.append(_verdict("weight-axioms", checks,
+                             ((name, check.witness) for name, check in checks
+                              if not check.passed),
+                             "nonnegativity, subadditivity, inverse invariance, "
+                             "decomposability"))
 
     verdicts.extend(check_bounds(ch, report))
     verdicts.extend(check_refined(ch, report))

@@ -237,6 +237,12 @@ class AxiomCheck:
     witness: tuple | None = None
 
 
+def _first_failure(witnesses) -> AxiomCheck:
+    """Fail with the first witness a lazy scan yields; pass when it yields none."""
+    witness = next(iter(witnesses), None)
+    return AxiomCheck(True) if witness is None else AxiomCheck(False, witness)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """The four axiom verdicts; ``separability`` is set by the separable route only."""
@@ -282,12 +288,8 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
 
     zero = mx.zeros(*shape) if len(shape) == 2 else (0,) * shape[0]
 
-    nonneg = AxiomCheck(True)
-    for z in elements:
-        wz = w(z)
-        if wz < 0 or (wz == 0) != (z == zero):
-            nonneg = AxiomCheck(False, (z, wz))
-            break
+    nonneg = _first_failure((z, wz) for z in elements
+                            if (wz := w(z)) < 0 or (wz == 0) != (z == zero))
 
     n = len(elements)
     weights = [w(z) for z in elements]
@@ -297,30 +299,16 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
     else:
         pairs = itertools.product(range(n), repeat=2)
 
-    subadd = AxiomCheck(True)
-    for i, j in pairs:
-        if w(add(elements[i], elements[j])) > weights[i] + weights[j]:
-            subadd = AxiomCheck(False, (elements[i], elements[j]))
-            break
-
-    inverse = AxiomCheck(True)
-    for z in elements:
-        if w(neg(f, z)) != w(z):
-            inverse = AxiomCheck(False, (z,))
-            break
+    subadd = _first_failure((elements[i], elements[j]) for i, j in pairs
+                            if w(add(elements[i], elements[j])) > weights[i] + weights[j])
+    inverse = _first_failure((z,) for z in elements if w(neg(f, z)) != w(z))
 
     def splits(z, c1, c2):
         z1, z2 = measure.decompose(f, z, c1, c2)
         return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
 
-    decomp = AxiomCheck(True)
-    for z in elements:
-        wz = w(z)
-        c1 = next((c for c in range(wz + 1) if not splits(z, c, wz - c)), None)
-        if c1 is not None:
-            decomp = AxiomCheck(False, (z, c1, wz - c1))
-            break
-
+    decomp = _first_failure((z, c, w(z) - c) for z in elements for c in range(w(z) + 1)
+                            if not splits(z, c, w(z) - c))
     return AxiomReport(nonneg, subadd, inverse, decomp)
 
 
@@ -380,12 +368,8 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure) -> AxiomRe
     shape = (len(first), len(first[0])) if isinstance(first[0], tuple) else (len(first),)
     symbols, lift, symbol_sum = _symbol_weights(f, measure, shape)
 
-    separable = AxiomCheck(True)
-    for z, wz in weight_of.items():
-        total = symbol_sum(z)
-        if wz != total:
-            separable = AxiomCheck(False, (z, wz, total))
-            break
+    separable = _first_failure((z, wz, total) for z, wz in weight_of.items()
+                               if (total := symbol_sum(z)) != wz)
 
     factor = verify_weight_axioms(f, symbols, measure)
     nonneg, subadd, inverse, decomp = (factor.nonnegativity, factor.subadditivity,

@@ -184,6 +184,15 @@ def test_code_sizes_must_be_positive(text, key):
         channel_from_config(text)
 
 
+@pytest.mark.parametrize("line", ["error_length = 1", "output_length = 2"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_table_lengths_must_be_positive(line, value):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=rf"^\[channel\] {key} = '{value}' is not a "
+                                          "positive integer$"):
+        channel_from_config(TABLE.replace(line, f"{key} = {value}"))
+
+
 SUM_RANK = MATRIX_RANK.replace("kind = rank", "kind = sum-rank\nblocks = 1,1")
 
 

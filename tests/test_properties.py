@@ -332,8 +332,7 @@ def test_weight_axioms_cover_every_network_error(monkeypatch):
         assert set(splits) <= {(s,) for s in range(3)} and len(splits) <= 2 * 3 - 1
         sample = properties._axiom_sample(ch, seed)
         assert len(sample) == properties.AXIOM_ELEMENT_BUDGET < len(errors)
-        sampled = verify_weight_axioms(ch.field, sample, ch.errors.measure,
-                                       properties.AXIOM_PAIR_BUDGET, seed)
+        sampled = verify_weight_axioms(ch.field, sample, ch.errors.measure)
         assert sampled.passed and verdict.status == "pass"
         assert verdict.detail == ("nonnegativity, subadditivity, inverse invariance, "
                                   "decomposability")
