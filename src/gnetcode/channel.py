@@ -222,28 +222,32 @@ class Channel:
 
     # -- internal fast paths (no membership validation) ----------------------
 
-    def _errors_by_weight(self):
-        """All errors as (z, weight), nondecreasing weight, stable within a class.
-
-        A Hamming space of n symbols (n = rows·cols for a matrix) takes its
-        weights in bulk from :func:`gnetcode.weights.hamming_weights`, in the
-        same enumeration order; rank and sum-rank weights are taken per error.
+    def _weight_order(self):
+        """(order, weights): enumeration indices sorted stably by weight, and
+        their weights in that order.  A Hamming space of n symbols (n =
+        rows·cols for a matrix) takes its weights in bulk from
+        :func:`gnetcode.weights.hamming_weights` and builds no error tuple;
+        rank and sum-rank weights are taken per error.
         """
-        cached = self._cache.get("errors_by_weight")
+        cached = self._cache.get("weight_order")
         if cached is None:
             space = self.errors.space
-            errors = list(space.elements())
             if self.errors.measure.kind == HAMMING:
                 weights = hamming_weights(self.field.q, math.prod(space.shape))
             else:
-                weights = list(map(self.errors.weight, errors))
-            # enumeration indices sorted stably by weight; rows are permuted by it
-            order = sorted(range(len(errors)), key=weights.__getitem__)
-            ordered = list(map(weights.__getitem__, order))
-            self._cache["weight_order"] = order
-            self._cache["weights"] = ordered
-            cached = list(zip(map(errors.__getitem__, order), ordered))
-            self._cache["errors_by_weight"] = cached
+                weights = list(map(self.errors.weight, space.elements()))
+            order = sorted(range(len(weights)), key=weights.__getitem__)
+            cached = self._cache["weight_order"] = (order, list(map(weights.__getitem__, order)))
+        return cached
+
+    def _errors_by_weight(self):
+        """All errors as (z, weight) in weight order, built only on demand."""
+        cached = self._cache.get("errors_by_weight")
+        if cached is None:
+            errors = list(self.errors.space.elements())
+            order, weights = self._weight_order()
+            cached = self._cache["errors_by_weight"] = list(
+                zip(map(errors.__getitem__, order), weights))
         return cached
 
     def _codec(self) -> Codec:
@@ -254,12 +258,11 @@ class Channel:
         return codec
 
     def _code_row(self, x) -> list[int]:
-        """Codes of x's outputs against every error, aligned with _errors_by_weight."""
+        """Codes of x's outputs against every error, in weight order."""
         rows = self._cache.setdefault("code_rows", {})
         row = rows.get(x)
         if row is None:
-            self._errors_by_weight()  # fills weight_order
-            row = list(map(self._row(x, self._codec()).__getitem__, self._cache["weight_order"]))
+            row = list(map(self._row(x, self._codec()).__getitem__, self._weight_order()[0]))
             rows[x] = row
         return row
 
@@ -331,7 +334,6 @@ def classify(ch: Channel) -> ChannelClass:
     """
     out, codec = ch.outputs, ch._codec()
     add = codec.add
-    errors = ch._errors_by_weight()
     f0 = ch.zero_output(ch.codewords[0])
     row0 = ch._code_row(ch.codewords[0])
 
@@ -340,7 +342,8 @@ def classify(ch: Channel) -> ChannelClass:
         expected = map(add, row0, repeat(shift))
         bad = next(compress(count(), map(ne, ch._code_row(x), expected)), None)
         if bad is not None:
-            return ChannelClass(False, False, ("transfer-not-additive", x, errors[bad][0]))
+            z = ch._errors_by_weight()[bad][0]  # error tuples only name a witness
+            return ChannelClass(False, False, ("transfer-not-additive", x, z))
 
     hs = list(map(add, row0, repeat(codec.encode(out.neg(f0)))))
     if not _is_additive(ch, hs, add):
@@ -370,7 +373,7 @@ def _is_additive(ch: Channel, hs: list, add) -> bool:
     """
     q, table = ch.field.q, ch.field.add_table
     h = [None] * len(hs)
-    for i, hz in zip(ch._cache["weight_order"], hs):
+    for i, hz in zip(ch._weight_order()[0], hs):
         h[i] = hz
     step = 1
     while step < len(h):

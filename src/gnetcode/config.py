@@ -8,10 +8,10 @@ line (multiline values).  Unknown sections or keys are rejected outright.
 
 Sections::
 
-    [field]     p, k, optional modulus (degree-k coefficients, constant first)
+    [field]     p, k, optional modulus when k > 1 (degree k, constant first)
     [weight]    kind = hamming | rank | sum-rank, optional blocks
     [channel]   kind = classical | matrix | network | table, plus kind keys
-    [code]      codewords (one per line) | space = N or RxC | generator
+    [code]      one of codewords (one per line) | space = N or RxC | generator
     [budgets]   max_field_size, max_pairs
 
 Matrix channels take ``a`` and ``b`` matrices in [channel]; matrix
@@ -122,6 +122,8 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
             allowed = _SECTION_KEYS[section]
             if section == "channel" and kind in _CHANNEL_KEYS:
                 allowed = _CHANNEL_KEYS[kind]
+            elif section == "code" and kind in _CHANNEL_KEYS and kind != "matrix":
+                allowed = allowed - {"rows"}  # only matrix codewords have rows
             unknown = set(parser[section]) - allowed
             if unknown:
                 raise ConfigError(
@@ -137,6 +139,10 @@ def _reject_unknown(parser: configparser.ConfigParser) -> None:
     for required in ("field", "channel"):
         if required not in parser:
             raise ConfigError(f"missing required section [{required}]")
+    forms = [key for key in ("codewords", "space", "generator")
+             if key in parser["code"]] if "code" in parser else []
+    if len(forms) > 1:
+        raise ConfigError(f"[code] takes one of codewords, space or generator, got {forms}")
 
 
 def channel_from_config(text: str,

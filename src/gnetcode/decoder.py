@@ -60,15 +60,14 @@ class DecodeOutcome:
 DETECTED = DecodeOutcome(None)
 
 
-def _solution_index(ch: Channel) -> dict:
-    """y's code -> (least solution weight, lowest codeword index attaining
-    it, least weight over the other codewords or INFINITE).
-
-    Built once per channel, together with the least runner-up over the
-    whole index, cached as ``ch._cache["least_runner_up"]``.
+def _solution_index(ch: Channel) -> tuple[dict, float]:
+    """(index, least runner-up): the index maps y's code -> (least solution
+    weight, lowest codeword index attaining it, least weight over the other
+    codewords or INFINITE), and the least runner-up is the least third
+    entry over the whole index.  Built once per channel.
     """
-    index = ch._cache.get("solution_index")
-    if index is None:
+    cached = ch._cache.get("solution_index")
+    if cached is None:
         index = {}
         for xi in range(len(ch.codewords)):
             for y, w in _reach(ch, xi).items():
@@ -79,9 +78,8 @@ def _solution_index(ch: Channel) -> dict:
                     index[y] = (w, xi, got[0])
                 elif w < got[2]:
                     index[y] = (got[0], got[1], w)
-        ch._cache["solution_index"] = index
-        ch._cache["least_runner_up"] = min(got[2] for got in index.values())
-    return index
+        cached = ch._cache["solution_index"] = (index, min(got[2] for got in index.values()))
+    return cached
 
 
 def mwd(ch: Channel, y) -> DecodeOutcome:
@@ -89,7 +87,7 @@ def mwd(ch: Channel, y) -> DecodeOutcome:
 
     A word outside the output space has no solution, so it is detected.
     """
-    index = _solution_index(ch)
+    index, _ = _solution_index(ch)
     if not ch.outputs.contains(y):
         return DETECTED
     got = index.get(ch._codec().encode(y))
@@ -102,8 +100,8 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """Bounded-distance decoding over disjoint radius-c balls."""
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    index = _solution_index(ch)
-    if c >= ch._cache["least_runner_up"]:
+    index, least_runner_up = _solution_index(ch)
+    if c >= least_runner_up:
         shared = next(code for code, got in index.items() if got[2] <= c)
         a = index[shared][1]
         b = next(j for j in range(len(ch.codewords))
@@ -123,7 +121,7 @@ def is_correctable(ch: Channel, z) -> bool:
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
     # F(x, z) is reachable from x, so MWD returns x iff x alone attains it
-    index, encode = _solution_index(ch), ch._codec().encode
+    index, encode = _solution_index(ch)[0], ch._codec().encode
     for xi, x in enumerate(ch.codewords):
         least, owner, runner_up = index[encode(ch._transfer(x, z))]
         if owner != xi or least == runner_up:
@@ -137,7 +135,7 @@ def is_detectable(ch: Channel, z) -> bool:
         raise ValueError(f"{z!r} is not in the error space")
     if z == ch.errors.space.zero():
         raise ValueError("detectability is defined for nonzero errors only")
-    index, encode = _solution_index(ch), ch._codec().encode
+    index, encode = _solution_index(ch)[0], ch._codec().encode
     for xi, x in enumerate(ch.codewords):
         least, owner, _ = index[encode(ch._transfer(x, z))]
         if least == 0 and owner != xi:  # another codeword's clean output
@@ -185,9 +183,10 @@ def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> Capabi
     """
     if joint_grid is not None and min(joint_grid) < 0:
         raise ValueError("joint grid bounds must be nonnegative")
-    index, encode = _solution_index(ch), ch._codec().encode
+    index, least_runner_up = _solution_index(ch)
+    encode = ch._codec().encode
     # least uncorrectable / undetectable weight
-    bad_c = min(ch.w_max + 1, ch._cache["least_runner_up"])
+    bad_c = min(ch.w_max + 1, least_runner_up)
     bad_d = min(ch.w_max + 1, *(index[encode(ch.zero_output(x))][2] for x in ch.codewords))
     t_c, t_d = bad_c - 1, bad_d - 1
 

@@ -28,20 +28,21 @@ d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
 that m is), and d0 = min of c + max(m[c], c-1) over the c with
 m[c] <= c+1, attained at the first such c.
 
-:func:`minimum_distances` reads each pair's meet table once and derives
-all of these in one pass, plus the refined table: per ordered pair, d2[c]
-for c = 0..w_max+2.  That range covers every consumer, since a finite d0
-is at most 2*w_max+1, so tau+1 <= w_max+2; the theorem ledger indexes
-this table instead of recomputing d2[c].  The reach maps, meet tables,
-refined table and distance report are memoized per channel; a ball is
-filtered from its reach map on request, and only then are its members
-decoded to tuples.  The test suite anchors this engine against a
-cache-free brute-force oracle.
+:func:`minimum_distances` is the one producer of the meet tables: it
+builds each pair's once, derives all of these from it in one pass and
+keeps the tables on the :class:`DistanceReport`, whose
+:meth:`~DistanceReport.refined_rows` extends d2[c] off them for the
+theorem ledger.  The single-pair functions (:func:`dist_d0` and the
+rest) compute their pair's meet on demand.  The reach maps and the
+distance report are memoized per channel; a ball is filtered from its
+reach map on request, and only then are its members decoded to tuples.
+The test suite anchors this engine against a cache-free brute-force
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 
 from .channel import Channel
@@ -84,29 +85,24 @@ def _reach(ch: Channel, xi: int) -> dict:
     if reach is None:
         row = ch._code_row(ch.codewords[xi])
         reach = dict.fromkeys(row)
-        reach.update(zip(reversed(row), reversed(ch._cache["weights"])))
+        reach.update(zip(reversed(row), reversed(ch._weight_order()[1])))
         store[xi] = reach
     return reach
 
 
-def _meet(ch: Channel, i: int, j: int) -> list:
+def _meet(reach_i: dict, reach_j: dict, w_max: int) -> list:
     """m[c], c = 0..w_max: least radius of j's ball meeting i's radius-c ball.
 
     Least W_j over the words i reaches at exactly weight c, then a prefix
     minimum over c.
     """
-    store = ch._cache.setdefault("meet", {})
-    m = store.get((i, j))
-    if m is None:
-        m = [INFINITE] * (ch.w_max + 1)
-        reach_j = _reach(ch, j)
-        for y, w in _reach(ch, i).items():
-            wj = reach_j.get(y, INFINITE)
-            if wj < m[w]:
-                m[w] = wj
-        for c in range(1, len(m)):
-            m[c] = min(m[c], m[c - 1])
-        store[i, j] = m
+    m = [INFINITE] * (w_max + 1)
+    for y, w in reach_i.items():
+        wj = reach_j.get(y, INFINITE)
+        if wj < m[w]:
+            m[w] = wj
+    for c in range(1, len(m)):
+        m[c] = min(m[c], m[c - 1])
     return m
 
 
@@ -120,7 +116,7 @@ def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
 
 
 def _pair_meet(ch: Channel, x1, x2) -> list:
-    return _meet(ch, _cw_index(ch, x1), _cw_index(ch, x2))
+    return _meet(_reach(ch, _cw_index(ch, x1)), _reach(ch, _cw_index(ch, x2)), ch.w_max)
 
 
 def _d0(m: list):
@@ -181,6 +177,10 @@ class DistanceReport:
     tables hold d2[c] for c = 0..tau(pair) (a single c=0 entry when the
     pair's distances are infinite).  The scalar ``d2_min_refined`` covers
     c = 0..max tau.  Infinite entries are reported as the float infinity.
+
+    ``meets`` holds each pair's meet table, which every entry above is
+    read from; an altered copy (``dataclasses.replace``) shares it, but
+    builds its own :meth:`refined_rows` and ``check_metric`` memo.
     """
 
     codewords: tuple
@@ -194,6 +194,9 @@ class DistanceReport:
     d1_min: float
     d2_min: float
     d2_min_refined: tuple
+    meets: dict = field(repr=False, compare=False)
+    _rows: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pairs(self):
         n = len(self.codewords)
@@ -247,66 +250,57 @@ class DistanceReport:
             f"c={c}:{fmt(v)}" for c, v in enumerate(self.d2_min_refined)))
         return "\n".join(lines)
 
+    def refined_rows(self) -> dict:
+        """(i, j) -> [d2[c] for c = 0..hi] off each meet table, built once.
+
+        hi covers every c the theorem ledger reads: w_max+2 (a finite d0 is
+        at most 2*w_max+1, so tau+1 <= w_max+2), and the tau+1 and cstar of
+        each pair, which an altered copy may set higher.
+        """
+        if self._rows is None:
+            hi = max([len(m) + 1 for m in self.meets.values()]
+                     + [t + 1 for t in self.tau.values() if t is not None]
+                     + [c for c in self.cstar.values() if c is not None])
+            self._rows = {pair: _refined_row(m, hi) for pair, m in self.meets.items()}
+        return self._rows
+
 
 def minimum_distances(ch: Channel) -> DistanceReport:
     """Compute every distance table and the code minima (memoized).
 
-    One pass over the ordered pairs reads each meet table once; it also
-    fills the refined table ``ch._cache["refined"]`` (see
-    :func:`refined_table`).  Minima scan ordered distinct pairs
-    throughout; for the symmetric d0 and d2 this coincides with the
-    unordered scan.  A minimum is infinite only when every entry is.
+    One pass over the ordered pairs builds each meet table once and keeps
+    it on the report.  Minima scan ordered distinct pairs throughout; for
+    the symmetric d0 and d2 this coincides with the unordered scan.  A
+    minimum is infinite only when every entry is.
     """
     cached = ch._cache.get("distance_report")
     if cached is not None:
         return cached
-    n, w_max = len(ch.codewords), ch.w_max
+    n = len(ch.codewords)
     reaches = [_reach(ch, j) for j in range(n)]
     encode = ch._codec().encode
-    meets = []
-    d0, d1, d2, refined, tau, cstar, table = {}, {}, {}, {}, {}, {}, {}
+    meets, d0, d1, d2, refined, tau, cstar = {}, {}, {}, {}, {}, {}, {}
     for i in range(n):
         clean = encode(ch.zero_output(ch.codewords[i]))
         for j in range(n):
             if i == j:
                 continue
-            m = _meet(ch, i, j)
-            meets.append(m)
+            m = meets[i, j] = _meet(reaches[i], reaches[j], ch.w_max)
             v0 = d0[i, j] = _d0(m)
             d1[i, j] = reaches[j].get(clean, INFINITE)
             d2[i, j] = _d2(m)
-            row = table[i, j] = _refined_row(m, w_max + 2)
             if is_finite(v0):
-                t = (v0 + 1) // 2
-                tau[i, j] = t
+                t = tau[i, j] = (v0 + 1) // 2
                 cstar[i, j] = v0 // 2
-                refined[i, j] = tuple(row[:t + 1])
+                refined[i, j] = tuple(_refined_row(m, t))
             else:
-                tau[i, j] = None
-                cstar[i, j] = None
+                tau[i, j] = cstar[i, j] = None
                 refined[i, j] = (INFINITE,)
     c_hi = max((t for t in tau.values() if t is not None), default=0)
-    column_min = _refined_row(list(map(min, zip(*meets))), c_hi)
-    report = DistanceReport(
+    column_min = _refined_row(list(map(min, zip(*meets.values()))), c_hi)
+    report = ch._cache["distance_report"] = DistanceReport(
         codewords=ch.codewords,
         d0=d0, d1=d1, d2=d2, d2_refined=refined, tau=tau, cstar=cstar,
         d0_min=min(d0.values()), d1_min=min(d1.values()), d2_min=min(d2.values()),
-        d2_min_refined=tuple(column_min))
-    ch._cache["refined"] = table
-    ch._cache["distance_report"] = report
+        d2_min_refined=tuple(column_min), meets=meets)
     return report
-
-
-def refined_table(ch: Channel, hi: int = 0) -> dict:
-    """(i, j) -> [d2[c] for c = 0..max(hi, w_max+2)] per ordered pair.
-
-    The memoized table, built by :func:`minimum_distances`, stops at
-    c = w_max+2, which every computed tau+1 stays within; a caller that
-    needs more (an altered report with a larger tau) gets longer rows
-    built afresh, so indexing up to ``hi`` never raises.
-    """
-    if "refined" not in ch._cache:
-        minimum_distances(ch)
-    if hi <= ch.w_max + 2:
-        return ch._cache["refined"]
-    return {pair: _refined_row(_meet(ch, *pair), hi) for pair in ch._cache["refined"]}

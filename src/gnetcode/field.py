@@ -144,6 +144,9 @@ class Field:
         self.k = k
         self.q = q
         if k == 1:
+            if modulus is not None:
+                raise ValueError(f"GF({p}) is a prime field and takes no modulus, "
+                                 f"got {tuple(modulus)}")
             self.modulus = None
         else:
             if modulus is None:

@@ -12,8 +12,8 @@ this is an implementation bug, never a refutation), else ``pass``.
 the error-linear collapse suite, the metric reports, the two sufficient
 conditions for distance collapse, the decoder sufficiency checks, and the
 weight axioms into one deterministic ledger.  Each fact is read from one
-place: d2[c] from the engine's refined table, the metric axioms from the
-memoized :func:`check_metric`, the capabilities from one capability scan.
+place: d2[c] from the distance report's rows, the metric axioms from its
+memo of :func:`check_metric`, the capabilities from one capability scan.
 
 The module also provides seeded random channel generators (table-defined
 and linear matrix channels); the general claims hold for *all* channels,
@@ -32,7 +32,7 @@ from . import matrices as mx
 from .channel import Channel, ChannelClass, classify, matrix_channel, table_channel
 from .weights import (WeightMeasure, HAMMING, RANK, SUM_RANK,
                       verify_separable_axioms, verify_weight_axioms)
-from .distances import is_finite, minimum_distances, refined_table, DistanceReport
+from .distances import is_finite, minimum_distances, DistanceReport
 from . import decoder as dec
 
 PASS = "pass"
@@ -87,16 +87,9 @@ def _verdict(check: str, instances, failures, detail: str = "",
     return TheoremVerdict(check, PASS, detail)
 
 
-def _refined(ch: Channel, report: DistanceReport) -> dict:
-    """The refined table, its rows long enough for every c the checks read
-    from this report: up to tau+1 and cstar of each pair."""
-    hi = max([t + 1 for t in report.tau.values() if t is not None]
-             + [c for c in report.cstar.values() if c is not None], default=0)
-    return refined_table(ch, hi)
-
-
-def _balanced_split(report: DistanceReport, refined: dict) -> dict:
+def _balanced_split(report: DistanceReport) -> dict:
     """(i, j) -> (d2[cstar], d2[cstar] of (j, i)) per pair i < j with a defined cstar."""
+    refined = report.refined_rows()
     return {(i, j): (refined[i, j][cs], refined[j, i][cs])
             for (i, j) in report.pairs()
             if i < j and (cs := report.cstar[i, j]) is not None}
@@ -140,7 +133,7 @@ def check_bounds(ch: Channel, report: DistanceReport | None = None) -> list[Theo
 def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[TheoremVerdict]:
     """Identities satisfied by the refined joint distance."""
     report = report or minimum_distances(ch)
-    refined = _refined(ch, report)
+    refined = report.refined_rows()
     d1, tau = report.d1, report.tau
     pairs = report.pairs()
 
@@ -154,7 +147,7 @@ def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[The
         return min(min(_even_sums(refined[i, j], hi)), min(_even_sums(refined[j, i], hi)))
 
     thresholds = [(i, j, tau[i, j]) for (i, j) in pairs if tau[i, j] is not None]
-    split = _balanced_split(report, refined)
+    split = _balanced_split(report)
     upper = [(i, j) for (i, j) in pairs if i < j]
     bests = [min(2 * c + v for c, v in enumerate(report.d2_min_refined))]
     return [
@@ -204,14 +197,13 @@ def check_metric(ch: Channel, which: str,
     (i, j) exactly when some k has d(i, k) - d(j, k) > d(i, j), so each
     (i, j) costs one C-level scan of two matrix rows, and k is searched
     only for the first failing (i, j): the counterexample is the
-    lexicographically first failing triple (i, j, k).  Memoized in ``ch._cache`` per
-    distance for the last report object scanned, so another report (a
-    caller's altered copy) is scanned afresh.
+    lexicographically first failing triple (i, j, k).  Memoized per
+    distance on the report, so an altered copy is scanned afresh.
     """
     report = report or minimum_distances(ch)
-    store = ch._cache.setdefault("metric", {})
-    if which in store and store[which][0] is report:
-        return store[which][1]
+    memo = report._metrics
+    if which in memo:
+        return memo[which]
     table = {"d0": report.d0, "d1": report.d1, "d2": report.d2}[which]
     n = len(ch.codewords)
 
@@ -235,7 +227,7 @@ def check_metric(ch: Channel, which: str,
                       if max(map(sub, di, dj)) > di[j]
                       for k in range(n) if di[j] + dj[k] < di[k]),
                      "d(x,z) <= d(x,y) + d(y,z)"))
-    store[which] = (report, result)
+    memo[which] = result
     return result
 
 
@@ -262,7 +254,7 @@ def check_error_linear_suite(ch: Channel, report: DistanceReport | None = None,
             "correction-equals-detection", "all-distances-coincide", "metric-d0",
             "metric-d1", "metric-d2", "refined-constant-sum", "min-refined-constant-sum")]
     report = report or minimum_distances(ch)
-    refined = _refined(ch, report)
+    refined = report.refined_rows()
     d0, d1, d2 = report.d0, report.d1, report.d2
     pairs = report.pairs()
     out = [
@@ -307,7 +299,7 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
     """
     report = report or minimum_distances(ch)
     classification = classification or classify(ch)
-    refined = _refined(ch, report)
+    refined = report.refined_rows()
     d0, d1, d2 = report.d0, report.d1, report.d2
     pairs = report.pairs()
 
@@ -339,7 +331,7 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
             ((i, j) for (i, j) in held if not d0[i, j] == d1[i, j] == d2[i, j]),
             _metric_failures(ch, report, ("d0", "d1", "d2")))
 
-    split = _balanced_split(report, refined)
+    split = _balanced_split(report)
     by_relation, relation_why = holding("relation", relation)
     by_function, function_why = holding("function", function)
     linear = pairs if classification.error_linear and defined else []

@@ -9,7 +9,7 @@ from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
                       enumerate_errors_up_to, ConstructionError, BudgetError,
                       random_table_channel, random_linear_channel,
                       random_rank_channel, random_sum_rank_channel,
-                      minimum_distances, mwd, toy_channel, run_all)
+                      minimum_distances, mwd, toy_channel, run_all, capability)
 from gnetcode import matrices as mx
 from gnetcode.channel import Channel, VectorSpace, ErrorModel, _codeword_map_linear
 from gnetcode.weights import HAMMING
@@ -397,3 +397,24 @@ def test_classical_row_is_every_shift(p, k, n):
     for x in ch.codewords:
         assert ch._row(x, codec) == [codec.encode(mx.vec_add(f, x, z))
                                      for z in space.elements()]
+
+
+def test_hamming_engine_builds_no_error_tuples(monkeypatch):
+    """On Hamming channels whose row kernels work without error tuples (a
+    network, classical and matrix rows), the distances, capability, MWD and
+    a passing classify take the weight order from the bulk Hamming weights
+    and never enumerate the error space."""
+    def refuse(space):
+        raise AssertionError(f"{space} was enumerated")
+
+    monkeypatch.setattr(VectorSpace, "elements", refuse)
+    gf3 = Field(3)
+    channels = [toy_channel(), classical_channel(gf3, [(0, 0, 0), (1, 1, 1), (2, 2, 2)]),
+                matrix_channel(gf3, [(0, 0), (1, 2), (2, 1)], ((1, 0, 1), (0, 1, 1)),
+                               ((1, 1, 0), (0, 1, 2)))]
+    for ch in channels:
+        minimum_distances(ch)
+        capability(ch)
+        assert mwd(ch, ch.zero_output(ch.codewords[1])).codeword == ch.codewords[1]
+    for ch in channels[1:]:
+        assert classify(ch).error_linear

@@ -153,6 +153,15 @@ def test_nonpositive_code_rows_exit_2(capsys, tmp_path):
     assert code == 2 and out == "" and "error: [code] rows" in err
 
 
+@pytest.mark.parametrize("case", ["prime-field-modulus", "table-rows", "two-code-forms"])
+def test_keys_the_build_would_ignore_exit_2(capsys, tmp_path, case):
+    from test_config import IGNORED_BY_THE_BUILD
+    cfg = tmp_path / "ignored.ini"
+    cfg.write_text(IGNORED_BY_THE_BUILD[case][0])
+    code, out, err = run_cli(capsys, "--config", str(cfg), "distances")
+    assert code == 2 and out == "" and "error: " in err
+
+
 def test_table_config_with_foreign_codeword_exits_2(capsys, tmp_path):
     from test_config import TABLE
     cfg = tmp_path / "table.ini"

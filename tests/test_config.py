@@ -208,6 +208,29 @@ def test_empty_entries_rejected(text, good, bad, where):
         channel_from_config(text.replace(good, bad))
 
 
+IGNORED_BY_THE_BUILD = {
+    "prime-field-modulus": (REPETITION.replace("p = 2\nk = 1", "p = 3\nk = 1\nmodulus = 1,0,1"),
+                            r"^\[field\] GF\(3\) is a prime field and takes no modulus"),
+    "classical-rows": (REPETITION.replace("[code]\n", "[code]\nrows = 2\n"),
+                       r"^unknown key\(s\) \['rows'\] in section \[code\]$"),
+    "table-rows": (TABLE.replace("[code]\n", "[code]\nrows = 5\n"),
+                   r"^unknown key\(s\) \['rows'\] in section \[code\]$"),
+    "two-code-forms": (REPETITION.replace("codewords =\n    0,0,0\n    1,1,1",
+                                          "generator =\n    1,1,1\nspace = 5"),
+                       r"^\[code\] takes one of codewords, space or generator, "
+                       r"got \['space', 'generator'\]$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_BY_THE_BUILD))
+def test_keys_the_build_would_ignore_are_rejected(case):
+    """A modulus on a prime field, [code] rows off a matrix channel, and a
+    second code form used to be dropped silently; each is an error now."""
+    text, message = IGNORED_BY_THE_BUILD[case]
+    with pytest.raises(ConfigError, match=message):
+        channel_from_config(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         channel_from_config(REPETITION.replace("kind = hamming",

@@ -92,6 +92,12 @@ def test_construction_errors():
     assert Field(2, 9, max_size=1024).q == 512  # cap is overridable
 
 
+@pytest.mark.parametrize("modulus", [(1, 0, 1), (0, 1)])
+def test_prime_field_takes_no_modulus(modulus):
+    with pytest.raises(ValueError, match=r"GF\(3\) is a prime field and takes no modulus"):
+        Field(3, 1, modulus=modulus)
+
+
 def test_size_cap_checked_before_any_other_work(monkeypatch):
     """A huge characteristic or degree is rejected by the cap alone: no
     primality trial division, and no power with millions of digits."""

@@ -194,8 +194,8 @@ def test_check_metric_matches_naive_metric_on_a_bumped_entry(hamming_code_channe
 
 
 def test_checks_read_a_report_with_a_larger_tau(repetition):
-    """A report whose tau and cstar run past the refined table's w_max+2
-    entries gets longer rows, so every check reads it without an index
+    """A report whose tau and cstar run past the engine report's w_max+2
+    d2[c] entries gets longer rows, so every check reads it without an index
     error and fails where the thresholds are wrong."""
     report = minimum_distances(repetition)
     w = repetition.w_max
