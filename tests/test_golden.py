@@ -107,6 +107,48 @@ GOLDEN = {
         (0, "e6d24828985dabd60af9d71be95646ee484b0130c2be0b3bfcc760d36f4ac946"),
     ("gabidulin_k1.ini", "decode --bounded 1 1,0,0;0,0,0;0,0,0"):
         (0, "82ed1097b3bfb1da6f3893ea088918ef1a3bec8b2de54d71605dc58ec7ea3c9e"),
+    ("table_nonlinear.ini", "distances"):
+        (0, "99a9f7643b91c0f10fdf75f582eed30a995ec7c89f90990db5c2213d7d8325f1"),
+    ("table_nonlinear.ini", "capability"):
+        (0, "2ffeb7383e4aaa2d7fc2b95d2cfe103b5666d69274792bb3e39d73086c3f6e43"),
+    ("table_nonlinear.ini", "classify"):
+        (0, "e1c190c712702dcb4c03c556f2044cd6ad2b3d8f8e1a2defe81a376d4d34b93e"),
+    ("table_nonlinear.ini", "verify"):
+        (0, "0d5e4a4c23b29455f6186679106b1f67dd2d6d455752819846cd60cbde32e34c"),
+    ("table_nonlinear.ini", "joint --c 0 --cprime 1"):
+        (0, "bf43c96b529122bb82684c3fa8b11ca5c02b489feb6bbacc4851bf2985201de1"),
+    ("table_nonlinear.ini", "decode 1,0"):
+        (0, "aa5b0afb77b0a1e6dc8394c545e9f8556443bcc347887eaab496d67a9c7bc616"),
+    ("table_nonlinear.ini", "decode --bounded 0 1,0"):
+        (0, "f1626034c5a4a7b12ba1454caedb098d5d98cf4c13a86336a5c842274c15df02"),
+    ("sum_rank_space.ini", "distances"):
+        (0, "ba5b81160f444d81a78c546e6af319d65bef4884990f80151eb84e20fb46c64e"),
+    ("sum_rank_space.ini", "capability"):
+        (0, "a7756a259adaf128c0f5f882abb9aa04cd0a19f4f8e066f4a98f6fab80aa64c3"),
+    ("sum_rank_space.ini", "classify"):
+        (0, "a46028e7cbb57b5f448efc73b6aa793e732e3be98b515181338d6974a2df009a"),
+    ("sum_rank_space.ini", "verify"):
+        (0, "5e3eae3b85797403dae24b6e80adb676e70875f3e0b52ec499201018e2f8bf06"),
+    ("sum_rank_space.ini", "joint --c 0 --cprime 1"):
+        (0, "66be79f351bbbea5237710a8df7ebcd0ceef495f35e218fe84bce6588f6c8523"),
+    ("sum_rank_space.ini", "decode 1,1,0;0,0,0"):
+        (0, "ab71a5e8402b4120498a256771ab40dca7833c696e9a099736f11d57be480af0"),
+    ("sum_rank_space.ini", "decode --bounded 0 1,1,0;0,0,0"):
+        (0, "84895c2c8998f148516a48f7e3fb93421fe981589c7382548a646dfdeeeaa88d"),
+    ("matrix_vector_code.ini", "distances"):
+        (0, "50216cc94c64f6d52bcf328f822ecf38a93d10eafea62b493fc0efd583e01c42"),
+    ("matrix_vector_code.ini", "capability"):
+        (0, "95015c5d62171123852fe4e5417a296d2a3053884255b4626b6566afc9b8c45b"),
+    ("matrix_vector_code.ini", "classify"):
+        (0, "c831797f3d0d25aad8c5fce3b58287092377421062a869d7153c3fdb5d27f0af"),
+    ("matrix_vector_code.ini", "verify"):
+        (0, "3d402a8f74eef3cdc57a7e6058f74ca0cc467b937ea0c4432007c0a17de3fbf7"),
+    ("matrix_vector_code.ini", "joint --c 0 --cprime 1"):
+        (0, "cfee6f7e89658c910ac196b11efaf8b45942de3c8c00bb507c0acacc902d5d87"),
+    ("matrix_vector_code.ini", "decode 1,0,0"):
+        (0, "8dbad4b0d51e5c33343ee08ff81e4731f56f92b5e929ec11be28379f6d2d857a"),
+    ("matrix_vector_code.ini", "decode --bounded 0 1,0,0"):
+        (0, "ca667d75f64bb6ed4cb54c40a70180af9559f6a86e20f30211c023ca70733e86"),
 }
 
 # (source, command) -> (exit code, sha256 of the --format text stdout)
@@ -197,6 +239,48 @@ TEXT_GOLDEN = {
         (0, "78cfe4bffec749ab5c5fad918f2d19ac3cc26f7d3353c1f7dfae557ffc96fd88"),
     ("gabidulin_k1.ini", "decode --bounded 1 1,0,0;0,0,0;0,0,0"):
         (0, "78cfe4bffec749ab5c5fad918f2d19ac3cc26f7d3353c1f7dfae557ffc96fd88"),
+    ("table_nonlinear.ini", "distances"):
+        (0, "efff4f608a81925acf42676934ca9de046aa3fb348eaa5ce399bb37bba4bedec"),
+    ("table_nonlinear.ini", "capability"):
+        (0, "a6bad18f6cf3c2ebb79fcdfc5f334672d34e1eda6262e583ada20e365e986602"),
+    ("table_nonlinear.ini", "classify"):
+        (0, "3d03c2b5d4f556587a89c9ec90ca069ed228a6bf8c820f4017bf121a561d5fea"),
+    ("table_nonlinear.ini", "verify"):
+        (0, "09a1143821f434e59f168885febbf96ef53ec0c4fad1abeae36047e593007963"),
+    ("table_nonlinear.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("table_nonlinear.ini", "decode 1,0"):
+        (0, "be7618e56c00b488e1c74b2d594ae411351f996accb61a9e39d1980d0b401dbc"),
+    ("table_nonlinear.ini", "decode --bounded 0 1,0"):
+        (0, "be7618e56c00b488e1c74b2d594ae411351f996accb61a9e39d1980d0b401dbc"),
+    ("sum_rank_space.ini", "distances"):
+        (0, "51057a8a2efd883330a89b4c7e60a454eb45e61b577c3cb7f86683fd1750cf37"),
+    ("sum_rank_space.ini", "capability"):
+        (0, "a6bad18f6cf3c2ebb79fcdfc5f334672d34e1eda6262e583ada20e365e986602"),
+    ("sum_rank_space.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("sum_rank_space.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("sum_rank_space.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("sum_rank_space.ini", "decode 1,1,0;0,0,0"):
+        (0, "2ea48c1a91a5905137f7603f76975bcff05e84b16bc3fdc39e35ec6d62e442bd"),
+    ("sum_rank_space.ini", "decode --bounded 0 1,1,0;0,0,0"):
+        (0, "2ea48c1a91a5905137f7603f76975bcff05e84b16bc3fdc39e35ec6d62e442bd"),
+    ("matrix_vector_code.ini", "distances"):
+        (0, "87606f124cdad1ee1a32e07a45674cca963879f561be9d9b46fe5b1949f51aeb"),
+    ("matrix_vector_code.ini", "capability"):
+        (0, "a6bad18f6cf3c2ebb79fcdfc5f334672d34e1eda6262e583ada20e365e986602"),
+    ("matrix_vector_code.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("matrix_vector_code.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("matrix_vector_code.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("matrix_vector_code.ini", "decode 1,0,0"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("matrix_vector_code.ini", "decode --bounded 0 1,0,0"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
 }
 
 
@@ -219,6 +303,16 @@ def test_structured_output_is_pinned(capsys, source, command):
 def test_every_demo_config_is_pinned():
     assert ({p.name for p in CONFIGS.glob("*.ini")}
             == {source for source, _ in GOLDEN} - {"toy"})
+
+
+# the commands CI's Demos step runs on every demo config
+DEMO_COMMANDS = ("distances", "capability", "classify", "verify", "joint --c 0 --cprime 1")
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_every_demo_config_pins_the_demo_commands(config):
+    for command in DEMO_COMMANDS:
+        assert (config, command) in GOLDEN and (config, command) in TEXT_GOLDEN
 
 
 @pytest.mark.parametrize("source, command", list(TEXT_GOLDEN), ids=str)
