@@ -577,7 +577,7 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
                   table: dict, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
     """Channel given by an exhaustive table (x, z) -> y.
 
-    The table must be total over the codeword list times the full error
+    The table must hold exactly the codeword list times the full error
     space F_q^error_length, with outputs in F_q^output_length; errors carry
     the Hamming weight.  The codewords must be vectors of one length over
     the field.  Outputs are encoded by the row kernel, not here.
@@ -594,6 +594,11 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
             if not out_space.contains(y):
                 raise ConstructionError(f"table output {y!r} for ({x!r}, {z!r}) is not a "
                                         f"length-{output_length} vector over {field}")
+    codes = set(codewords)
+    if len(table) > len(codes) * err_space.size:  # total, so some key is extra
+        x, z = next(k for k in table if k[0] not in codes or not err_space.contains(k[1]))
+        raise ConstructionError(f"table has an entry for ({x!r}, {z!r}) outside the "
+                                f"codewords x length-{error_length} errors")
 
     def row(x, codec):
         return codec.encode_all(map(table.__getitem__, zip(repeat(x), err_space.elements())))

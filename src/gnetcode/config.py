@@ -20,8 +20,10 @@ row-major.  Network channels declare ``nodes``, ``source``, ``sink`` and
 ``edges`` (one ``tail head`` pair per line) in [channel] and one
 ``[function tail head]`` section per non-source edge whose rows map a
 comma-separated input tuple to an output symbol.  Table channels declare
-``error_length`` and ``output_length`` and list every transfer row in a
-``[transfer]`` section as ``x ; z = y``.
+``error_length`` and ``output_length`` and list in a ``[transfer]``
+section one ``x ; z = y`` row for each codeword x and error z, and no
+other.  A section holds one row per parsed key, so ``0,0`` and ``0, 0``
+in one section are an error, as are two [function] sections for one edge.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import hashlib
 import itertools
 
 from .field import Field, DEFAULT_MAX_FIELD_SIZE, power_exceeds
-from .weights import WeightMeasure, HAMMING, RANK, SUM_RANK
+from .weights import WeightMeasure, HAMMING
 from .channel import (BudgetError, Channel, classical_channel, matrix_channel,
                       table_channel, DEFAULT_PAIR_BUDGET)
 from .network import NetworkSpec, compile_network
@@ -172,30 +174,17 @@ def channel_from_config(text: str,
 
     measure = _parse_weight(parser)
     kind = parser.get("channel", "kind", fallback=None)
-    if kind == "classical":
-        if measure.kind != HAMMING:
-            raise ConfigError("classical channels use the hamming weight")
-        codewords = _parse_code_vectors(parser, fld, budget)
-        return _wrap(lambda: classical_channel(fld, codewords, pair_budget=budget))
-    if kind == "matrix":
-        return _wrap(lambda: _matrix_from_config(parser, fld, measure, budget))
-    if kind == "network":
-        if measure.kind != HAMMING:
-            raise ConfigError("network channels use the hamming weight")
-        return _wrap(lambda: _network_from_config(parser, fld, budget))
-    if kind == "table":
-        if measure.kind != HAMMING:
-            raise ConfigError("table channels use the hamming weight")
-        return _wrap(lambda: _table_from_config(parser, fld, budget))
-    raise ConfigError(f"[channel] kind must be classical, matrix, network or "
-                      f"table, got {kind!r}")
+    if kind not in _BUILDERS:
+        raise ConfigError(f"[channel] kind must be classical, matrix, network or "
+                          f"table, got {kind!r}")
+    if kind != "matrix" and measure.kind != HAMMING:
+        raise ConfigError(f"{kind} channels use the hamming weight")
+    return _wrap(lambda: _BUILDERS[kind](parser, fld, measure, budget))
 
 
 def _wrap(build):
     try:
         return build()
-    except ConfigError:
-        raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -208,12 +197,9 @@ def _parse_weight(parser) -> WeightMeasure:
     if "weight" not in parser:
         return WeightMeasure(HAMMING)
     wsec = parser["weight"]
-    kind = wsec.get("kind", HAMMING)
-    if kind not in (HAMMING, RANK, SUM_RANK):
-        raise ConfigError(f"[weight] unknown kind {kind!r}")
     blocks = _int_list("weight", "blocks", wsec["blocks"]) if "blocks" in wsec else None
     try:
-        return WeightMeasure(kind, blocks)
+        return WeightMeasure(wsec.get("kind", HAMMING), blocks)
     except ValueError as exc:
         raise ConfigError(f"[weight] {exc}") from None
 
@@ -229,21 +215,32 @@ def _check_code_size(fld: Field, n: int, budget: int) -> None:
         raise BudgetError(f"{fld.q}^{n} codewords exceeds the pair budget {budget}")
 
 
-def _parse_code_vectors(parser, fld: Field, budget: int) -> list[tuple[int, ...]]:
+def _parse_code(parser, fld: Field, budget: int, rows: int | None = None):
+    """The [code] codewords: vectors, or with ``rows`` matrices of that many
+    rows, each read as a row-major flat vector and reshaped."""
     if "code" not in parser:
         raise ConfigError("missing required section [code]")
     csec = parser["code"]
     if "codewords" in csec:
-        rows = [line.strip() for line in csec["codewords"].splitlines() if line.strip()]
-        out = [_int_list("code", "codewords", line) for line in rows]
+        flat = [_int_list("code", "codewords", line)
+                for line in csec["codewords"].splitlines() if line.strip()]
+        for x in flat:
+            if rows is None and not _symbols_ok(fld, x):
+                raise ConfigError(f"[code] codeword {x} has symbols outside {fld}")
     elif "space" in csec:
         spec = csec["space"].strip()
-        if "x" in spec:
-            raise ConfigError("[code] space = RxC needs a matrix channel")
-        n = _positive("code", "space", spec)
+        if rows is None:
+            if "x" in spec:
+                raise ConfigError("[code] space = RxC needs a matrix channel")
+            n = _positive("code", "space", spec)
+        else:
+            r, c = _space_dims(spec)
+            if r != rows:
+                raise ConfigError(f"[code] space rows {r} disagree with rows = {rows}")
+            n = r * c
         _check_code_size(fld, n, budget)
-        out = [tuple(v) for v in itertools.product(range(fld.q), repeat=n)]
-    elif "generator" in csec:
+        flat = itertools.product(range(fld.q), repeat=n)
+    elif "generator" in csec and rows is None:
         g = _matrix("code", "generator", csec["generator"])
         if not all(_symbols_ok(fld, row) for row in g):
             raise ConfigError(f"[code] generator entries must be symbols of {fld}")
@@ -251,36 +248,36 @@ def _parse_code_vectors(parser, fld: Field, budget: int) -> list[tuple[int, ...]
         # generator spans the zero word alone)
         basis = [g[i] for i in mx.pivot_columns(fld, mx.transpose(g))] or [g[0]]
         _check_code_size(fld, len(basis), budget)
-        out = sorted({mx.vec_mat_mul(fld, msg, basis)
-                      for msg in itertools.product(range(fld.q), repeat=len(basis))})
+        flat = sorted({mx.vec_mat_mul(fld, msg, basis)
+                       for msg in itertools.product(range(fld.q), repeat=len(basis))})
     else:
-        raise ConfigError("[code] needs codewords, space or generator")
-    for x in out:
-        if not _symbols_ok(fld, x):
-            raise ConfigError(f"[code] codeword {x} has symbols outside {fld}")
+        raise ConfigError("[code] needs codewords, space or generator" if rows is None else
+                          "[code] matrix codewords need codewords lines or space = RxC")
+    if rows is None:
+        return list(flat)
+    out = []
+    for v in flat:
+        if len(v) % rows:
+            raise ConfigError(f"[code] codeword {v} does not fill {rows} rows")
+        cols = len(v) // rows
+        out.append(tuple(v[i * cols:(i + 1) * cols] for i in range(rows)))
     return out
 
 
-def _parse_code_matrices(parser, fld: Field, rows: int, budget: int):
-    csec = parser["code"]
-    if "codewords" in csec:
-        flat = [_int_list("code", "codewords", line)
-                for line in csec["codewords"].splitlines() if line.strip()]
-        out = []
-        for v in flat:
-            if len(v) % rows:
-                raise ConfigError(f"[code] codeword {v} does not fill {rows} rows")
-            cols = len(v) // rows
-            out.append(tuple(v[i * cols:(i + 1) * cols] for i in range(rows)))
-        return out
-    if "space" in csec:
-        r, c = _space_dims(csec["space"].strip())
-        if r != rows:
-            raise ConfigError(f"[code] space rows {r} disagree with rows = {rows}")
-        _check_code_size(fld, r * c, budget)
-        return [tuple(flat[i * c:(i + 1) * c] for i in range(r))
-                for flat in itertools.product(range(fld.q), repeat=r * c)]
-    raise ConfigError("[code] matrix codewords need codewords lines or space = RxC")
+def _keyed_rows(items, parse_key, where: str):
+    """Yield ``(raw key, parsed key, value)`` for each ``(raw key, value)``
+    item, rejecting two raw keys that parse to the same key."""
+    seen = {}
+    for raw, value in items:
+        key = parse_key(raw)
+        if key in seen:
+            raise ConfigError(f"{where} {seen[key]!r} and {raw!r} parse to the same key")
+        seen[key] = raw
+        yield raw, key, value
+
+
+def _classical_from_config(parser, fld: Field, measure: WeightMeasure, budget: int):
+    return classical_channel(fld, _parse_code(parser, fld, budget), pair_budget=budget)
 
 
 def _matrix_from_config(parser, fld: Field, measure: WeightMeasure, budget: int):
@@ -289,25 +286,26 @@ def _matrix_from_config(parser, fld: Field, measure: WeightMeasure, budget: int)
         raise ConfigError("[channel] matrix channels need both a and b")
     a = _matrix("channel", "a", csec["a"])
     b = _matrix("channel", "b", csec["b"])
-    for name, mat in (("a", a), ("b", b)):
-        if not all(_symbols_ok(fld, row) for row in mat):
-            raise ConfigError(f"[channel] {name} entries must be symbols of {fld}")
-    code_rows = parser.get("code", "rows", fallback=None)
-    if code_rows is not None or measure.kind in (RANK, SUM_RANK):
-        rows = _positive("code", "rows", code_rows) if code_rows is not None else None
-        if rows is None:
-            csec2 = parser["code"] if "code" in parser else {}
-            spec = csec2.get("space", "")
-            if "x" not in spec:
-                raise ConfigError("[code] rank/sum-rank codes need rows or space = RxC")
-            rows = _space_dims(spec.strip())[0]
-        codewords = _parse_code_matrices(parser, fld, rows, budget)
-    else:
-        codewords = _parse_code_vectors(parser, fld, budget)
+    rows = parser.get("code", "rows", fallback=None)
+    if rows is not None:
+        rows = _positive("code", "rows", rows)
+    elif measure.kind != HAMMING:
+        spec = parser.get("code", "space", fallback="")
+        if "x" not in spec:
+            raise ConfigError("[code] rank/sum-rank codes need rows or space = RxC")
+        rows = _space_dims(spec.strip())[0]
+    codewords = _parse_code(parser, fld, budget, rows)
     return matrix_channel(fld, codewords, a, b, measure, pair_budget=budget)
 
 
-def _network_from_config(parser, fld: Field, budget: int):
+def _edge(section: str) -> tuple[str, str]:
+    parts = section.split()
+    if len(parts) != 3:
+        raise ConfigError(f"[{section}] must be [function tail head]")
+    return parts[1], parts[2]
+
+
+def _network_from_config(parser, fld: Field, measure: WeightMeasure, budget: int):
     csec = parser["channel"]
     for key in ("nodes", "source", "sink", "edges"):
         if key not in csec:
@@ -322,27 +320,26 @@ def _network_from_config(parser, fld: Field, budget: int):
         if len(parts) != 2:
             raise ConfigError(f"[channel] edge line {line!r} is not 'tail head'")
         edges.append((parts[0], parts[1]))
+    functions = ((s, parser[s]) for s in parser.sections() if s.startswith("function "))
     local = {}
-    for section in parser.sections():
-        if not section.startswith("function "):
-            continue
-        parts = section.split()
-        if len(parts) != 3:
-            raise ConfigError(f"[{section}] must be [function tail head]")
-        edge = (parts[1], parts[2])
-        table = {}
-        for key, value in parser[section].items():
-            ins = _int_list(section, key, key)
-            table[ins] = _int(section, key, value)
-        local[edge] = table
+    for section, edge, body in _keyed_rows(functions, _edge, "sections"):
+        local[edge] = {ins: _int(section, key, value) for key, ins, value in _keyed_rows(
+            body.items(), lambda key: _int_list(section, key, key), f"[{section}] rows")}
     spec = NetworkSpec(nodes=nodes, edges=tuple(edges),
                        source=csec["source"].strip(), sink=csec["sink"].strip(),
                        local_functions=local)
-    codewords = _parse_code_vectors(parser, fld, budget)
+    codewords = _parse_code(parser, fld, budget)
     return compile_network(fld, spec, codewords, pair_budget=budget)
 
 
-def _table_from_config(parser, fld: Field, budget: int):
+def _transfer_key(key: str):
+    halves = key.split(";")
+    if len(halves) != 2:
+        raise ConfigError(f"[transfer] row key {key!r} is not 'x ; z'")
+    return tuple(_int_list("transfer", key, half) for half in halves)
+
+
+def _table_from_config(parser, fld: Field, measure: WeightMeasure, budget: int):
     csec = parser["channel"]
     for key in ("error_length", "output_length"):
         if key not in csec:
@@ -351,13 +348,11 @@ def _table_from_config(parser, fld: Field, budget: int):
     out_len = _positive("channel", "output_length", csec["output_length"])
     if "transfer" not in parser:
         raise ConfigError("table channels need a [transfer] section")
-    table = {}
-    for key, value in parser["transfer"].items():
-        halves = key.split(";")
-        if len(halves) != 2:
-            raise ConfigError(f"[transfer] row key {key!r} is not 'x ; z'")
-        x = _int_list("transfer", key, halves[0])
-        z = _int_list("transfer", key, halves[1])
-        table[(x, z)] = _int_list("transfer", key, value)
-    codewords = _parse_code_vectors(parser, fld, budget)
+    table = {xz: _int_list("transfer", key, value) for key, xz, value in _keyed_rows(
+        parser["transfer"].items(), _transfer_key, "[transfer] rows")}
+    codewords = _parse_code(parser, fld, budget)
     return table_channel(fld, codewords, err_len, out_len, table, pair_budget=budget)
+
+
+_BUILDERS = {"classical": _classical_from_config, "matrix": _matrix_from_config,
+             "network": _network_from_config, "table": _table_from_config}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -53,6 +54,16 @@ def test_table_channel_rejects_foreign_codewords(gf2, bad):
     table = {(x, (z,)): (x[0] % 2, z) for x in ((0,), bad) for z in range(2)}
     with pytest.raises(ConstructionError, match="is not a length-1 vector"):
         table_channel(gf2, [(0,), bad], 1, 2, table)
+
+
+@pytest.mark.parametrize("stray", [((0, 1), (1,)), ((0,), (1, 1)), ((5,), (0,))],
+                         ids=["foreign-codeword", "long-error", "symbol-5"])
+def test_table_channel_rejects_stray_entries(gf2, stray):
+    # a table total over codewords x errors may hold nothing else
+    table = {((x,), (z,)): (x, z) for x in range(2) for z in range(2)}
+    table[stray] = (0, 0)
+    with pytest.raises(ConstructionError, match=re.escape(f"an entry for {stray!r} outside")):
+        table_channel(gf2, [(0,), (1,)], 1, 2, table)
 
 
 def test_membership_validation(gf2, repetition):

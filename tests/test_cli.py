@@ -162,6 +162,17 @@ def test_keys_the_build_would_ignore_exit_2(capsys, tmp_path, case):
     assert code == 2 and out == "" and "error: " in err
 
 
+@pytest.mark.parametrize("case", ["function-row", "transfer-row", "function-section",
+                                  "stray-transfer-row"])
+def test_one_key_twice_or_stray_row_exits_2(capsys, tmp_path, case):
+    from test_config import ONE_KEY_TWICE, STRAY_TRANSFER_ROWS, TABLE
+    cfg = tmp_path / "rows.ini"
+    cfg.write_text(TABLE + STRAY_TRANSFER_ROWS["symbol-5"] + "\n"
+                   if case == "stray-transfer-row" else ONE_KEY_TWICE[case][0])
+    code, out, err = run_cli(capsys, "--config", str(cfg), "distances")
+    assert code == 2 and out == "" and "error: " in err
+
+
 def test_table_config_with_foreign_codeword_exits_2(capsys, tmp_path):
     from test_config import TABLE
     cfg = tmp_path / "table.ini"

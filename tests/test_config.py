@@ -231,6 +231,59 @@ def test_keys_the_build_would_ignore_are_rejected(case):
         channel_from_config(text)
 
 
+B_D = "[function b d]\n0,0 = 0\n"
+ONE_KEY_TWICE = {
+    # without the check the later row or section silently won: toy
+    # d0_min 3 -> 2 (both network cases) and TABLE d0_min inf -> 1
+    "function-row": (TOY_NETWORK.replace(B_D, B_D + "0, 0 = 2\n"),
+                     r"^\[function b d\] rows '0,0' and '0, 0' parse to the same key$"),
+    "transfer-row": (TABLE + "0 ;0 = 1,1\n",
+                     r"^\[transfer\] rows '0 ; 0' and '0 ;0' parse to the same key$"),
+    "function-section": (TOY_NETWORK + "\n[function b  d]\n"
+                         + "".join(f"{i},{j} = 0\n" for i in range(3) for j in range(3)),
+                         r"^sections 'function b d' and 'function b  d' parse to the same key$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_KEY_TWICE))
+def test_one_key_twice_is_rejected(case):
+    """Two rows of a section, or two [function] sections, whose keys parse
+    equal are an error naming both spellings, not a silent overwrite."""
+    text, message = ONE_KEY_TWICE[case]
+    with pytest.raises(ConfigError, match=message):
+        channel_from_config(text)
+
+
+STRAY_TRANSFER_ROWS = {"foreign-codeword": "0,1 ; 1 = 0,0",
+                       "long-error": "0 ; 1,1 = 0,0",
+                       "symbol-5": "5 ; 0 = 0,0"}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_TRANSFER_ROWS))
+def test_stray_transfer_rows_are_rejected(case):
+    """[transfer] holds exactly the codewords x errors; a row outside them
+    used to be ignored."""
+    with pytest.raises(ConfigError, match=r"^table has an entry for .* outside the "
+                                          r"codewords x length-1 errors$"):
+        channel_from_config(TABLE + STRAY_TRANSFER_ROWS[case] + "\n")
+
+
+MATRIX_HAMMING = MATRIX_RANK.replace("kind = rank", "kind = hamming").replace(
+    "rows = 2\nspace = 2x1", "codewords =\n    0\n    1")
+
+
+@pytest.mark.parametrize("text, message", [
+    (MATRIX_HAMMING.replace("b =\n    1,0", "b =\n    1,2"),
+     r"^B must be a 2x2 matrix over GF\(2\)$"),
+    (REPETITION.replace("kind = hamming", "kind = x"),
+     r"^\[weight\] unknown weight kind 'x'; expected one of \("),
+], ids=["matrix-symbol", "weight-kind"])
+def test_constructor_checks_reach_the_config(text, message):
+    """Config leaves these checks to matrix_channel and WeightMeasure."""
+    with pytest.raises(ConfigError, match=message):
+        channel_from_config(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         channel_from_config(REPETITION.replace("kind = hamming",
