@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import ne
 
 from .codec import Codec
 from .field import Field
 from . import matrices as mx
-from .weights import WeightMeasure, HAMMING, RANK, hamming_weights
+from .weights import WeightMeasure, HAMMING, RANK, symbol_sums
 
 DEFAULT_PAIR_BUDGET = 10 ** 6
 
@@ -225,15 +225,15 @@ class Channel:
     def _weight_order(self):
         """(order, weights): enumeration indices sorted stably by weight, and
         their weights in that order.  A Hamming space of n symbols (n =
-        rows·cols for a matrix) takes its weights in bulk from
-        :func:`gnetcode.weights.hamming_weights` and builds no error tuple;
+        rows·cols for a matrix) sums the symbol weights 0, 1, ..., 1 by
+        :func:`gnetcode.weights.symbol_sums` and builds no error tuple;
         rank and sum-rank weights are taken per error.
         """
         cached = self._cache.get("weight_order")
         if cached is None:
             space = self.errors.space
             if self.errors.measure.kind == HAMMING:
-                weights = hamming_weights(self.field.q, math.prod(space.shape))
+                weights = symbol_sums([0] + [1] * (self.field.q - 1), math.prod(space.shape))
             else:
                 weights = list(map(self.errors.weight, space.elements()))
             order = sorted(range(len(weights)), key=weights.__getitem__)
@@ -241,7 +241,9 @@ class Channel:
         return cached
 
     def _errors_by_weight(self):
-        """All errors as (z, weight) in weight order, built only on demand."""
+        """All errors as (z, weight) in weight order, built only on demand, for
+        :func:`enumerate_errors_up_to`, the rank and sum-rank axiom sample,
+        :func:`_first_failing_pair` and the test oracle."""
         cached = self._cache.get("errors_by_weight")
         if cached is None:
             errors = list(self.errors.space.elements())
@@ -326,11 +328,12 @@ def classify(ch: Channel) -> ChannelClass:
     (-f(x0)) are elements too, and the errors come from the space's own
     enumeration.
 
-    This classifies the transfer function only; the weight measure's side
-    of the error-linearity hypotheses (subadditivity, inverse invariance,
-    decomposability) is checked separately by
-    :func:`gnetcode.weights.verify_weight_axioms`, and holds for all three
-    built-in measures.
+    This classifies the transfer function only; a transfer-not-additive
+    witness's error is lifted from its enumeration index.  The weight
+    measure's side of the error-linearity hypotheses (subadditivity,
+    inverse invariance, decomposability) is checked separately, by
+    ``run_all``'s weight-axiom verdict, and holds for all three built-in
+    measures.
     """
     out, codec = ch.outputs, ch._codec()
     add = codec.add
@@ -342,7 +345,7 @@ def classify(ch: Channel) -> ChannelClass:
         expected = map(add, row0, repeat(shift))
         bad = next(compress(count(), map(ne, ch._code_row(x), expected)), None)
         if bad is not None:
-            z = ch._errors_by_weight()[bad][0]  # error tuples only name a witness
+            z = next(islice(ch.errors.space.elements(), ch._weight_order()[0][bad], None))
             return ChannelClass(False, False, ("transfer-not-additive", x, z))
 
     hs = list(map(add, row0, repeat(codec.encode(out.neg(f0)))))

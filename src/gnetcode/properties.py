@@ -456,9 +456,9 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     The weight axioms are decided by the measure's kind.  A Hamming weight
     is a sum of symbol weights, so
     :func:`~gnetcode.weights.verify_separable_axioms` checks it over the
-    whole error space: separability on every error (off the cached
-    weights), the four axioms once on all of GF(q)^1's pairs, at any field
-    size.  Rank and sum-rank weights keep
+    whole error space: separability on every error (one comparison on the
+    cached weight list), the four axioms once on all of GF(q)^1's pairs,
+    at any field size.  Rank and sum-rank weights keep
     :func:`~gnetcode.weights.verify_weight_axioms` over every error when
     there are at most AXIOM_ELEMENT_BUDGET, else over a seeded sample of
     that many, and over every pair of those errors.
@@ -471,7 +471,7 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
 
     measure = ch.errors.measure
     if measure.kind == HAMMING:
-        axioms = verify_separable_axioms(ch.field, ch._errors_by_weight(), measure)
+        axioms = verify_separable_axioms(ch.errors, *ch._weight_order())
     else:
         axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure)
     checks = [(name, check) for name in (

@@ -2,12 +2,13 @@
 
 Besides the weights themselves this module provides the constructive
 splitting of an error into two parts of prescribed weights (the
-decomposability property that error-linear channels require) and two
-axiom verifiers for the theorem harness: :func:`verify_weight_axioms`
+decomposability property that error-linear channels require),
+:func:`symbol_sums`, which weighs all of GF(q)^n from per-symbol weights,
+and two axiom verifiers for the theorem harness: :func:`verify_weight_axioms`
 scans the given errors (and pairs, sampled past a budget), and
 :func:`verify_separable_axioms` decides the axioms over a whole error
 space for the Hamming weight, which is a sum of per-symbol weights:
-separability on every error, the four axioms once on GF(q)^1.
+separability on the cached weight list, the four axioms once on GF(q)^1.
 
 Flat error vectors are tuples of field elements; matrix errors are tuples
 of row tuples.  The sum-rank weight carries a column partition
@@ -18,8 +19,10 @@ weight.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from operator import ne
 
 from .field import Field
 from . import matrices as mx
@@ -37,21 +40,19 @@ def hamming_weight(v) -> int:
     return len(v) - v.count(0)
 
 
-def hamming_weights(q: int, n: int) -> list[int]:
-    """Hamming weights of all of GF(q)^n, in base-q enumeration order.
+def symbol_sums(symbol_weights: list[int], n: int) -> list[int]:
+    """``sum_i w(z_i)`` for all z in GF(q)^n, in base-q enumeration order.
 
-    Element i of the list weighs element i of
-    ``itertools.product(range(q), repeat=n)`` (a matrix space's entries
-    flattened row-major enumerate the same way).  Appending a digit d to
-    an element of weight a gives weight a for d = 0 and a + 1 otherwise,
-    so each of the n levels expands every weight a into ``inc[a]``, with
-    C-level list operations only.
+    ``symbol_weights`` lists w(0), ..., w(q-1).  Element i of the list
+    weighs element i of ``itertools.product(range(q), repeat=n)`` (a matrix
+    space's entries flattened row-major enumerate the same way).  A leading
+    digit d adds w(d) to every weight of the digits after it, so each of
+    the n levels is one comprehension over the level before.
     """
-    inc = [[a] + [a + 1] * (q - 1) for a in range(n)]
-    weights = [0]
+    sums = [0]
     for _ in range(n):
-        weights = list(itertools.chain.from_iterable(map(inc.__getitem__, weights)))
-    return weights
+        sums = [w + s for w in symbol_weights for s in sums]
+    return sums
 
 
 def rank_weight(f: Field, a: mx.Matrix) -> int:
@@ -312,36 +313,19 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
     return AxiomReport(nonneg, subadd, inverse, decomp)
 
 
-def _symbol_weights(f: Field, measure: WeightMeasure, shape: tuple[int, ...]):
-    """The Hamming weight as a sum of one weight per symbol.
-
-    Returns ``(symbols, lift, symbol_sum)``: ``symbols`` is the factor
-    space GF(q)^1, ``lift`` places a factor element in the first coordinate
-    (or matrix entry) and zeroes the rest, and ``symbol_sum(z)`` sums the
-    weights of z's symbols, read off one table.
-    """
-    symbols = [(s,) for s in range(f.q)]
-    weigh = [measure.weight(f, s) for s in symbols].__getitem__
-    if len(shape) == 1:
-        pad = (0,) * (shape[0] - 1)
-        return symbols, lambda s: s + pad, lambda z: sum(map(weigh, z))
-    rows, cols = shape
-    pad, zero_row = (0,) * (cols - 1), (0,) * cols
-    return (symbols, lambda s: (s + pad,) + (zero_row,) * (rows - 1),
-            lambda z: sum(sum(map(weigh, r)) for r in z))
-
-
-def verify_separable_axioms(f: Field, errors, measure: WeightMeasure) -> AxiomReport:
+def verify_separable_axioms(errors, order: list[int], weights: list[int]) -> AxiomReport:
     """Check the Hamming weight's axioms over a whole error space.
 
-    ``errors`` is every element of the error space as ``(z, w(z))`` pairs,
-    the weights already taken (a channel's cached weight order); they are
-    trusted, not re-validated.  The Hamming weight is a sum of one weight
-    per coordinate (or matrix entry), and addition and negation act
-    coordinate by coordinate.  So the axioms over the whole space follow
-    from exact checks:
+    ``errors`` is the space's :class:`~gnetcode.channel.ErrorModel` and
+    ``(order, weights)`` its cached weight order (enumeration indices
+    sorted by weight, and their weights); they are trusted, not
+    re-validated.  The Hamming weight is a sum of one weight per
+    coordinate (or matrix entry), and addition and negation act coordinate
+    by coordinate.  So the axioms over the whole space follow from exact
+    checks:
 
-    * separability, ``w(z) == sum_i w(z_i)``, on every error;
+    * separability, ``w(z) == sum_i w(z_i)``, on every error, as one
+      C-level comparison of ``weights`` with :func:`symbol_sums`;
     * the four axioms on the factor space GF(q)^1, by
       :func:`verify_weight_axioms` over all of its q^2 pairs; a factor
       witness is lifted to the whole space by placing its symbol in the
@@ -355,33 +339,40 @@ def verify_separable_axioms(f: Field, errors, measure: WeightMeasure) -> AxiomRe
     the whole space iff every nonzero symbol weighs exactly 1, iff it is
     valid on GF(q)^1.  Every witness is a counterexample in the whole
     space.  A separability failure is reported as its own check,
-    ``(z, w(z), sum_i w(z_i))``; the other verdicts then speak only for the
-    symbol weights, as decomposability does when nonnegativity fails.
-    Rank and sum-rank weights take :func:`verify_weight_axioms` on a sample
-    instead.
+    ``(z, w(z), sum_i w(z_i))`` for the first z in weight order; the other
+    verdicts then speak only for the symbol weights, as decomposability
+    does when nonnegativity fails.  A witness is lifted to a tuple from its
+    enumeration index.  Rank and sum-rank weights take
+    :func:`verify_weight_axioms` on a sample instead.
     """
+    space, measure = errors.space, errors.measure
     if measure.kind != HAMMING:
         raise ValueError(f"the separable route covers the Hamming weight only, "
                          f"not the {measure.kind} weight")
-    weight_of = dict(errors)
-    first = next(iter(weight_of))
-    shape = (len(first), len(first[0])) if isinstance(first[0], tuple) else (len(first),)
-    symbols, lift, symbol_sum = _symbol_weights(f, measure, shape)
+    f = space.field
+    symbols = [(s,) for s in range(f.q)]
+    totals = symbol_sums([measure.weight(f, s) for s in symbols], math.prod(space.shape))
+    step = len(totals) // f.q  # symbol s in the first coordinate has index s * step
 
-    separable = _first_failure((z, wz, total) for z, wz in weight_of.items()
-                               if (total := symbol_sum(z)) != wz)
+    def element(i):
+        return next(itertools.islice(space.elements(), i, None))
+
+    separable = _first_failure(
+        (element(order[i]), weights[i], totals[order[i]])
+        for i in itertools.compress(itertools.count(),
+                                    map(ne, weights, map(totals.__getitem__, order))))
 
     factor = verify_weight_axioms(f, symbols, measure)
     nonneg, subadd, inverse, decomp = (factor.nonnegativity, factor.subadditivity,
                                        factor.inverse_invariance, factor.decomposability)
     if not nonneg.passed:
-        z = lift(nonneg.witness[0])
-        nonneg = AxiomCheck(False, (z, weight_of[z]))
+        i = nonneg.witness[0][0] * step
+        nonneg = AxiomCheck(False, (element(i), weights[order.index(i)]))
     if not subadd.passed:
-        subadd = AxiomCheck(False, tuple(map(lift, subadd.witness)))
+        subadd = AxiomCheck(False, tuple(element(s * step) for (s,) in subadd.witness))
     if not inverse.passed:
-        inverse = AxiomCheck(False, (lift(inverse.witness[0]),))
+        inverse = AxiomCheck(False, (element(inverse.witness[0][0] * step),))
     if not decomp.passed:
-        s, c1, c2 = decomp.witness
-        decomp = AxiomCheck(False, (lift(s), c1, c2))
+        (s,), c1, c2 = decomp.witness
+        decomp = AxiomCheck(False, (element(s * step), c1, c2))
     return AxiomReport(nonneg, subadd, inverse, decomp, separable)

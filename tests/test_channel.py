@@ -178,6 +178,22 @@ def test_classify_adds_each_error_once(toy, monkeypatch):
     assert [a for a, _ in calls] == row0[:len(calls)]
 
 
+def test_classify_names_its_witness_by_index(gf3):
+    """The transfer-not-additive witness is lifted from the error's
+    enumeration index: the toy's (weight-order position 7, index 27) and
+    that of a table breaking x + z at one weight-2 error (position 15,
+    index 19) are the errors of those positions, and classify leaves no
+    list of error tuples behind."""
+    codewords = [(0, 0, 0), (1, 1, 1)]
+    table = {(x, z): mx.vec_add(gf3, x, z)
+             for x in codewords for z in itertools.product(range(3), repeat=3)}
+    table[((1, 1, 1), (2, 0, 1))] = (0, 0, 0)
+    for ch, x, z in ((toy_channel(), (1, 1, 1), (0, 0, 0, 0, 0, 1, 0, 0, 0)),
+                     (table_channel(gf3, codewords, 3, 3, table), (1, 1, 1), (2, 0, 1))):
+        assert classify(ch) == ChannelClass(False, False, ("transfer-not-additive", x, z))
+        assert "errors_by_weight" not in ch._cache
+
+
 def test_classify_reconstructs_transfer(gf2, repetition):
     # for an error-linear verdict, f + h rebuilds F exactly
     verdict = classify(repetition)

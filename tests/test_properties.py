@@ -13,7 +13,6 @@ from gnetcode import (Field, classical_channel, classify, is_finite,
                       random_table_channel, random_linear_channel,
                       random_rank_channel, random_sum_rank_channel, toy_channel)
 from gnetcode import properties, weights
-from gnetcode.channel import BudgetError
 from gnetcode.network import _evaluator, _validate_and_order
 
 
@@ -268,6 +267,24 @@ def test_ledger_serialization(toy):
                for v in doc["verdicts"])
 
 
+def test_a_wrong_cached_weight_fails_separability():
+    """One wrong entry in a Hamming channel's cached weight list fails the
+    ledger's weight-axioms verdict with the separability counterexample
+    (error, cached weight, symbol sum) of that error; of two wrong entries
+    the one first in weight order is named."""
+    for positions, witness in (((100,), ((0, 0, 2, 0, 2, 0, 0, 0, 0), 3, 2)),
+                               ((5,), ((0, 0, 0, 0, 0, 0, 1, 0, 0), 2, 1)),
+                               ((19682, 100), ((0, 0, 2, 0, 2, 0, 0, 0, 0), 3, 2))):
+        ch = toy_channel()
+        order, cached = ch._weight_order()
+        for p in positions:
+            cached[p] += 1
+        verdict = by_name(run_all(ch, seed=1).verdicts)["weight-axioms"]
+        assert verdict.status == "fail"
+        assert verdict.counterexample == ("separability", witness)
+        assert witness[0] == list(ch.errors.space.elements())[order[min(positions)]]
+
+
 def test_ledger_deterministic():
     rng = random.Random(9)
     ch = random_table_channel(rng, Field(3), n_codewords=3, error_length=3,
@@ -287,51 +304,48 @@ def _network_channel(rng, extra):
         clean = {}
         for x in itertools.product(range(3), repeat=m):
             clean.setdefault(transfer(x, zero), x)
-        if len(clean) < 3:
-            continue
-        ch = compile_network(gf3, spec, sorted(clean.values())[:3])
-        try:
-            classify(ch)  # an error-linear draw is past the homomorphism scan's budget
-        except BudgetError:
-            continue
-        return ch
+        if len(clean) >= 3:
+            return compile_network(gf3, spec, sorted(clean.values())[:3])
 
 
 def test_weight_axioms_cover_every_network_error(monkeypatch):
     """On nonlinear-network-sized DAGs and on the toy network the ledger's
-    Hamming axiom check sums the symbol weights of every error once, a
-    superset of the sampled check's errors, and splits only GF(3)^1's
-    symbols: the zero symbol once, each nonzero symbol two ways, 2q - 1 = 5
-    splits in all, however large the error space."""
+    Hamming axiom check compares the cached weight of every error with its
+    symbol sum, a superset of the sampled check's errors, splits only
+    GF(3)^1's symbols: the zero symbol once, each nonzero symbol two ways,
+    2q - 1 = 5 splits in all, however large the error space, and builds no
+    list of error tuples."""
     rng, seed = random.Random(2187), 21
-    symbol_weights, decompose = weights._symbol_weights, weights.decompose_hamming
+    separable, symbol_sums = weights.verify_separable_axioms, weights.symbol_sums
+    decompose = weights.decompose_hamming
     for ch, size in ((_network_channel(rng, 3), 3 ** 7), (_network_channel(rng, 2), 3 ** 6),
                      (toy_channel(), 3 ** 9)):
-        errors = dict(ch._errors_by_weight())
-        assert len(errors) == size
-        summed, splits = [], []
+        compared, summed, splits = [], [], []
 
-        def recording_symbol_weights(f, measure, shape):
-            symbols, lift, symbol_sum = symbol_weights(f, measure, shape)
+        def recording_separable(errors, order, cached):
+            compared.append(len(cached))
+            return separable(errors, order, cached)
 
-            def recorded(z):
-                summed.append(z)
-                return symbol_sum(z)
-            return symbols, lift, recorded
+        def recording_symbol_sums(symbol_weights, n):
+            sums = symbol_sums(symbol_weights, n)
+            summed.append(len(sums))
+            return sums
 
         def recording_decompose(z, c1, c2):
             splits.append(z)
             return decompose(z, c1, c2)
 
         with monkeypatch.context() as patch:
-            patch.setattr(weights, "_symbol_weights", recording_symbol_weights)
+            patch.setattr(properties, "verify_separable_axioms", recording_separable)
+            patch.setattr(weights, "symbol_sums", recording_symbol_sums)
             patch.setattr(weights, "decompose_hamming", recording_decompose)
             verdict = by_name(run_all(ch, seed).verdicts)["weight-axioms"]
 
-        assert sorted(summed) == sorted(errors)
+        assert compared == summed == [size]
+        assert "errors_by_weight" not in ch._cache
         assert set(splits) <= {(s,) for s in range(3)} and len(splits) <= 2 * 3 - 1
         sample = properties._axiom_sample(ch, seed)
-        assert len(sample) == properties.AXIOM_ELEMENT_BUDGET < len(errors)
+        assert len(sample) == properties.AXIOM_ELEMENT_BUDGET < size
         sampled = verify_weight_axioms(ch.field, sample, ch.errors.measure)
         assert sampled.passed and verdict.status == "pass"
         assert verdict.detail == ("nonnegativity, subadditivity, inverse invariance, "
