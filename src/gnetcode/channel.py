@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from operator import ne
@@ -242,8 +243,8 @@ class Channel:
 
     def _errors_by_weight(self):
         """All errors as (z, weight) in weight order, built only on demand, for
-        :func:`enumerate_errors_up_to`, the rank and sum-rank axiom sample,
-        :func:`_first_failing_pair` and the test oracle."""
+        :func:`enumerate_errors_up_to`, the rank and sum-rank axiom sample
+        and the test oracle."""
         cached = self._cache.get("errors_by_weight")
         if cached is None:
             errors = list(self.errors.space.elements())
@@ -345,20 +346,28 @@ def classify(ch: Channel) -> ChannelClass:
         expected = map(add, row0, repeat(shift))
         bad = next(compress(count(), map(ne, ch._code_row(x), expected)), None)
         if bad is not None:
-            z = next(islice(ch.errors.space.elements(), ch._weight_order()[0][bad], None))
-            return ChannelClass(False, False, ("transfer-not-additive", x, z))
+            return ChannelClass(False, False, ("transfer-not-additive", x,
+                                               _error_at(ch, ch._weight_order()[0][bad])))
 
-    hs = list(map(add, row0, repeat(codec.encode(out.neg(f0)))))
-    if not _is_additive(ch, hs, add):
+    # h(z)'s codes by enumeration index
+    h = [None] * len(row0)
+    for i, hz in zip(ch._weight_order()[0], map(add, row0, repeat(codec.encode(out.neg(f0))))):
+        h[i] = hz
+    if not _is_additive(ch, h, add):
         return ChannelClass(False, False,
-                            ("error-map-not-homomorphic",) + _first_failing_pair(ch, hs, add))
+                            ("error-map-not-homomorphic",) + _first_failing_pair(ch, h, add))
 
     linear, witness = _codeword_map_linear(ch)
     return ChannelClass(True, linear, witness)
 
 
-def _is_additive(ch: Channel, hs: list, add) -> bool:
-    """Is h additive?  ``hs`` lists h(z)'s codes in weight order; O(|E|) sums.
+def _error_at(ch: Channel, i: int):
+    """The error at enumeration index i, as a tuple."""
+    return next(islice(ch.errors.space.elements(), i, None))
+
+
+def _is_additive(ch: Channel, h: list, add) -> bool:
+    """Is h additive?  ``h`` lists h(z)'s codes by enumeration index; O(|E|) sums.
 
     Both error spaces enumerate their errors as base-q numbers over N
     coordinates (a matrix's entries row-major, the last coordinate lowest),
@@ -375,9 +384,6 @@ def _is_additive(ch: Channel, hs: list, add) -> bool:
     and (a) then makes that sum additive; both are necessary.
     """
     q, table = ch.field.q, ch.field.add_table
-    h = [None] * len(hs)
-    for i, hz in zip(ch._weight_order()[0], hs):
-        h[i] = hz
     step = 1
     while step < len(h):
         for a in range(q):
@@ -394,25 +400,34 @@ def _is_additive(ch: Channel, hs: list, add) -> bool:
     return True
 
 
-def _first_failing_pair(ch: Channel, hs: list, add):
+def _first_failing_pair(ch: Channel, h: list, add):
     """The first (za, zb) in weight order, za outer, with
-    h(za + zb) != h(za) + h(zb), given that one exists.
+    h(za + zb) != h(za) + h(zb), given that one exists; ``h`` as for
+    :func:`_is_additive`.
 
     The errors of weight <= 1 generate the error group under all three
     measures (single symbols, rank-one matrices, a rank-one block), so if
     h(g + z) = h(g) + h(z) held for all of them and every z, h would be
     additive.  They come first in weight order, so the first failing pair
     of the all-pairs scan has one of them as za, and the scan stops there.
+    The scan runs on enumeration indices: for each za, the index of za + zb
+    for every zb is built one base-q digit at a time (highest place first)
+    from za's digits and the field's addition table, and only the two
+    witness errors are lifted to tuples.
     """
-    err_add = mx.adder(ch.field, ch.errors.space.shape)
-    errors = ch._errors_by_weight()
-    h = {z: hz for (z, _), hz in zip(errors, hs)}
-    for (za, wa), ha in zip(errors, hs):
-        if wa > 1:
-            break
-        for (zb, _), hb in zip(errors, hs):
-            if h[err_add(za, zb)] != add(ha, hb):
-                return za, zb
+    q, table = ch.field.q, ch.field.add_table
+    order, weights = ch._weight_order()
+    places = math.prod(ch.errors.space.shape)
+    hb = list(map(h.__getitem__, order))  # h(zb) in weight order
+    for a in order[:bisect_right(weights, 1)]:
+        sums = [0]  # sums[b] = index of za + zb, zb by enumeration index
+        for p in reversed(range(places)):
+            digit_sums = table[a // q ** p % q]
+            sums = [s * q + c for s in sums for c in digit_sums]
+        bad = next(compress(order, map(ne, map(h.__getitem__, map(sums.__getitem__, order)),
+                                       map(add, repeat(h[a]), hb))), None)
+        if bad is not None:
+            return _error_at(ch, a), _error_at(ch, bad)
     raise AssertionError("h is not additive, yet every weight-one error adds")
 
 

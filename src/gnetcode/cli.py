@@ -11,13 +11,16 @@ the corresponding library call on the configured channel.  Subcommands:
     classify      error-linearity / linearity verdicts
 
 The channel comes either from ``--config FILE`` or from ``--toy-example``
-(the built-in nonlinear network fixture).  ``--format structured`` emits a
-JSON document that parses back losslessly; the default is readable text.
+(the built-in nonlinear network fixture).  ``--format structured`` emits
+one line of compact JSON that parses back losslessly (unindented, so that
+CPython's C encoder writes it); the default is readable text.  The argument
+parser is built once per process, on the first call of :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -34,6 +37,7 @@ from .properties import run_all
 DEFAULT_SEED = 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gnetcode",
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
         return 2
     payload["elapsed_s"] = round(time.perf_counter() - started, 4)
     if args.format == "structured":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(text())
     return code

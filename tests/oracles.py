@@ -267,6 +267,25 @@ def naive_classify(ch, pair_budget=None):
     return ChannelClass(True, linear, witness)
 
 
+def naive_first_failing_pair(ch):
+    """classify's error-map-not-homomorphic witness by the tuple search: za
+    over the errors of weight <= 1, zb over every error, both in weight
+    order, with h(z) = F(x0, z) - F(x0, 0) and every sum taken through the
+    spaces' checked add; None when no pair fails."""
+    out, errs = ch.outputs, ch.errors.space
+    x0 = ch.codewords[0]
+    base = ch.zero_output(x0)
+    errors = ch._errors_by_weight()
+    h = {z: out.sub(y, base) for (z, _), y in zip(errors, ch._transfer_row(x0))}
+    for za, wa in errors:
+        if wa > 1:
+            break
+        for zb, _ in errors:
+            if h[errs.add(za, zb)] != out.add(h[za], h[zb]):
+                return za, zb
+    return None
+
+
 def naive_codeword_map_linear(ch):
     """_codeword_map_linear with every sum and multiple taken through the
     checked vector and matrix arithmetic."""

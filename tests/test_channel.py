@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from oracles import naive_classify, naive_codeword_map_linear
+from oracles import naive_classify, naive_codeword_map_linear, naive_first_failing_pair
 from gnetcode import (Field, WeightMeasure, RANK, classical_channel,
                       matrix_channel, table_channel, classify, ChannelClass,
                       enumerate_errors_up_to, ConstructionError, BudgetError,
@@ -316,6 +316,39 @@ def test_classify_matches_checked_oracle():
     assert {"transfer-not-additive", "error-map-not-homomorphic", True} <= tags
     for ch in coordinate_sums + perturbed:
         assert classify(ch).witness[0] == "error-map-not-homomorphic", ch
+
+
+def test_homomorphism_witness_matches_tuple_search():
+    """classify names the first failing (za, zb) of the tuple search, za over
+    the weight-<= 1 errors, on every channel whose h is not additive: a GF(3)
+    table channel whose failing za comes late among the weight-one errors,
+    one whose witness depends on zb's order, seeded random GF(2)/GF(3) table
+    channels, and perturbed rank and sum-rank channels."""
+    gf2, gf3 = Field(2), Field(3)
+    late = {(x, z): ((x[0] + sum(z) + z[0] * z[1]) % 3, z[2])
+            for x in ((0,), (1,)) for z in itertools.product(range(3), repeat=8)}
+    # h = 1 at (1, 2) and (2, 1) only: za = (0, 1) first fails at zb = (2, 0)
+    # in weight order, but at (1, 1) in enumeration order
+    bump = {(1, 2): 1, (2, 1): 1}
+    ordered = {(x, z): ((x[0] + bump.get(z, 0)) % 3,)
+               for x in ((0,), (1,)) for z in itertools.product(range(3), repeat=2)}
+    channels = [table_channel(gf3, [(0,), (1,)], 8, 2, late),
+                table_channel(gf3, [(0,), (1,)], 2, 1, ordered)]
+    rng = random.Random(2718)
+    for f, n in ((gf2, 2), (gf2, 3), (gf3, 2), (gf3, 3)):
+        channels += [_separable_table_channel(rng, f, 2, n, 2) for _ in range(3)]
+    channels += [_perturbed(rng, random_rank_channel(rng, gf2, rows=2, msg_cols=1,
+                                                     err_cols=2, out_cols=2)),
+                 _perturbed(rng, random_sum_rank_channel(rng, gf2, rows=2))]
+    pairs = list(map(naive_first_failing_pair, channels))
+    for ch, pair in zip(channels, pairs):
+        if pair is None:  # a random h that happens to be additive
+            assert classify(ch).error_linear, ch
+        else:
+            assert classify(ch) == ChannelClass(
+                False, False, ("error-map-not-homomorphic",) + pair), ch
+    assert pairs[:2] == [((0, 1) + (0,) * 6, (1,) + (0,) * 7), ((0, 1), (2, 0))]
+    assert sum(pair is not None for pair in pairs) >= 13
 
 
 def _subspace_code_channel(rng, f, dim, output_length):

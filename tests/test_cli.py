@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gnetcode
 from gnetcode import minimum_distances, capability
 from gnetcode.cli import main
 from test_config import REPETITION
+from test_golden import GOLDEN, payload_digest
 
 
 def run_cli(capsys, *argv):
@@ -220,3 +226,39 @@ def test_cli_is_thin_adapter(capsys, toy):
     engine = minimum_distances(toy).to_dict()
     assert json.dumps(doc["distances"], sort_keys=True) == json.dumps(
         engine, sort_keys=True)
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    """The parser is built once per process; a --bounded left by one call
+    does not reach the next, which answers as a fresh process does."""
+    run_json(capsys, "--toy-example", "--format", "structured",
+             "decode", "--bounded", "1", "1,0,0")
+    _, doc, _ = run_json(capsys, "--toy-example", "--format", "structured",
+                         "decode", "1,0,0")
+    env = dict(os.environ, PYTHONPATH=str(Path(gnetcode.__file__).parents[1]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "gnetcode.cli", "--toy-example", "--format",
+         "structured", "decode", "1,0,0"],
+        env=env, capture_output=True, text=True, check=True)
+    first = json.loads(fresh.stdout)
+    assert doc["decode"]["bounded"] is None
+    assert doc["decode"] == first["decode"]
+    assert payload_digest(fresh.stdout) == GOLDEN["toy", "decode 1,0,0"][1]
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--toy-example", "joint", "--c", "0"])
+    assert exc.value.code == 2
+    assert "--cprime" in capsys.readouterr().err
+    code, doc, _ = run_json(capsys, "--toy-example", "--format", "structured",
+                            "joint", "--c", "0", "--cprime", "1")
+    assert code == 0 and doc["joint"] == {"c": 0, "cprime": 1, "verdict": True}
+
+
+@pytest.mark.parametrize("command", [c for s, c in GOLDEN if s == "toy" and GOLDEN[s, c][1]])
+def test_structured_output_is_one_line_of_the_pinned_payload(capsys, command):
+    code, out, _ = run_cli(capsys, "--toy-example", "--format", "structured",
+                           *command.split())
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert (code, payload_digest(out)) == GOLDEN["toy", command]
