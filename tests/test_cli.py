@@ -9,7 +9,7 @@ import pytest
 import gnetcode
 from gnetcode import minimum_distances, capability
 from gnetcode.cli import main
-from test_config import REPETITION
+from test_config import INI_SYNTAX_ERRORS, REPETITION
 from test_golden import GOLDEN, payload_digest
 
 
@@ -125,6 +125,15 @@ def test_config_parse_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "--config", str(cfg), "distances")
     assert code == 2
     assert "error:" in err and "prime" in err
+
+
+@pytest.mark.parametrize("case", sorted(INI_SYNTAX_ERRORS))
+def test_ini_syntax_error_exits_2(capsys, tmp_path, case):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(INI_SYNTAX_ERRORS[case])
+    code, out, err = run_cli(capsys, "--config", str(cfg), "distances")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config parse error")
 
 
 def test_missing_config_file(capsys):

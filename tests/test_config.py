@@ -284,6 +284,23 @@ def test_constructor_checks_reach_the_config(text, message):
         channel_from_config(text)
 
 
+INI_SYNTAX_ERRORS = {
+    "duplicate-section": REPETITION + "\n[field]\np = 3\n",
+    "duplicate-key": REPETITION.replace("p = 2\n", "p = 2\np = 3\n"),
+    "key-before-header": "p = 2\n" + REPETITION,
+    "line-without-equals": REPETITION.replace("kind = classical\n",
+                                              "kind = classical\nclassical\n"),
+    "empty-key": REPETITION.replace("[code]\n", "[code]\n= 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INI_SYNTAX_ERRORS))
+def test_ini_syntax_errors_are_parse_errors(case):
+    """Only the prefix is pinned: the wording past it names the line."""
+    with pytest.raises(ConfigError, match=r"^config parse error"):
+        channel_from_config(INI_SYNTAX_ERRORS[case])
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         channel_from_config(REPETITION.replace("kind = hamming",
