@@ -160,10 +160,12 @@ class Channel:
     its first row, never at construction, and every scan over a row (reach
     maps, decoders, classification) runs on the codes; outputs become
     tuples again only at the public boundary.  The constructors pass a row
-    kernel whose outputs are elements by construction.  Without one, each
-    row is evaluated pair by pair and every output is validated once, when
-    its row is built, raising :class:`ConstructionError` with the
-    offending (x, z); every scan over a row then trusts its codes.
+    kernel, and a transfer, whose outputs are elements by construction, so
+    the codewords' zero-error outputs are not checked again here.  Without
+    a row kernel those outputs are checked, each row is evaluated pair by
+    pair and every output is validated once, when its row is built,
+    raising :class:`ConstructionError` with the offending (x, z); every
+    scan over a row then trusts its codes.
     """
 
     def __init__(self, field: Field, codewords, errors: ErrorModel, outputs,
@@ -195,7 +197,7 @@ class Channel:
         self._zero_outputs = {}
         for x in codewords:
             y = transfer(x, zero)
-            if not outputs.contains(y):
+            if row is None and not outputs.contains(y):
                 raise ConstructionError(
                     f"transfer output {y!r} is outside the declared output space")
             if y in seen:
@@ -480,9 +482,11 @@ def _vector_code(field: Field, codewords) -> tuple[tuple, VectorSpace]:
         raise ConstructionError("empty codeword list")
     n = len(codewords[0])
     space = VectorSpace(field, n)
-    for x in codewords:
-        if not space.contains(x):
-            raise ConstructionError(f"codeword {x!r} is not a length-{n} vector over {field}")
+    if not mx.all_vectors(field.q, codewords, n):
+        for x in codewords:
+            if not space.contains(x):
+                raise ConstructionError(
+                    f"codeword {x!r} is not a length-{n} vector over {field}")
     return codewords, space
 
 
@@ -498,8 +502,7 @@ def classical_channel(field: Field, codewords,
     codewords, space = _vector_code(field, codewords)
     errors = ErrorModel(space, WeightMeasure(HAMMING))
     shifts = field.add_table.__getitem__
-    return Channel(field, codewords, errors, space,
-                   lambda x, z: mx.vec_add(field, x, z),
+    return Channel(field, codewords, errors, space, mx.adder(field, space.shape),
                    kind="classical", pair_budget=pair_budget,
                    row=lambda x, codec: codec.encode_all(itertools.product(*map(shifts, x))))
 
@@ -529,12 +532,13 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
         raise ConstructionError(
             f"A ({ka}x{n}) and B ({u}x{nb}) must have the same number of columns")
     for name, mat, rows in (("A", a, ka), ("B", b, u)):
-        if not mx.is_element(field, mat, (rows, n)):
+        if not mx.all_vectors(field.q, mat, n):
             raise ConstructionError(f"{name} must be a {rows}x{n} matrix over {field}")
     matrix_code = isinstance(codewords[0][0], tuple)
     if matrix_code:
         m = len(codewords[0])
-        if any(not mx.is_element(field, x, (m, ka)) for x in codewords):
+        if not (set(map(len, codewords)) == {m}
+                and mx.all_vectors(field.q, [r for x in codewords for r in x], ka)):
             raise ConstructionError(f"matrix codewords must all be {m}x{ka} over {field}")
         err_space = MatrixSpace(field, m, u)
         out_space = MatrixSpace(field, m, n)
@@ -542,7 +546,7 @@ def matrix_channel(field: Field, codewords, a: mx.Matrix, b: mx.Matrix,
         if measure.kind == HAMMING:
             raise ConstructionError("matrix codewords need a rank or sum-rank weight")
     else:
-        if any(not mx.is_element(field, x, (ka,)) for x in codewords):
+        if not mx.all_vectors(field.q, codewords, ka):
             raise ConstructionError(f"vector codewords must have length {ka} over {field}")
         err_space = VectorSpace(field, u)
         out_space = VectorSpace(field, n)
@@ -604,19 +608,23 @@ def table_channel(field: Field, codewords, error_length: int, output_length: int
     err_space = VectorSpace(field, error_length)
     out_space = VectorSpace(field, output_length)
     table = {(tuple(x), tuple(z)): tuple(y) for (x, z), y in table.items()}
-    for x in codewords:
-        for z in err_space.elements():
-            y = table.get((x, z))
-            if y is None:
-                raise ConstructionError(f"table is missing the entry for ({x!r}, {z!r})")
-            if not out_space.contains(y):
-                raise ConstructionError(f"table output {y!r} for ({x!r}, {z!r}) is not a "
-                                        f"length-{output_length} vector over {field}")
-    codes = set(codewords)
-    if len(table) > len(codes) * err_space.size:  # total, so some key is extra
-        x, z = next(k for k in table if k[0] not in codes or not err_space.contains(k[1]))
-        raise ConstructionError(f"table has an entry for ({x!r}, {z!r}) outside the "
-                                f"codewords x length-{error_length} errors")
+    if not (len(table) == len(codewords) * err_space.size
+            and all(map(table.__contains__, itertools.product(codewords, err_space.elements())))
+            and mx.all_vectors(field.q, table.values(), output_length)):
+        # name the first missing or bad entry in (x, z) order, else an extra one
+        for x in codewords:
+            for z in err_space.elements():
+                y = table.get((x, z))
+                if y is None:
+                    raise ConstructionError(f"table is missing the entry for ({x!r}, {z!r})")
+                if not out_space.contains(y):
+                    raise ConstructionError(f"table output {y!r} for ({x!r}, {z!r}) is not "
+                                            f"a length-{output_length} vector over {field}")
+        codes = set(codewords)
+        if len(table) > len(codes) * err_space.size:  # total, so some key is extra
+            x, z = next(k for k in table if k[0] not in codes or not err_space.contains(k[1]))
+            raise ConstructionError(f"table has an entry for ({x!r}, {z!r}) outside the "
+                                    f"codewords x length-{error_length} errors")
 
     def row(x, codec):
         return codec.encode_all(map(table.__getitem__, zip(repeat(x), err_space.elements())))

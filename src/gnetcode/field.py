@@ -19,6 +19,8 @@ package enumerates exhaustively, so large fields are rejected up front).
 
 from __future__ import annotations
 
+from itertools import chain
+
 DEFAULT_MAX_FIELD_SIZE = 256
 
 
@@ -104,6 +106,24 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
+def _linear_map(add: list[list[int]], p: int, images: list[int]) -> list[int]:
+    """The table of the GF(p)-linear map that sends the basis element p^i
+    (the polynomial x^i) to ``images[i]``: entry b is the sum of
+    b_i * images[i] over b's base-p digits b_i.
+
+    Each image in turn extends the table by its multiples: the entries for
+    b = d*p^i + r, r < p^i, are d*images[i] + the entry for r, read off
+    the addition table row of d*images[i], one C-level map per digit d.
+    """
+    table = [0]
+    for image in images:
+        multiples = [0]
+        for _ in range(p - 1):
+            multiples.append(add[multiples[-1]][image])
+        table = list(chain.from_iterable([map(add[m].__getitem__, table) for m in multiples]))
+    return table
+
+
 def _poly_str(coeffs: tuple[int, ...]) -> str:
     terms = []
     for i, c in enumerate(coeffs):
@@ -171,41 +191,40 @@ class Field:
 
     def _additive_tables(self) -> list[list[int]]:
         if self._add is None:
-            p, k, q = self.p, self.k, self.q
-            if k == 1:
-                self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-                self._neg = [(-a) % p for a in range(p)]
-            else:
-                coeffs = [self.coeffs(a) for a in range(q)]
-                self._add = [[self._from_digits([(x + y) % p for x, y in zip(ca, cb)])
-                              for cb in coeffs] for ca in coeffs]
-                self._neg = [self._from_digits([(-x) % p for x in ca]) for ca in coeffs]
+            p = self.p
+            # a + b adds base-p digits mod p; each pass puts one more digit
+            # in front: a = da*n + ra and b = db*n + rb sum to
+            # ((da + db) % p)*n + (ra + rb)
+            add = [[0]]
+            for n in (p ** i for i in range(self.k)):
+                add = [list(chain.from_iterable([map(((da + db) % p * n).__add__, add[ra])
+                                                 for db in range(p)]))
+                       for da in range(p) for ra in range(n)]
+            self._add = add
+            self._neg = [row.index(0) for row in add]
         return self._add
 
     def _mul_tables(self) -> list[list[int]]:
         if self._mul is None:
             p, k, q = self.p, self.k, self.q
+            add = self._additive_tables()
             if k == 1:
                 self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-                self._inv = [None] + [pow(a, p - 2, p) for a in range(1, p)]
-                return self._mul
-            coeffs = [_poly_trim(list(self.coeffs(a))) for a in range(q)]
-            mod = list(self.modulus)
-            mul = []
-            for ca in coeffs:
-                row = []
-                for cb in coeffs:
-                    prod = _poly_rem(_poly_mul(ca, cb, p), mod, p)
-                    row.append(self._from_digits(prod + [0] * (k - len(prod))))
-                mul.append(row)
-            self._mul = mul
-            inv: list[int | None] = [None] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if mul[a][b] == 1:
-                        inv[a] = b
-                        break
-            self._inv = inv
+            else:
+                # b -> b*x is GF(p)-linear, fixed on the basis x^i: x^i -> x^(i+1)
+                # below the top, and x^(k-1) -> x^k, which the modulus reduces to
+                # -(m_0 + m_1 x + ... + m_(k-1) x^(k-1))
+                top = self._from_digits([(-c) % p for c in self.modulus[:-1]])
+                times_x = _linear_map(add, p, [p ** i for i in range(1, k)] + [top])
+                # b -> a*b is linear too, fixed by a, a*x, ..., a*x^(k-1)
+                mul = []
+                for a in range(q):
+                    images = [a]
+                    for _ in range(k - 1):
+                        images.append(times_x[images[-1]])
+                    mul.append(_linear_map(add, p, images))
+                self._mul = mul
+            self._inv = [None] + [row.index(1) for row in self._mul[1:]]
         return self._mul
 
     def _from_digits(self, digits: list[int]) -> int:

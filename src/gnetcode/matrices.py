@@ -9,6 +9,7 @@ rows run on packed integer codes instead (see :mod:`gnetcode.codec`).
 from __future__ import annotations
 
 import operator
+from itertools import chain, repeat
 
 from .field import Field
 
@@ -38,6 +39,23 @@ def is_element(f: Field, a, shape: tuple[int, ...]) -> bool:
     return (isinstance(a, tuple) and len(a) == rows
             and all(isinstance(r, tuple) and len(r) == cols for r in a)
             and all(isinstance(x, int) and 0 <= x < q for r in a for x in r))
+
+
+def all_vectors(q: int, vectors, length: int) -> bool:
+    """Is every one of ``vectors``, a collection of tuples, ``length``
+    integer symbols in range(q)?
+
+    A whole-table check, one set of lengths and one of symbols, for a
+    constructor's fast path: a caller that gets False scans in order, so
+    its error names the first offending entry.
+    """
+    try:
+        symbols = list(chain.from_iterable(vectors))
+        return (set(map(len, vectors)) <= {length}
+                and all(map(isinstance, symbols, repeat(int)))
+                and set(symbols) <= set(range(q)))
+    except TypeError:  # an entry that is not a sequence
+        return False
 
 
 def vec_add(f: Field, u: Vector, v: Vector) -> Vector:

@@ -115,6 +115,7 @@ def _validate_and_order(spec: NetworkSpec, q: int):
         raise ConstructionError(f"source {spec.source!r} has no outgoing edge")
 
     program = []
+    symbols = set(range(q))
     for node in order:
         ins = spec.incoming(node)
         for ei in spec.outgoing(node):
@@ -131,11 +132,12 @@ def _validate_and_order(spec: NetworkSpec, q: int):
                 raise ConstructionError(
                     f"local table for edge {edge} must be total over "
                     f"{expected} input tuples, has {len(table)}")
-            for key, value in table.items():
-                if len(key) != len(ins) or any(not 0 <= s < q for s in key):
-                    raise ConstructionError(f"bad input tuple {key} in table for {edge}")
-                if not 0 <= value < q:
-                    raise ConstructionError(f"bad output {value} in table for {edge}")
+            if not (mx.all_vectors(q, table, len(ins)) and set(table.values()) <= symbols):
+                for key, value in table.items():  # name the first bad row
+                    if len(key) != len(ins) or any(not 0 <= s < q for s in key):
+                        raise ConstructionError(f"bad input tuple {key} in table for {edge}")
+                    if not 0 <= value < q:
+                        raise ConstructionError(f"bad output {value} in table for {edge}")
             program.append((ei, None, table, tuple(ins)))
     for edge in spec.local_functions:
         if tuple(edge) not in spec.edges:

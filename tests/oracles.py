@@ -6,11 +6,13 @@ early-exit cleverness beyond scanning candidate radii upward.  The engine
 must agree with these on every value.
 """
 
+import configparser
 import random
 
 from gnetcode import matrices as mx
 from gnetcode.channel import BudgetError, ChannelClass
 from gnetcode.distances import INFINITE
+from gnetcode.field import _poly_mul, _poly_rem, _poly_trim
 from gnetcode.weights import AxiomCheck, AxiomReport
 
 
@@ -334,3 +336,32 @@ def naive_metric(table, n):
                      if dist(i, j) + dist(j, k) < dist(i, k)],
     }
     return {axiom: found[0] if found else None for axiom, found in fails.items()}
+
+
+def configparser_sections(text):
+    """``{section: {key: value}}`` as the standard library's configparser
+    reads ``text`` with the settings gnetcode's config reader mirrors:
+    ``=`` the only delimiter, no interpolation, strict, keys verbatim."""
+    parser = configparser.ConfigParser(delimiters=("=",), interpolation=None, strict=True)
+    parser.optionxform = str
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def polynomial_tables(f):
+    """(add, mul) tables of ``f`` by coefficient arithmetic: coefficient-wise
+    sums mod p, and polynomial products reduced modulo ``f.modulus``."""
+    p, k, q = f.p, f.k, f.q
+    coeffs = [list(f.coeffs(a)) for a in range(q)]
+    add = [[f.element([(s + t) % p for s, t in zip(ca, cb)]) for cb in coeffs] for ca in coeffs]
+    if k == 1:
+        return add, [[a * b % p for b in range(q)] for a in range(q)]
+    mul = []
+    for ca in coeffs:
+        row = []
+        for cb in coeffs:
+            prod = _poly_rem(_poly_mul(_poly_trim(list(ca)), _poly_trim(list(cb)), p),
+                             list(f.modulus), p)
+            row.append(f.element(prod + [0] * (k - len(prod))))
+        mul.append(row)
+    return add, mul

@@ -1,9 +1,13 @@
+import configparser
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
 from gnetcode import minimum_distances, classify
-from gnetcode.config import ConfigError, channel_from_config, config_digest
+from gnetcode.config import ConfigError, channel_from_config, config_digest, parse_config
+from oracles import configparser_sections
 
 REPETITION = """
 [field]
@@ -299,6 +303,59 @@ def test_ini_syntax_errors_are_parse_errors(case):
     """Only the prefix is pinned: the wording past it names the line."""
     with pytest.raises(ConfigError, match=r"^config parse error"):
         channel_from_config(INI_SYNTAX_ERRORS[case])
+
+
+# the line each error names, and what it reads
+INI_SYNTAX_ERROR_LINES = {"duplicate-section": (17, "[field]"), "duplicate-key": (4, "p = 3"),
+                          "key-before-header": (1, "p = 2"),
+                          "line-without-equals": (11, "classical"), "empty-key": (13, "= 1")}
+
+
+@pytest.mark.parametrize("case", sorted(INI_SYNTAX_ERRORS))
+def test_ini_syntax_errors_name_their_line(case):
+    text = INI_SYNTAX_ERRORS[case]
+    number, line = INI_SYNTAX_ERROR_LINES[case]
+    assert text.split("\n")[number - 1] == line
+    with pytest.raises(ConfigError, match=rf"^config parse error: line {number}: "):
+        parse_config(text)
+    with pytest.raises(configparser.Error):  # the standard reader rejects it too
+        configparser_sections(text)
+
+
+ROOT = Path(__file__).parent.parent
+README_EXAMPLE = re.search(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[1]
+
+
+def test_readme_example_builds():
+    assert channel_from_config(README_EXAMPLE).codewords == ((0, 0, 0), (1, 1, 1))
+
+
+CONFIG_TEXTS = {
+    "README_EXAMPLE": README_EXAMPLE, "REPETITION": REPETITION, "MATRIX_RANK": MATRIX_RANK, "TOY_NETWORK": TOY_NETWORK,
+    "TABLE": TABLE, "SUM_RANK": SUM_RANK, "MATRIX_HAMMING": MATRIX_HAMMING,
+    **{path.name: path.read_text()
+       for path in (ROOT / "demos" / "configs").glob("*.ini")},
+}
+INI_VARIANTS = {
+    "as-written": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr-only": lambda text: text.replace("\n", "\r"),  # one line: only "\n" ends a line
+    "tab-indent": lambda text: re.sub(r"(?m)^ +(?=\S)", "\t", text),
+    # after every continuation line a blank line and two comments, the
+    # second indented like a value line
+    "comments-in-values": lambda text: re.sub(r"(?m)^([ \t]+\S.*)$", r"\1\n\n# note\n    ; note",
+                                              text),
+    "trailing-whitespace": lambda text: text.replace("\n", " \t\n"),
+}
+INI_VARIANTS["all"] = lambda text: INI_VARIANTS["crlf"](INI_VARIANTS["trailing-whitespace"](
+    INI_VARIANTS["comments-in-values"](INI_VARIANTS["tab-indent"](text))))
+
+
+@pytest.mark.parametrize("variant", sorted(INI_VARIANTS))
+@pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+def test_reader_matches_configparser(name, variant):
+    text = INI_VARIANTS[variant](CONFIG_TEXTS[name])
+    assert parse_config(text) == configparser_sections(text)
 
 
 def test_unknown_key_rejected():

@@ -4,6 +4,7 @@ import pytest
 
 from gnetcode import Field, default_modulus
 from gnetcode import field as field_module
+from oracles import polynomial_tables
 
 
 def gf4():
@@ -68,6 +69,40 @@ def test_field_axioms_exhaustive(p, k):
         assert f.add(a, f.neg(a)) == 0
         if a != 0:
             assert f.mul(a, f.inv(a)) == 1
+
+
+def _every_field(q_max):
+    """(p, k, modulus) of every GF(p^k) with p^k <= q_max, the extension
+    fields once per monic irreducible modulus."""
+    out = []
+    for p in filter(field_module.is_prime, range(2, q_max + 1)):
+        out.append((p, 1, None))
+        for k in itertools.takewhile(lambda k: p ** k <= q_max, itertools.count(2)):
+            for low in itertools.product(range(p), repeat=k):
+                modulus = (*reversed(low), 1)
+                if field_module.is_irreducible(modulus, p):
+                    out.append((p, k, modulus))
+    return out
+
+
+def _check_tables(f):
+    add, mul = polynomial_tables(f)
+    assert f.add_table == add
+    assert f.mul_table == mul
+    assert [f.neg(a) for a in range(f.q)] == [row.index(0) for row in add]
+    assert [f.inv(a) for a in range(1, f.q)] == [row.index(1) for row in mul[1:]]
+
+
+@pytest.mark.parametrize("p, k, modulus", [
+    pytest.param(p, k, m, id=f"GF({p}^{k})" + (f"-{','.join(map(str, m))}" if m else "")) for p, k, m in _every_field(64)])
+def test_tables_match_polynomial_arithmetic(p, k, modulus):
+    _check_tables(Field(p, k, modulus))
+
+
+def test_gf256_tables_match_polynomial_arithmetic():
+    f = Field(2, 8)  # the default cap, and a modulus under which x is not primitive
+    assert f.modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    _check_tables(f)
 
 
 def test_default_modulus_selection():
