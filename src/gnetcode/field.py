@@ -15,6 +15,10 @@ matches the element order above.  Irreducibility is verified by trial
 division against every lower-degree monic polynomial; that is cheap at the
 supported sizes (q <= 256 by default -- every downstream algorithm in this
 package enumerates exhaustively, so large fields are rejected up front).
+
+The addition and multiplication tables are built on first use by table
+lookups alone: sums digit by digit, and each row of products as the
+GF(p)-linear map b -> a*b, fixed by its images of 1, x, ..., x^(k-1).
 """
 
 from __future__ import annotations
@@ -65,15 +69,6 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
             rem[shift + i] = (rem[shift + i] - lead * dc) % p
         _poly_trim(rem)
     return rem
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def is_irreducible(poly: tuple[int, ...] | list[int], p: int) -> bool:

@@ -12,7 +12,7 @@ import random
 from gnetcode import matrices as mx
 from gnetcode.channel import BudgetError, ChannelClass
 from gnetcode.distances import INFINITE
-from gnetcode.field import _poly_mul, _poly_rem, _poly_trim
+from gnetcode.field import _poly_rem
 from gnetcode.weights import AxiomCheck, AxiomReport
 
 
@@ -360,8 +360,11 @@ def polynomial_tables(f):
     for ca in coeffs:
         row = []
         for cb in coeffs:
-            prod = _poly_rem(_poly_mul(_poly_trim(list(ca)), _poly_trim(list(cb)), p),
-                             list(f.modulus), p)
-            row.append(f.element(prod + [0] * (k - len(prod))))
+            prod = [0] * (2 * k - 1)
+            for i, s in enumerate(ca):
+                for j, t in enumerate(cb):
+                    prod[i + j] = (prod[i + j] + s * t) % p
+            rem = _poly_rem(prod, list(f.modulus), p)
+            row.append(f.element(rem + [0] * (k - len(rem))))
         mul.append(row)
     return add, mul
