@@ -331,10 +331,10 @@ def test_readme_example_builds():
 
 
 CONFIG_TEXTS = {
-    "README_EXAMPLE": README_EXAMPLE, "REPETITION": REPETITION, "MATRIX_RANK": MATRIX_RANK, "TOY_NETWORK": TOY_NETWORK,
-    "TABLE": TABLE, "SUM_RANK": SUM_RANK, "MATRIX_HAMMING": MATRIX_HAMMING,
-    **{path.name: path.read_text()
-       for path in (ROOT / "demos" / "configs").glob("*.ini")},
+    "README_EXAMPLE": README_EXAMPLE, "REPETITION": REPETITION, "MATRIX_RANK": MATRIX_RANK,
+    "TOY_NETWORK": TOY_NETWORK, "TABLE": TABLE, "SUM_RANK": SUM_RANK,
+    "MATRIX_HAMMING": MATRIX_HAMMING,
+    **{path.name: path.read_text() for path in (ROOT / "demos" / "configs").glob("*.ini")},
 }
 INI_VARIANTS = {
     "as-written": lambda text: text,
@@ -367,6 +367,8 @@ def test_unknown_key_rejected():
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match="unknown section"):
         channel_from_config(REPETITION + "\n[extra]\nx = 1\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+        channel_from_config(REPETITION + "\n[DEFAULT]\n")
     with pytest.raises(ConfigError, match="only applies"):
         channel_from_config(REPETITION + "\n[transfer]\n0 ; 0 = 0\n")
     with pytest.raises(ConfigError, match="only applies"):

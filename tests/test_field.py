@@ -94,7 +94,8 @@ def _check_tables(f):
 
 
 @pytest.mark.parametrize("p, k, modulus", [
-    pytest.param(p, k, m, id=f"GF({p}^{k})" + (f"-{','.join(map(str, m))}" if m else "")) for p, k, m in _every_field(64)])
+    pytest.param(p, k, m, id=f"GF({p}^{k})" + (f"-{','.join(map(str, m))}" if m else ""))
+    for p, k, m in _every_field(64)])
 def test_tables_match_polynomial_arithmetic(p, k, modulus):
     _check_tables(Field(p, k, modulus))
 
