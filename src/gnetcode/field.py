@@ -187,11 +187,11 @@ class Field:
     def _additive_tables(self) -> list[list[int]]:
         if self._add is None:
             p = self.p
-            # a + b adds base-p digits mod p; each pass puts one more digit
-            # in front: a = da*n + ra and b = db*n + rb sum to
-            # ((da + db) % p)*n + (ra + rb)
-            add = [[0]]
-            for n in (p ** i for i in range(self.k)):
+            # a + b adds base-p digits mod p.  In GF(p), row a is 0..p-1
+            # rotated by a; each pass puts one more digit in front:
+            # a = da*n + ra and b = db*n + rb sum to ((da + db) % p)*n + (ra + rb)
+            add = [[*range(a, p), *range(a)] for a in range(p)]
+            for n in (p ** i for i in range(1, self.k)):
                 add = [list(chain.from_iterable([map(((da + db) % p * n).__add__, add[ra])
                                                  for db in range(p)]))
                        for da in range(p) for ra in range(n)]
@@ -202,10 +202,10 @@ class Field:
     def _mul_tables(self) -> list[list[int]]:
         if self._mul is None:
             p, k, q = self.p, self.k, self.q
-            add = self._additive_tables()
             if k == 1:
                 self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
             else:
+                add = self._additive_tables()
                 # b -> b*x is GF(p)-linear, fixed on the basis x^i: x^i -> x^(i+1)
                 # below the top, and x^(k-1) -> x^k, which the modulus reduces to
                 # -(m_0 + m_1 x + ... + m_(k-1) x^(k-1))
