@@ -9,8 +9,9 @@ line (multiline values).  Unknown sections or keys are rejected outright.
 The syntax, read line by line (a line ends at ``\n`` only, so a ``\r``
 before it is trailing whitespace):
 
-- ``[name]`` starts section ``name``; every other line before the first
-  header must be blank or a comment.
+- ``[name]`` starts section ``name`` (anything after the last ``]`` is
+  dropped); every other line before the first header must be blank or a
+  comment.
 - ``key = value`` splits at the first ``=``; key and value are stripped of
   surrounding whitespace, and keys are case-sensitive.
 - A line indented deeper than its key line continues the value: each such
