@@ -1,30 +1,35 @@
 """Minimum weight decoding and code capability classification.
 
-Every verdict here is a lookup in one solution index, built in one pass
-over the codewords' reach maps y -> W_i(y) (see :mod:`gnetcode.distances`):
-y's integer code -> ``(least, owner, runner_up)``, the least W_i(y), the
-lowest codeword index attaining it, and the least W_j(y) over the other
-codewords (INFINITE if none reaches y), so a tie shows as
-``runner_up == least``.  MWD decodes y to its owner iff
-``least < runner_up``, otherwise (also for an unreached word, possible for
-non-surjective table channels) it declares a detection.  A received word
-is encoded once, at the boundary; a word outside the output space has no
-code and no solution, so it is detected too.  The radius-c balls
-{y : W_i(y) <= c} are pairwise disjoint iff no word has
-``runner_up <= c``, that is iff c is below the least runner-up, taken
-once with the index; only then is the bounded variant MWD(c) defined, and
-it decodes y to its owner iff ``least <= c``.
+A decoder reads one received word off the codewords' transfer rows, which
+run in nondecreasing error weight (see :mod:`gnetcode.distances`); it
+builds no table of every reached word.  The word is encoded once, at the
+boundary; a word outside the output space has no code and no solution,
+so it is detected.  For y's code the rows give ``(least, owner,
+runner_up)``: the least W_i(y) = min{wt(z) : F(x_i, z) = y}, which is the
+weight at y's first position in x_i's row, the lowest codeword index
+attaining it, and the least W_j(y) over the other codewords (INFINITE if
+none reaches y), so a tie shows as ``runner_up == least``.  MWD decodes y
+to its owner iff ``least < runner_up``, otherwise (also for an unreached
+word, possible for non-surjective table channels) it declares a
+detection.  The bounded variant MWD(c) is defined only when the radius-c
+balls {y : W_i(y) <= c}, cached per radius, are pairwise disjoint, that
+is when their union is as large as the sum of their sizes; then it decodes
+y to the codeword whose ball holds it.
 
-An error z is correctable when x_i alone attains F(x_i, z) at its least
-weight, for every codeword x_i.  It is detectable when the received word
-never lands on a *different* codeword's weight-0 solution (its clean
-output), so the radius-0 decoder either flags the error or returns x_i
-unchanged; nonlinear node maps can swallow an error entirely.  Both
-verdicts depend on z only through (x_i, F(x_i, z)), so :func:`capability`
-reads the least failing weights off the index.  A code corrects c errors
-while detecting c' more exactly when the refined joint minimum d2_min[c]
-is at least c'+1, so :func:`is_joint_correcting` reads that one memoized
-column of :func:`gnetcode.distances.minimum_distances`.
+:func:`capability` and the per-error predicates read one solution index,
+built once per channel in one pass over the reach maps: each reached
+word's code -> its ``(least, owner, runner_up)``.  An error z is
+correctable when x_i alone attains F(x_i, z) at its least weight, for
+every codeword x_i.  It is detectable when the received word never lands
+on a *different* codeword's weight-0 solution (its clean output), so the
+radius-0 decoder either flags the error or returns x_i unchanged;
+nonlinear node maps can swallow an error entirely.  Both verdicts depend
+on z only through (x_i, F(x_i, z)), so :func:`capability` reads the least
+failing weights off the index: the least runner-up over all words and
+over the clean outputs.  A code corrects c errors while detecting c' more
+exactly when the refined joint minimum d2_min[c] is at least c'+1, so
+:func:`is_joint_correcting` reads that one memoized column of
+:func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import Channel
-from .distances import INFINITE, _reach, minimum_distances, is_finite
+from .distances import INFINITE, _balls, _reach, minimum_distances, is_finite
 
 
 class InvalidDecoderError(ValueError):
@@ -82,26 +87,56 @@ def _solution_index(ch: Channel) -> tuple[dict, float]:
     return cached
 
 
+def _solution(rows: list, weights: list, code: int):
+    """(least, owner, runner_up) of one output code, read off the codewords'
+    code rows and the weights of their positions; None if no row holds it.
+    A codeword's least weight for the code is the weight at its first
+    position in the row, since rows run in nondecreasing weight.
+    """
+    least = runner_up = INFINITE
+    owner = None
+    for xi, row in enumerate(rows):
+        try:
+            w = weights[row.index(code)]
+        except ValueError:
+            continue
+        if w < least:
+            least, owner, runner_up = w, xi, least
+        elif w < runner_up:
+            runner_up = w
+    return None if owner is None else (least, owner, runner_up)
+
+
 def mwd(ch: Channel, y) -> DecodeOutcome:
     """Minimum weight decoding of a received word.
 
-    A word outside the output space has no solution, so it is detected.
+    Every codeword's row is built first (so a custom channel's output
+    outside the space raises :class:`~gnetcode.channel.ConstructionError`);
+    then a word outside the output space is detected, as it has no
+    solution; then y is decoded off the rows.
     """
-    index, _ = _solution_index(ch)
+    rows = list(map(ch._code_row, ch.codewords))
     if not ch.outputs.contains(y):
         return DETECTED
-    got = index.get(ch._codec().encode(y))
+    got = _solution(rows, ch._weight_order()[1], ch._codec().encode(y))
     if got is None or got[0] == got[2]:
         return DETECTED
     return DecodeOutcome(ch.codewords[got[1]])
 
 
 def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
-    """Bounded-distance decoding over disjoint radius-c balls."""
+    """Bounded-distance decoding over disjoint radius-c balls.
+
+    After a negative radius is rejected, every codeword's row is built
+    into its radius-c ball; then the radius is checked
+    (:class:`InvalidDecoderError` if two balls meet); then a word outside
+    the output space is detected; then y decodes to the ball holding it.
+    """
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    index, least_runner_up = _solution_index(ch)
-    if c >= least_runner_up:
+    balls = _balls(ch, c)
+    if len(frozenset().union(*balls)) < sum(map(len, balls)):
+        index, _ = _solution_index(ch)
         shared = next(code for code, got in index.items() if got[2] <= c)
         a = index[shared][1]
         b = next(j for j in range(len(ch.codewords))
@@ -112,8 +147,9 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
             "undefined at this radius")
     if not ch.outputs.contains(y):
         return DETECTED
-    got = index.get(ch._codec().encode(y))
-    return DETECTED if got is None or got[0] > c else DecodeOutcome(ch.codewords[got[1]])
+    code = ch._codec().encode(y)
+    return next((DecodeOutcome(x) for x, ball in zip(ch.codewords, balls) if code in ball),
+                DETECTED)
 
 
 def is_correctable(ch: Channel, z) -> bool:

@@ -34,14 +34,16 @@ keeps the tables on the :class:`DistanceReport`, whose
 :meth:`~DistanceReport.refined_rows` extends d2[c] off them for the
 theorem ledger.  The single-pair functions (:func:`dist_d0` and the
 rest) compute their pair's meet on demand.  The reach maps and the
-distance report are memoized per channel; a ball is filtered from its
-reach map on request, and only then are its members decoded to tuples.
+distance report are memoized per channel.  The balls of one radius are
+read off the rows, each a weight-<= c prefix kept as a set of codes, and
+cached per radius; only :func:`decoding_ball` decodes members to tuples.
 The test suite anchors this engine against a cache-free brute-force
 oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import add
 
@@ -106,12 +108,28 @@ def _meet(reach_i: dict, reach_j: dict, w_max: int) -> list:
     return m
 
 
+def _balls(ch: Channel, c: int) -> list:
+    """Each codeword's radius-c ball as a set of codes, in codeword order.
+
+    Rows run in nondecreasing error weight, so a ball is the set of a row's
+    weight-<= c prefix.  Built once per radius; a radius above w_max is
+    w_max's.
+    """
+    c = min(c, ch.w_max)
+    store = ch._cache.setdefault("balls", {})
+    balls = store.get(c)
+    if balls is None:
+        end = bisect_right(ch._weight_order()[1], c)
+        balls = store[c] = [frozenset(ch._code_row(x)[:end]) for x in ch.codewords]
+    return balls
+
+
 def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
     """The decoding ball of radius c around codeword x, its members as tuples."""
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    reach = _reach(ch, _cw_index(ch, x))
-    members = (y for y, w in reach.items() if w <= c)
+    i = _cw_index(ch, x)
+    members = _balls(ch, c)[i]
     return DecodingBall(x, c, frozenset(map(ch._codec().decode, members)))
 
 

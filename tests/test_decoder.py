@@ -234,9 +234,9 @@ def test_input_validation(repetition):
 
 
 def test_mwd_matches_naive_oracle(repetition):
-    import itertools
     import random
-    from gnetcode import Field, random_table_channel
+    from gnetcode import (Field, random_rank_channel, random_sum_rank_channel,
+                          random_table_channel)
     from oracles import naive_ball, naive_mwd
 
     channels = [repetition, single_edge_channel(), disjoint_images_channel()]
@@ -245,10 +245,12 @@ def test_mwd_matches_naive_oracle(repetition):
     channels += [random_table_channel(rng, Field(q), n_codewords=3,
                                       error_length=2, output_length=2)
                  for q in (2, 3)]
+    # matrix outputs: every word of the output space is a tuple of rows
+    channels += [random_rank_channel(rng, Field(2)) for _ in range(2)]
+    channels += [random_sum_rank_channel(rng, Field(2)) for _ in range(2)]
+    channels.append(random_rank_channel(rng, Field(3)))
     for ch in channels:
-        q = ch.field.q
-        n = len(ch.zero_output(ch.codewords[0]))
-        words = list(itertools.product(range(q), repeat=n))
+        words = list(ch.outputs.elements())
         for y in words:
             assert mwd(ch, y).codeword == naive_mwd(ch, y)
         # MWD(c) by definition: defined only when the radius-c balls are
@@ -262,6 +264,48 @@ def test_mwd_matches_naive_oracle(repetition):
             for y in words:
                 owner = next((x for x in ch.codewords if y in balls[x]), None)
                 assert mwd_bounded(ch, c, y).codeword == owner
+
+
+def test_decoders_read_the_rows_not_the_index():
+    """mwd, and mwd_bounded at a radius whose balls are disjoint, build
+    neither a reach map nor the solution index, on a reached, an unreached
+    and an outside word; the row reader's triple is the index's entry for
+    every word the index holds."""
+    import random
+    from gnetcode import random_rank_channel, toy_channel
+    from gnetcode.decoder import _solution, _solution_index
+    from gnetcode.distances import _balls
+
+    network = random_networks(41)[3]
+    network._cache.clear()  # random_networks built its distance tables
+    # the seed-3 rank channel leaves 12 of its 16 output words unreached
+    channels = [toy_channel(), random_rank_channel(random.Random(3), Field(2)), network]
+    unreached_seen = 0
+    for ch in channels:
+        rows = list(map(ch._code_row, ch.codewords))
+        encode = ch._codec().encode
+        reached = frozenset().union(*rows)
+        words = [ch.zero_output(ch.codewords[-1]), ch._transfer_row(ch.codewords[0])[-1]]
+        words += [y for y in ch.outputs.elements() if encode(y) not in reached][:1]
+        unreached_seen += len(words) == 3
+        words.append(ch.zero_output(ch.codewords[0])[:-1])  # outside the space
+        radii = [c for c in range(ch.w_max + 2)
+                 if sum(map(len, _balls(ch, c))) == len(frozenset().union(*_balls(ch, c)))]
+        assert 0 in radii
+        for y in words:
+            mwd(ch, y)
+            for c in radii:
+                mwd_bounded(ch, c, y)
+        assert "solution_index" not in ch._cache and "reach" not in ch._cache, ch
+
+        weights = ch._weight_order()[1]
+        index, _ = _solution_index(ch)
+        for code, got in index.items():
+            assert _solution(rows, weights, code) == got
+        for y in ch.outputs.elements():
+            if encode(y) not in index:
+                assert _solution(rows, weights, encode(y)) is None
+    assert unreached_seen
 
 
 def _per_error_capability(ch):

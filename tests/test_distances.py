@@ -206,6 +206,32 @@ def test_ball_oracle_agreement(toy, repetition):
                 assert decoding_ball(ch, x, c).members == frozenset(naive_ball(ch, x, c))
 
 
+def test_balls_are_the_naive_balls_cached_per_radius(toy):
+    from gnetcode import random_sum_rank_channel
+    from gnetcode.distances import _balls
+
+    sum_rank = random_sum_rank_channel(random.Random(7), Field(2))
+    for ch in (toy, sum_rank):
+        encode = ch._codec().encode
+        for c in range(ch.w_max + 2):
+            balls = _balls(ch, c)
+            assert balls is _balls(ch, c)
+            assert balls == [frozenset(map(encode, naive_ball(ch, x, c)))
+                             for x in ch.codewords]
+        assert sorted(ch._cache["balls"]) == list(range(ch.w_max + 1))
+
+
+def test_run_all_builds_the_radius_zero_balls_once():
+    from gnetcode import run_all, toy_channel
+    from gnetcode.distances import _balls
+
+    ch = toy_channel()
+    run_all(ch)
+    store = ch._cache["balls"]
+    assert list(store) == [0]
+    assert _balls(ch, 0) is store[0]
+
+
 def test_symmetry_of_d0_and_d2(toy, repetition, hamming_code_channel):
     for ch in (toy, repetition, hamming_code_channel):
         report = minimum_distances(ch)
