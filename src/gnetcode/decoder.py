@@ -12,32 +12,32 @@ none reaches y), so a tie shows as ``runner_up == least``.  MWD decodes y
 to its owner iff ``least < runner_up``, otherwise (also for an unreached
 word, possible for non-surjective table channels) it declares a
 detection.  The bounded variant MWD(c) is defined only when the radius-c
-balls {y : W_i(y) <= c}, cached per radius, are pairwise disjoint, that
-is when their union is as large as the sum of their sizes; then it decodes
-y to the codeword whose ball holds it.
+balls {y : W_i(y) <= c} are pairwise disjoint, a verdict cached per
+radius beside the balls; then it decodes y to the codeword whose ball
+holds it.
 
-:func:`capability` and the per-error predicates read one solution index,
-built once per channel in one pass over the reach maps: each reached
-word's code -> its ``(least, owner, runner_up)``.  An error z is
-correctable when x_i alone attains F(x_i, z) at its least weight, for
-every codeword x_i.  It is detectable when the received word never lands
-on a *different* codeword's weight-0 solution (its clean output), so the
-radius-0 decoder either flags the error or returns x_i unchanged;
-nonlinear node maps can swallow an error entirely.  Both verdicts depend
-on z only through (x_i, F(x_i, z)), so :func:`capability` reads the least
-failing weights off the index: the least runner-up over all words and
-over the clean outputs.  A code corrects c errors while detecting c' more
-exactly when the refined joint minimum d2_min[c] is at least c'+1, so
-:func:`is_joint_correcting` reads that one memoized column of
+The other questions are asked of the rows and the balls too.  An error z is
+correctable when MWD returns x_i from F(x_i, z), for every codeword x_i.
+It is detectable when MWD(0) returns x_i or declares a detection, that
+is when F(x_i, z) never lands on a *different* codeword's clean output;
+nonlinear node maps can swallow an error entirely.  So :func:`capability`
+reads the least uncorrectable weight off the balls, as the least radius
+at which two of them meet, and the least undetectable weight off the
+rows, as the least weight at which a codeword's row holds another
+codeword's clean output.  A code corrects c errors while detecting c'
+more exactly when the refined joint minimum d2_min[c] is at least c'+1,
+so :func:`is_joint_correcting` reads that one memoized column of
 :func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .channel import Channel
-from .distances import INFINITE, _balls, _reach, minimum_distances, is_finite
+from .distances import INFINITE, _balls, _disjoint, minimum_distances, is_finite
 
 
 class InvalidDecoderError(ValueError):
@@ -63,28 +63,6 @@ class DecodeOutcome:
 
 
 DETECTED = DecodeOutcome(None)
-
-
-def _solution_index(ch: Channel) -> tuple[dict, float]:
-    """(index, least runner-up): the index maps y's code -> (least solution
-    weight, lowest codeword index attaining it, least weight over the other
-    codewords or INFINITE), and the least runner-up is the least third
-    entry over the whole index.  Built once per channel.
-    """
-    cached = ch._cache.get("solution_index")
-    if cached is None:
-        index = {}
-        for xi in range(len(ch.codewords)):
-            for y, w in _reach(ch, xi).items():
-                got = index.get(y)
-                if got is None:
-                    index[y] = (w, xi, INFINITE)
-                elif w < got[0]:
-                    index[y] = (w, xi, got[0])
-                elif w < got[2]:
-                    index[y] = (got[0], got[1], w)
-        cached = ch._cache["solution_index"] = (index, min(got[2] for got in index.values()))
-    return cached
 
 
 def _solution(rows: list, weights: list, code: int):
@@ -134,13 +112,13 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
-    balls = _balls(ch, c)
-    if len(frozenset().union(*balls)) < sum(map(len, balls)):
-        index, _ = _solution_index(ch)
-        shared = next(code for code, got in index.items() if got[2] <= c)
-        a = index[shared][1]
-        b = next(j for j in range(len(ch.codewords))
-                 if j != a and _reach(ch, j).get(shared, INFINITE) <= c)
+    if not _disjoint(ch, c):
+        # the first code, over the rows in codeword order, that two balls hold
+        balls, rows = _balls(ch, c), list(map(ch._code_row, ch.codewords))
+        held = Counter(chain.from_iterable(balls))
+        shared = next(code for code in chain.from_iterable(rows) if held[code] > 1)
+        a = _solution(rows, ch._weight_order()[1], shared)[1]
+        b = next(j for j, ball in enumerate(balls) if j != a and shared in ball)
         raise InvalidDecoderError(
             f"radius-{c} balls of {ch.codewords[a]!r} and {ch.codewords[b]!r} "
             f"intersect at {ch._codec().decode(shared)!r}; bounded decoding is "
@@ -148,35 +126,29 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     if not ch.outputs.contains(y):
         return DETECTED
     code = ch._codec().encode(y)
-    return next((DecodeOutcome(x) for x, ball in zip(ch.codewords, balls) if code in ball),
-                DETECTED)
+    return next((DecodeOutcome(x) for x, ball in zip(ch.codewords, _balls(ch, c))
+                 if code in ball), DETECTED)
 
 
 def is_correctable(ch: Channel, z) -> bool:
     """Does minimum weight decoding recover every transmission under z?"""
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
-    # F(x, z) is reachable from x, so MWD returns x iff x alone attains it
-    index, encode = _solution_index(ch)[0], ch._codec().encode
-    for xi, x in enumerate(ch.codewords):
-        least, owner, runner_up = index[encode(ch._transfer(x, z))]
-        if owner != xi or least == runner_up:
-            return False
-    return True
+    return all(mwd(ch, ch._transfer(x, z)).codeword == x for x in ch.codewords)
 
 
 def is_detectable(ch: Channel, z) -> bool:
-    """Is z never mistaken for a different codeword's clean output?"""
+    """Is z never mistaken for a different codeword's clean output?
+
+    The radius-0 balls are the clean outputs, which construction keeps
+    apart, so MWD(0) is always defined.
+    """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
     if z == ch.errors.space.zero():
         raise ValueError("detectability is defined for nonzero errors only")
-    index, encode = _solution_index(ch)[0], ch._codec().encode
-    for xi, x in enumerate(ch.codewords):
-        least, owner, _ = index[encode(ch._transfer(x, z))]
-        if least == 0 and owner != xi:  # another codeword's clean output
-            return False
-    return True
+    return all(mwd_bounded(ch, 0, ch._transfer(x, z)).codeword in (None, x)
+               for x in ch.codewords)
 
 
 @dataclass(frozen=True)
@@ -184,7 +156,7 @@ class CapabilityReport:
     """How many errors the code corrects and detects, plus joint verdicts.
 
     ``max_correctable``/``max_detectable`` are one below the least weight
-    of an uncorrectable / undetectable error, read off the solution index.
+    of an uncorrectable / undetectable error, read off the balls / the rows.
     ``all_correctable`` flags codes that correct the entire error space.
     ``joint`` maps (c, c') to the joint error-correction verdict
     d2_min[c] >= c'+1 on a small grid.
@@ -207,23 +179,30 @@ class CapabilityReport:
 
 
 def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> CapabilityReport:
-    """Capabilities read off the solution index.
+    """Capabilities read off the balls and the code rows.
 
-    An uncorrectable error of least weight lands on a word y at y's
-    runner-up weight, so the least uncorrectable weight is the least
-    runner-up over the index.  An undetectable one lands on a codeword's
-    clean output, so the least undetectable weight is the least runner-up
-    over the clean outputs.  The capabilities must equal
-    floor((d0_min - 1)/2) and d1_min - 1 wherever those minima are finite,
-    else :class:`InternalConsistencyError` is raised.
+    An error of weight w is uncorrectable iff it moves some codeword onto
+    a word another codeword reaches at weight at most w, that is into two
+    radius-w balls, so the least uncorrectable weight is the least radius
+    at which the balls meet.  An undetectable one lands on another
+    codeword's clean output, so the least undetectable weight is the least
+    weight at which a codeword's row holds another's clean code.  The
+    capabilities must equal floor((d0_min - 1)/2) and d1_min - 1 wherever
+    those minima are finite, else :class:`InternalConsistencyError` is
+    raised.
     """
     if joint_grid is not None and min(joint_grid) < 0:
         raise ValueError("joint grid bounds must be nonnegative")
-    index, least_runner_up = _solution_index(ch)
-    encode = ch._codec().encode
     # least uncorrectable / undetectable weight
-    bad_c = min(ch.w_max + 1, least_runner_up)
-    bad_d = min(ch.w_max + 1, *(index[encode(ch.zero_output(x))][2] for x in ch.codewords))
+    bad_c = next((c for c in range(ch.w_max + 1) if not _disjoint(ch, c)), ch.w_max + 1)
+    bad_d = ch.w_max + 1
+    weights = ch._weight_order()[1]
+    clean = [ch._codec().encode(ch.zero_output(x)) for x in ch.codewords]
+    clean_set = set(clean)
+    for x, own in zip(ch.codewords, clean):
+        others = clean_set - {own}
+        hits = compress(weights, map(others.__contains__, ch._code_row(x)))
+        bad_d = min(bad_d, next(hits, bad_d))
     t_c, t_d = bad_c - 1, bad_d - 1
 
     report = minimum_distances(ch)

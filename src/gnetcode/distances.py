@@ -36,7 +36,8 @@ theorem ledger.  The single-pair functions (:func:`dist_d0` and the
 rest) compute their pair's meet on demand.  The reach maps and the
 distance report are memoized per channel.  The balls of one radius are
 read off the rows, each a weight-<= c prefix kept as a set of codes, and
-cached per radius; only :func:`decoding_ball` decodes members to tuples.
+cached per radius, together with the verdict whether they are pairwise
+disjoint; only :func:`decoding_ball` decodes members to tuples.
 The test suite anchors this engine against a cache-free brute-force
 oracle.
 """
@@ -122,6 +123,18 @@ def _balls(ch: Channel, c: int) -> list:
         end = bisect_right(ch._weight_order()[1], c)
         balls = store[c] = [frozenset(ch._code_row(x)[:end]) for x in ch.codewords]
     return balls
+
+
+def _disjoint(ch: Channel, c: int) -> bool:
+    """Are the radius-c balls pairwise disjoint?  They are iff their union is
+    as large as the sum of their sizes.  Decided once per radius."""
+    c = min(c, ch.w_max)
+    store = ch._cache.setdefault("disjoint", {})
+    verdict = store.get(c)
+    if verdict is None:
+        balls = _balls(ch, c)
+        verdict = store[c] = len(frozenset().union(*balls)) == sum(map(len, balls))
+    return verdict
 
 
 def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:

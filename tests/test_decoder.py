@@ -267,14 +267,14 @@ def test_mwd_matches_naive_oracle(repetition):
 
 
 def test_decoders_read_the_rows_not_the_index():
-    """mwd, and mwd_bounded at a radius whose balls are disjoint, build
-    neither a reach map nor the solution index, on a reached, an unreached
-    and an outside word; the row reader's triple is the index's entry for
-    every word the index holds."""
+    """mwd, and mwd_bounded at a radius whose balls are disjoint, build no
+    reach map, on a reached, an unreached and an outside word; the row
+    reader's triple is the one the reach maps give for every reached word,
+    and None for every unreached one."""
     import random
     from gnetcode import random_rank_channel, toy_channel
-    from gnetcode.decoder import _solution, _solution_index
-    from gnetcode.distances import _balls
+    from gnetcode.decoder import _solution
+    from gnetcode.distances import INFINITE, _balls, _reach
 
     network = random_networks(41)[3]
     network._cache.clear()  # random_networks built its distance tables
@@ -296,15 +296,19 @@ def test_decoders_read_the_rows_not_the_index():
             mwd(ch, y)
             for c in radii:
                 mwd_bounded(ch, c, y)
-        assert "solution_index" not in ch._cache and "reach" not in ch._cache, ch
+        assert "reach" not in ch._cache, ch
 
         weights = ch._weight_order()[1]
-        index, _ = _solution_index(ch)
-        for code, got in index.items():
-            assert _solution(rows, weights, code) == got
+        reaches = [_reach(ch, xi) for xi in range(len(ch.codewords))]
         for y in ch.outputs.elements():
-            if encode(y) not in index:
-                assert _solution(rows, weights, encode(y)) is None
+            code = encode(y)
+            if code not in reached:
+                assert _solution(rows, weights, code) is None
+                continue
+            ws = [reach.get(code, INFINITE) for reach in reaches]
+            owner = ws.index(min(ws))
+            runner_up = min(ws[:owner] + ws[owner + 1:], default=INFINITE)
+            assert _solution(rows, weights, code) == (ws[owner], owner, runner_up)
     assert unreached_seen
 
 
@@ -344,3 +348,9 @@ def test_capability_matches_naive_oracle(toy, repetition, hamming_code_channel):
                cap.all_correctable, cap.all_detectable)
         assert got == naive_capability(ch), ch
         assert got == _per_error_capability(ch), ch
+        # the least uncorrectable weight is the least radius MWD(c) rejects
+        if not cap.all_correctable:
+            y = ch.zero_output(ch.codewords[0])
+            assert mwd_bounded(ch, cap.max_correctable, y).codeword == ch.codewords[0]
+            with pytest.raises(InvalidDecoderError):
+                mwd_bounded(ch, cap.max_correctable + 1, y)
