@@ -28,10 +28,9 @@ import graphlib
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .codec import Codec
 from .field import Field
 from .channel import (Channel, ConstructionError, ErrorModel, VectorSpace,
-                      DEFAULT_PAIR_BUDGET, BudgetError)
+                      DEFAULT_PAIR_BUDGET)
 from .weights import WeightMeasure, HAMMING
 from . import matrices as mx
 
@@ -244,21 +243,18 @@ def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                    kind="network", pair_budget=pair_budget, row=row)
 
 
-def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
-                             pair_budget: int = DEFAULT_PAIR_BUDGET):
+def linear_transfer_matrices(net_field: Field, spec: NetworkSpec):
     """Transfer matrices (F_st, H_t) of a linear network.
 
     Every local table must be a linear map over the field (checked
     exhaustively per table, in program order); otherwise a
-    :class:`NonlinearNetworkError` names the offending node and edge.  The
-    network's transfer F is then linear, so row i of F_st is F(e_i, 0) and
-    row e of H_t is F(0, e_e), read off the evaluator with e indexing the
-    declared edge list.  The returned matrices satisfy
-    F(x, z) = x*F_st + z*H_t, verified exhaustively against the row
-    kernel over the full message and error spaces.
+    :class:`NonlinearNetworkError` names the offending node and edge.  F is
+    then a composition of linear maps, so F(x, z) = x*F_st + z*H_t holds
+    exactly: row i of F_st is F(e_i, 0) and row e of H_t is F(0, e_e) (e
+    indexing the declared edge list), m + |E| evaluations.  The tests pin
+    the exhaustive agreement with the row kernel through the whole engine.
     """
     program, sink_inputs, m = _validate_and_order(spec, net_field.q)
-    q = net_field.q
     nedges = len(spec.edges)
     for ei, _, table, ins in program:
         if table is not None:
@@ -266,42 +262,25 @@ def linear_transfer_matrices(net_field: Field, spec: NetworkSpec,
 
     transfer = _evaluator(program, sink_inputs, nedges, net_field.add_table)
     x0, z0 = (0,) * m, (0,) * nedges
-    f_st = tuple(transfer(_unit(m, i), z0) for i in range(m))
-    h_t = tuple(transfer(x0, _unit(nedges, e)) for e in range(nedges))
-
-    # Exhaustive agreement check against direct evaluation.
-    if q ** m * q ** nedges > pair_budget:
-        raise BudgetError("matrix agreement check exceeds the pair budget")
-    msg_space = VectorSpace(net_field, m)
-    err_space = VectorSpace(net_field, nedges)
-    codec = Codec(VectorSpace(net_field, len(sink_inputs)))
-    row = _row_evaluator(program, sink_inputs, nedges, net_field.add_table)
-    for x in msg_space.elements():
-        xf = mx.vec_mat_mul(net_field, x, f_st)
-        for z, direct in zip(err_space.elements(), row(x, codec)):
-            linear = mx.vec_add(net_field, xf, mx.vec_mat_mul(net_field, z, h_t))
-            if direct != codec.encode(linear):
-                raise AssertionError(  # pragma: no cover - internal consistency
-                    f"matrix form disagrees with evaluation at x={x}, z={z}")
+    f_st = tuple(transfer(x, z0) for x in mx.identity(m))
+    h_t = tuple(transfer(x0, z) for z in mx.identity(nedges))
     return f_st, h_t
 
 
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def _check_linear(net_field: Field, edge: Edge, table: dict, indeg: int) -> None:
-    """Raise NonlinearNetworkError unless a local table is linear."""
+    """Raise NonlinearNetworkError unless a local table is linear; sums run on
+    raw field tables, as ``_validate_and_order`` checked its keys and values."""
     zero_in = (0,) * indeg
     if table[zero_in] != 0:
         raise NonlinearNetworkError(
             f"local function at node {edge[0]!r} for edge {edge} maps 0 to "
             f"{table[zero_in]}, so it is not linear")
-    lam = [table[_unit(indeg, j)] for j in range(indeg)]
+    add, mul = net_field.add_table, net_field.mul_table
+    lam = [mul[table[unit]] for unit in mx.identity(indeg)]
     for key in itertools.product(range(net_field.q), repeat=indeg):
         acc = 0
         for li, s in zip(lam, key):
-            acc = net_field.add(acc, net_field.mul(li, s))
+            acc = add[acc][li[s]]
         if table[key] != acc:
             raise NonlinearNetworkError(
                 f"local function at node {edge[0]!r} for edge {edge} is not "

@@ -79,6 +79,20 @@ GOLDEN = {
         (0, "63aef0a8230c6c150403f21920398bab5641c0799c12d1ca3e0d3efc6064ab6e"),
     ("toy_network.ini", "decode --bounded 0 1,0,0"):
         (0, "158bb20ac6fbf76ca7dc5fc2a7a082e6f79405716899b451ab09f9e77dbff52a"),
+    ("linear_relay_network.ini", "distances"):
+        (0, "8cba198168e65a5b79cc06af47f74e15f2d328467b94f65fdaa0863b6992bd53"),
+    ("linear_relay_network.ini", "capability"):
+        (0, "aa5654217a3c0f2fbed3c107e173b5c4d70b198ed4b4f0dadd97faa890969cd0"),
+    ("linear_relay_network.ini", "classify"):
+        (0, "d34da0f1b5353432a600d075abd40287b399d4abd1a09706a727ea1ddc290aa4"),
+    ("linear_relay_network.ini", "verify"):
+        (0, "d809cabb193cb77262f9217f25d3879e358879398b97c16419f203f3e658216c"),
+    ("linear_relay_network.ini", "joint --c 0 --cprime 1"):
+        (0, "082bab0cf29b5dc81759231b9f76dbf7d7ffee5a6fbb716f35dbe139e608d139"),
+    ("linear_relay_network.ini", "decode 1,0,0"):
+        (0, "e4e8c1f55e13efd5e17a285ac79125b1b7444512167860de6f732e717324bec6"),
+    ("linear_relay_network.ini", "decode --bounded 0 1,0,0"):
+        (0, "48f28f35833cc1f186e0f69cba5c75e42ca23a905d9da72ce40fea2f4c5be393"),
     ("reed_solomon_gf5.ini", "distances"):
         (0, "aa2d46138144d25f34fac55bb1ec1b2e110c1173efa06abb4e18edd942b71452"),
     ("reed_solomon_gf5.ini", "capability"):
@@ -210,6 +224,20 @@ TEXT_GOLDEN = {
     ("toy_network.ini", "decode 1,0,0"):
         (0, "e9ab2843183ad9d57263da36e9d431cf630bebf3dcaa76703f145ffd5285cadd"),
     ("toy_network.ini", "decode --bounded 0 1,0,0"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("linear_relay_network.ini", "distances"):
+        (0, "8643cd0def6d81cd2b51ddd6d43262b0f674077641d1677f380fcee6a721658b"),
+    ("linear_relay_network.ini", "capability"):
+        (0, "a6bad18f6cf3c2ebb79fcdfc5f334672d34e1eda6262e583ada20e365e986602"),
+    ("linear_relay_network.ini", "classify"):
+        (0, "6e0239d9549000aeecc33912ec74e4f8066ca4edaa635e1cc362ae15f2e95af5"),
+    ("linear_relay_network.ini", "verify"):
+        (0, "72feace39dcc39824c51930eb5f36a67ebc30e2e1fb8e67ee355f949f692d606"),
+    ("linear_relay_network.ini", "joint --c 0 --cprime 1"):
+        (0, "8fd9aea7f3cdfc00d8747a4dd8682e9edd7e9fb624561144c86b73e55dfdadbc"),
+    ("linear_relay_network.ini", "decode 1,0,0"):
+        (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
+    ("linear_relay_network.ini", "decode --bounded 0 1,0,0"):
         (0, "c8dd1a9873c44e4b346aaae27bbad8bc0f06c474a6ec6d3c81d811a8dff43b3a"),
     ("reed_solomon_gf5.ini", "distances"):
         (0, "ff3de9702f055e5b21529643b80736de6565fbd23af0082b5a5057bc672e6407"),

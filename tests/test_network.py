@@ -1,14 +1,17 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from gnetcode import (Field, NetworkSpec, NonlinearNetworkError, compile_network,
                       linear_transfer_matrices, toy_example,
-                      ConstructionError, mwd_bounded)
+                      ConstructionError, mwd_bounded, matrix_channel, classify,
+                      minimum_distances, capability, run_all)
 from gnetcode import matrices as mx
 from gnetcode.channel import VectorSpace
 from gnetcode.codec import Codec
+from gnetcode.config import channel_from_config
 from gnetcode.network import _evaluator, _row_evaluator, _validate_and_order
 
 
@@ -44,6 +47,32 @@ def butterfly_like_network():
         },
     )
     return gf2, spec
+
+
+def declared_order_network():
+    """Edges declared out of topological order; a->t doubles over GF(3)."""
+    gf3 = Field(3)
+    spec = NetworkSpec(nodes=("s", "a", "t"),
+                       edges=(("a", "t"), ("s", "a"), ("s", "t")),
+                       source="s", sink="t",
+                       local_functions={("a", "t"): {(v,): 2 * v % 3 for v in range(3)}})
+    return gf3, spec
+
+
+LINEAR_RELAY_CONFIG = (Path(__file__).resolve().parent.parent
+                       / "demos" / "configs" / "linear_relay_network.ini")
+
+
+def linear_relay_network():
+    """The demo config linear_relay_network.ini: the toy's topology whose
+    relays b->d and d->t add their inputs over GF(3), with the code
+    {000, 111, 222}."""
+    gf3, toy_spec, _ = toy_example()
+    add3 = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+    spec = NetworkSpec(nodes=toy_spec.nodes, edges=toy_spec.edges, source="s", sink="t",
+                       local_functions={**toy_spec.local_functions,
+                                        ("b", "d"): add3, ("d", "t"): add3})
+    return gf3, spec, ((0, 0, 0), (1, 1, 1), (2, 2, 2))
 
 
 def test_single_edge_network(gf2):
@@ -119,7 +148,7 @@ def test_codeword_length_must_match_source_degree(gf2):
 
 def test_routing_network_matrices():
     gf2, spec = routing_network()
-    f_st, h_t = linear_transfer_matrices(gf2, spec)  # verifies agreement itself
+    f_st, h_t = linear_transfer_matrices(gf2, spec)
     assert all(v in (0, 1) for row in f_st for v in row)
     assert all(v in (0, 1) for row in h_t for v in row)
     ch = compile_network(gf2, spec, [(0, 0), (1, 1)])
@@ -141,14 +170,60 @@ def test_butterfly_matrices_agree_exhaustively():
 
 def test_matrices_follow_declared_edge_order():
     """Edges declared out of topological order: H_t row e is edge e's row."""
-    gf3 = Field(3)
-    spec = NetworkSpec(nodes=("s", "a", "t"),
-                       edges=(("a", "t"), ("s", "a"), ("s", "t")),
-                       source="s", sink="t",
-                       local_functions={("a", "t"): {(v,): 2 * v % 3 for v in range(3)}})
+    gf3, spec = declared_order_network()
     f_st, h_t = linear_transfer_matrices(gf3, spec)
     assert f_st == ((2, 0), (0, 1))
     assert h_t == ((1, 0), (2, 0), (0, 1))
+
+
+def _linear_networks():
+    for net_field, spec in (routing_network(), butterfly_like_network(),
+                            declared_order_network()):
+        m = len(spec.outgoing(spec.source))
+        yield net_field, spec, list(VectorSpace(net_field, m).elements())
+    yield linear_relay_network()
+
+
+@pytest.mark.parametrize("net_field, spec, code", list(_linear_networks()),
+                         ids=["routing", "butterfly", "declared-order", "linear-relay"])
+def test_transfer_matrices_answer_as_the_network(net_field, spec, code):
+    """Two independent row kernels, the network's and the matrix channel's
+    over (F_st, H_t), give the same code rows and the same answers through
+    the whole engine: F(x, z) = x*F_st + z*H_t on every (x, z)."""
+    f_st, h_t = linear_transfer_matrices(net_field, spec)
+    net = compile_network(net_field, spec, code)
+    lin = matrix_channel(net_field, code, f_st, h_t)
+    for x in code:
+        assert net._code_row(x) == lin._code_row(x)
+    assert minimum_distances(net).to_dict() == minimum_distances(lin).to_dict()
+    assert capability(net).to_dict() == capability(lin).to_dict()
+    assert classify(net) == classify(lin)
+    assert run_all(net).to_dict() == run_all(lin).to_dict()
+
+
+def test_linear_relay_network_is_the_demo_config():
+    net_field, spec, code = linear_relay_network()
+    net = compile_network(net_field, spec, code)
+    demo = channel_from_config(LINEAR_RELAY_CONFIG.read_text())
+    assert demo.codewords == code
+    for x in code:
+        assert demo._code_row(x) == net._code_row(x)
+
+
+def test_copy_chains_need_no_pair_budget():
+    """Three copy chains of 6 edges from s to t over GF(2): 2^3 * 2^18 pairs,
+    past the default pair budget, yet the matrices take 3 + 18 evaluations."""
+    nodes, edges = ["s"], []
+    for chain in range(3):
+        path = ["s", *(f"c{chain}{k}" for k in range(1, 6)), "t"]
+        nodes += path[1:-1]
+        edges += zip(path, path[1:])
+    gf2 = Field(2)
+    spec = NetworkSpec(nodes=(*nodes, "t"), edges=tuple(edges), source="s", sink="t",
+                       local_functions={e: copy_table(2) for e in edges if e[0] != "s"})
+    f_st, h_t = linear_transfer_matrices(gf2, spec)
+    assert f_st == mx.identity(3)
+    assert h_t == tuple(mx.identity(3)[e // 6] for e in range(18))
 
 
 def test_masked_nonlinear_table_rejected():
