@@ -20,11 +20,14 @@ The other questions are asked of the rows and the balls too.  An error z is
 correctable when MWD returns x_i from F(x_i, z), for every codeword x_i.
 It is detectable when MWD(0) returns x_i or declares a detection, that
 is when F(x_i, z) never lands on a *different* codeword's clean output;
-nonlinear node maps can swallow an error entirely.  So :func:`capability`
-reads the least uncorrectable weight off the balls, as the least radius
-at which two of them meet, and the least undetectable weight off the
-rows, as the least weight at which a codeword's row holds another
-codeword's clean output.  A code corrects c errors while detecting c'
+nonlinear node maps can swallow an error entirely.  Both predicates read
+F(x_i, z)'s code off x_i's row at z's position (z's enumeration index
+mapped through the inverse weight order, cached per channel), with no
+per-error transfer, and decide it by the decoders' own rules.  So
+:func:`capability` reads the least uncorrectable weight off the balls,
+as the least radius at which two of them meet, and the least
+undetectable weight off the rows, as the least weight at which a
+codeword's row holds another codeword's clean output.  A code corrects c errors while detecting c'
 more exactly when the refined joint minimum d2_min[c] is at least c'+1,
 so :func:`is_joint_correcting` reads that one memoized column of
 :func:`gnetcode.distances.minimum_distances`.
@@ -85,6 +88,39 @@ def _solution(rows: list, weights: list, code: int):
     return None if owner is None else (least, owner, runner_up)
 
 
+def _mwd_owner(rows: list, weights: list, code: int):
+    """MWD's rule for one output code: the index of its unique least-weight
+    codeword, or None (a detection) when no row holds it or two tie."""
+    got = _solution(rows, weights, code)
+    return None if got is None or got[0] == got[2] else got[1]
+
+
+def _ball_owner(balls: list, code: int):
+    """MWD(c)'s rule on disjoint balls: the index of the ball holding the
+    code, or None (a detection)."""
+    return next((i for i, ball in enumerate(balls) if code in ball), None)
+
+
+def _row_position(ch: Channel, z) -> int:
+    """z's position in every codeword's weight-ordered row.
+
+    z's enumeration index reads its symbols as base-q digits, the first
+    coordinate most significant and a matrix's entries row-major (see
+    :func:`gnetcode.channel._is_additive`); the inverse of the weight
+    order, built once per channel, maps it to the position.
+    """
+    positions = ch._cache.get("row_positions")
+    if positions is None:
+        order = ch._weight_order()[0]
+        positions = ch._cache["row_positions"] = [0] * len(order)
+        for position, index in enumerate(order):
+            positions[index] = position
+    q, index = ch.field.q, 0
+    for s in (chain.from_iterable(z) if len(ch.errors.space.shape) == 2 else z):
+        index = index * q + s
+    return positions[index]
+
+
 def mwd(ch: Channel, y) -> DecodeOutcome:
     """Minimum weight decoding of a received word.
 
@@ -96,10 +132,8 @@ def mwd(ch: Channel, y) -> DecodeOutcome:
     rows = list(map(ch._code_row, ch.codewords))
     if not ch.outputs.contains(y):
         return DETECTED
-    got = _solution(rows, ch._weight_order()[1], ch._codec().encode(y))
-    if got is None or got[0] == got[2]:
-        return DETECTED
-    return DecodeOutcome(ch.codewords[got[1]])
+    owner = _mwd_owner(rows, ch._weight_order()[1], ch._codec().encode(y))
+    return DETECTED if owner is None else DecodeOutcome(ch.codewords[owner])
 
 
 def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
@@ -125,30 +159,36 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
             "undefined at this radius")
     if not ch.outputs.contains(y):
         return DETECTED
-    code = ch._codec().encode(y)
-    return next((DecodeOutcome(x) for x, ball in zip(ch.codewords, _balls(ch, c))
-                 if code in ball), DETECTED)
+    owner = _ball_owner(_balls(ch, c), ch._codec().encode(y))
+    return DETECTED if owner is None else DecodeOutcome(ch.codewords[owner])
 
 
 def is_correctable(ch: Channel, z) -> bool:
-    """Does minimum weight decoding recover every transmission under z?"""
+    """Does minimum weight decoding recover every transmission under z?
+
+    Each F(x_i, z) is read at z's row position and decoded by MWD's rule.
+    """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
-    return all(mwd(ch, ch._transfer(x, z)).codeword == x for x in ch.codewords)
+    rows, weights = list(map(ch._code_row, ch.codewords)), ch._weight_order()[1]
+    at = _row_position(ch, z)
+    return all(_mwd_owner(rows, weights, row[at]) == i for i, row in enumerate(rows))
 
 
 def is_detectable(ch: Channel, z) -> bool:
     """Is z never mistaken for a different codeword's clean output?
 
-    The radius-0 balls are the clean outputs, which construction keeps
-    apart, so MWD(0) is always defined.
+    Each F(x_i, z) is read at z's row position and decided on the radius-0
+    balls, as MWD(0) does.  They are the clean outputs, which
+    construction keeps apart, so MWD(0) is always defined.
     """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
     if z == ch.errors.space.zero():
         raise ValueError("detectability is defined for nonzero errors only")
-    return all(mwd_bounded(ch, 0, ch._transfer(x, z)).codeword in (None, x)
-               for x in ch.codewords)
+    balls, at = _balls(ch, 0), _row_position(ch, z)
+    return all(_ball_owner(balls, ch._code_row(x)[at]) in (None, i)
+               for i, x in enumerate(ch.codewords))
 
 
 @dataclass(frozen=True)

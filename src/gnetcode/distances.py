@@ -22,18 +22,23 @@ cstar = floor(d0/2) are undefined for it.
 The engine stores, per codeword x_i, its reach map y -> W_i(y) =
 min{wt(z) : F(x_i, z) = y}, built from x_i's transfer row and keyed by
 y's integer code (see :mod:`gnetcode.codec`), and per ordered pair (i, j)
-the meet table m[c], c = 0..w_max: the least radius of x_j's ball meeting
-x_i's radius-c ball.  Then ball(x_i, c) = {y : W_i(y) <= c}, d1 = W_j(F(x_i, 0)),
+the meet table m[c], c = 0..w_max, a tuple: the least radius of x_j's
+ball meeting x_i's radius-c ball.  Then ball(x_i, c) = {y : W_i(y) <= c},
+d1 = m[0] = W_j(F(x_i, 0)) (the zero error is the only weight-0 error),
 d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
 that m is), and d0 = min of c + max(m[c], c-1) over the c with
 m[c] <= c+1, attained at the first such c.
 
-:func:`minimum_distances` is the one producer of the meet tables: it
-builds each pair's once, derives all of these from it in one pass and
-keeps the tables on the :class:`DistanceReport`, whose
-:meth:`~DistanceReport.refined_rows` extends d2[c] off them for the
-theorem ledger.  The single-pair functions (:func:`dist_d0` and the
-rest) compute their pair's meet on demand.  The reach maps and the
+:func:`minimum_distances` is the one producer of the meet tables: one
+scan of the smaller reach map of an unordered pair gives both of its
+tables (:func:`_meets`), and the report keeps them on the
+:class:`DistanceReport`.  Many pairs share a table, so every entry
+above is derived once per distinct table and each pair's is looked up;
+the report's :meth:`~DistanceReport.refined_rows` (d2[c] extended for
+the theorem ledger) and the pair fragments of its
+:meth:`~DistanceReport.to_dict` are likewise built once per distinct
+table or entry.  The single-pair functions (:func:`dist_d0` and the
+rest) take the first table of their pair's scan.  The reach maps and the
 distance report are memoized per channel.  The balls of one radius are
 read off the rows, each a weight-<= c prefix kept as a set of codes, and
 cached per radius, together with the verdict whether they are pairwise
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import add
 
 from .channel import Channel
@@ -93,20 +99,29 @@ def _reach(ch: Channel, xi: int) -> dict:
     return reach
 
 
-def _meet(reach_i: dict, reach_j: dict, w_max: int) -> list:
-    """m[c], c = 0..w_max: least radius of j's ball meeting i's radius-c ball.
+def _meets(reach_i: dict, reach_j: dict, w_max: int) -> tuple[tuple, tuple]:
+    """(m_ij, m_ji) off one scan of the smaller reach map.
 
-    Least W_j over the words i reaches at exactly weight c, then a prefix
-    minimum over c.
+    m_ij[c], c = 0..w_max, is the least radius of j's ball meeting i's
+    radius-c ball: the least W_j over the words i reaches at exactly
+    weight c, then a prefix minimum over c.  Each word both reach gives
+    W_j(y) to m_ij at W_i(y) and W_i(y) to m_ji at W_j(y).
     """
-    m = [INFINITE] * (w_max + 1)
-    for y, w in reach_i.items():
-        wj = reach_j.get(y, INFINITE)
-        if wj < m[w]:
-            m[w] = wj
-    for c in range(1, len(m)):
-        m[c] = min(m[c], m[c - 1])
-    return m
+    swap = len(reach_j) < len(reach_i)
+    if swap:
+        reach_i, reach_j = reach_j, reach_i
+    m_ij, m_ji = [INFINITE] * (w_max + 1), [INFINITE] * (w_max + 1)
+    get = reach_j.get
+    for y, wi in reach_i.items():
+        wj = get(y)
+        if wj is None:
+            continue
+        if wj < m_ij[wi]:
+            m_ij[wi] = wj
+        if wi < m_ji[wj]:
+            m_ji[wj] = wi
+    m_ij, m_ji = tuple(accumulate(m_ij, min)), tuple(accumulate(m_ji, min))
+    return (m_ji, m_ij) if swap else (m_ij, m_ji)
 
 
 def _balls(ch: Channel, c: int) -> list:
@@ -146,24 +161,37 @@ def decoding_ball(ch: Channel, x, c: int) -> DecodingBall:
     return DecodingBall(x, c, frozenset(map(ch._codec().decode, members)))
 
 
-def _pair_meet(ch: Channel, x1, x2) -> list:
-    return _meet(_reach(ch, _cw_index(ch, x1)), _reach(ch, _cw_index(ch, x2)), ch.w_max)
+def _pair_meet(ch: Channel, x1, x2) -> tuple:
+    return _meets(_reach(ch, _cw_index(ch, x1)), _reach(ch, _cw_index(ch, x2)), ch.w_max)[0]
 
 
-def _d0(m: list):
+def _d0(m: tuple):
     # x2's least meeting radius within c-1..c+1 is max(m[c], c-1) if m[c] <= c+1;
     # the first such c is least, since later ones cost at least 2c-1
     return next((c + max(r, c - 1) for c, r in enumerate(m) if r <= c + 1), INFINITE)
 
 
-def _d2(m: list):
+def _d2(m: tuple):
     return min(map(add, range(len(m)), m))
 
 
-def _refined_row(m: list, hi: int) -> list:
+def _refined_row(m: tuple, hi: int) -> list:
     """d2[c] = max(0, m[min(c, w_max)] - c) for c = 0..hi, off one meet table."""
     padded = m[:hi + 1] + m[-1:] * (hi + 1 - len(m))
     return [r - c if r > c else 0 for c, r in enumerate(padded)]  # inf stays inf
+
+
+def _entry(m: tuple) -> tuple:
+    """(d0, d1, d2, d2_refined, tau, cstar) off one meet table.
+
+    d1 = m[0]: the zero error is the only weight-0 error under every
+    measure, so x_i's radius-0 ball is {F(x_i, 0)}.
+    """
+    d0 = _d0(m)
+    if not is_finite(d0):
+        return d0, m[0], _d2(m), (INFINITE,), None, None
+    tau = (d0 + 1) // 2
+    return d0, m[0], _d2(m), tuple(_refined_row(m, tau)), tau, d0 // 2
 
 
 def dist_d0(ch: Channel, x1, x2):
@@ -173,9 +201,7 @@ def dist_d0(ch: Channel, x1, x2):
 
 def dist_d1(ch: Channel, x1, x2):
     """Error detection distance: first radius of x2's ball reaching F(x1, 0)."""
-    i1, i2 = _cw_index(ch, x1), _cw_index(ch, x2)
-    reach = _reach(ch, i2)
-    return reach.get(ch._codec().encode(ch.zero_output(ch.codewords[i1])), INFINITE)
+    return _pair_meet(ch, x1, x2)[0]
 
 
 def dist_d2(ch: Channel, x1, x2):
@@ -209,9 +235,12 @@ class DistanceReport:
     pair's distances are infinite).  The scalar ``d2_min_refined`` covers
     c = 0..max tau.  Infinite entries are reported as the float infinity.
 
-    ``meets`` holds each pair's meet table, which every entry above is
-    read from; an altered copy (``dataclasses.replace``) shares it, but
-    builds its own :meth:`refined_rows` and ``check_metric`` memo.
+    ``meets`` holds each pair's meet table, a tuple, which every entry
+    above is read from; pairs with equal tables get their entries from one
+    derivation.  An altered copy (``dataclasses.replace``) shares the
+    tables, but builds its own :meth:`refined_rows` and ``check_metric``
+    memo, and :meth:`to_dict` shares a pair fragment only between pairs
+    whose entries are equal, so a copy serializes its own values.
     """
 
     codewords: tuple
@@ -239,22 +268,19 @@ class DistanceReport:
                 return {"value": int(v), "infinite": False}
             return {"value": None, "infinite": True}
 
-        def key(i, j):
-            return f"{i},{j}"
+        def fragment(d0, d1, d2, refined, tau, cstar):
+            return {"d0": enc(d0), "d1": enc(d1), "d2": enc(d2),
+                    "d2_refined": [enc(v) for v in refined], "tau": tau, "cstar": cstar}
 
+        # one fragment per distinct entry, shared by the pairs that have it
+        pairs = self.pairs()
+        entries = list(zip(*(map(t.__getitem__, pairs) for t in (
+            self.d0, self.d1, self.d2, self.d2_refined, self.tau, self.cstar))))
+        fragments = {entry: fragment(*entry) for entry in set(entries)}
         return {
             "codewords": [list(x) if not isinstance(x[0], tuple)
                           else [list(r) for r in x] for x in self.codewords],
-            "pairs": {
-                key(i, j): {
-                    "d0": enc(self.d0[i, j]),
-                    "d1": enc(self.d1[i, j]),
-                    "d2": enc(self.d2[i, j]),
-                    "d2_refined": [enc(v) for v in self.d2_refined[i, j]],
-                    "tau": self.tau[i, j],
-                    "cstar": self.cstar[i, j],
-                } for (i, j) in self.pairs()
-            },
+            "pairs": {f"{i},{j}": fragments[entry] for (i, j), entry in zip(pairs, entries)},
             "d0_min": enc(self.d0_min),
             "d1_min": enc(self.d1_min),
             "d2_min": enc(self.d2_min),
@@ -284,51 +310,47 @@ class DistanceReport:
     def refined_rows(self) -> dict:
         """(i, j) -> [d2[c] for c = 0..hi] off each meet table, built once.
 
-        hi covers every c the theorem ledger reads: w_max+2 (a finite d0 is
+        One row is built per distinct table, and each pair gets its own
+        copy of it.  hi covers every c the theorem ledger reads: w_max+2 (a finite d0 is
         at most 2*w_max+1, so tau+1 <= w_max+2), and the tau+1 and cstar of
         each pair, which an altered copy may set higher.
         """
         if self._rows is None:
-            hi = max([len(m) + 1 for m in self.meets.values()]
+            tables = set(self.meets.values())
+            hi = max([len(m) + 1 for m in tables]
                      + [t + 1 for t in self.tau.values() if t is not None]
                      + [c for c in self.cstar.values() if c is not None])
-            self._rows = {pair: _refined_row(m, hi) for pair, m in self.meets.items()}
+            rows = {m: _refined_row(m, hi) for m in tables}
+            self._rows = {pair: rows[m][:] for pair, m in self.meets.items()}
         return self._rows
 
 
 def minimum_distances(ch: Channel) -> DistanceReport:
     """Compute every distance table and the code minima (memoized).
 
-    One pass over the ordered pairs builds each meet table once and keeps
-    it on the report.  Minima scan ordered distinct pairs throughout; for
-    the symmetric d0 and d2 this coincides with the unordered scan.  A
-    minimum is infinite only when every entry is.
+    One scan per unordered pair builds both of its meet tables, which the
+    report keeps; the entries are derived once per distinct table and
+    filled in per pair, in :meth:`DistanceReport.pairs` order.  Minima
+    are taken over ordered distinct pairs throughout; for the symmetric d0
+    and d2 this coincides with the unordered minima.  A minimum is
+    infinite only when every entry is.
     """
     cached = ch._cache.get("distance_report")
     if cached is not None:
         return cached
     n = len(ch.codewords)
     reaches = [_reach(ch, j) for j in range(n)]
-    encode = ch._codec().encode
-    meets, d0, d1, d2, refined, tau, cstar = {}, {}, {}, {}, {}, {}, {}
+    table = {}
     for i in range(n):
-        clean = encode(ch.zero_output(ch.codewords[i]))
-        for j in range(n):
-            if i == j:
-                continue
-            m = meets[i, j] = _meet(reaches[i], reaches[j], ch.w_max)
-            v0 = d0[i, j] = _d0(m)
-            d1[i, j] = reaches[j].get(clean, INFINITE)
-            d2[i, j] = _d2(m)
-            if is_finite(v0):
-                t = tau[i, j] = (v0 + 1) // 2
-                cstar[i, j] = v0 // 2
-                refined[i, j] = tuple(_refined_row(m, t))
-            else:
-                tau[i, j] = cstar[i, j] = None
-                refined[i, j] = (INFINITE,)
+        for j in range(i + 1, n):
+            table[i, j], table[j, i] = _meets(reaches[i], reaches[j], ch.w_max)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    meets = {pair: table[pair] for pair in pairs}
+    entries = {m: _entry(m) for m in set(meets.values())}
+    d0, d1, d2, refined, tau, cstar = (
+        dict(zip(pairs, column)) for column in zip(*map(entries.__getitem__, meets.values())))
     c_hi = max((t for t in tau.values() if t is not None), default=0)
-    column_min = _refined_row(list(map(min, zip(*meets.values()))), c_hi)
+    column_min = _refined_row(tuple(map(min, zip(*entries))), c_hi)
     report = ch._cache["distance_report"] = DistanceReport(
         codewords=ch.codewords,
         d0=d0, d1=d1, d2=d2, d2_refined=refined, tau=tau, cstar=cstar,

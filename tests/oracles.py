@@ -66,6 +66,15 @@ def naive_d2_refined(ch, x1, x2, c):
     return INFINITE
 
 
+def naive_meet(ch, x1, x2):
+    """m[c], c = 0..w_max: the least r with x1's radius-c ball meeting x2's
+    radius-r ball, INFINITE if there is none."""
+    wm = ch.w_max
+    return [next((r for r in range(wm + 1)
+                  if naive_ball(ch, x1, c) & naive_ball(ch, x2, r)), INFINITE)
+            for c in range(wm + 1)]
+
+
 def naive_joint_grid(ch, hi):
     """{(c, c'): joint verdict} for c, c' = 0..hi, from the definition: for
     every ordered pair of distinct codewords, the radius-c ball of one

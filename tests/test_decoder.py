@@ -141,6 +141,27 @@ def test_detectable(toy):
         is_detectable(toy, (0,) * 9)
 
 
+def test_per_error_predicates_decode_each_evaluated_output(repetition):
+    """The predicates read F(x, z) at z's row position; they must agree with
+    decoding ch.evaluate(x, z) on every error, matrix errors (whose entries
+    enumerate row-major) included."""
+    import random
+    from gnetcode import random_rank_channel, random_sum_rank_channel, random_table_channel
+
+    rng = random.Random(3)
+    channels = [repetition, random_table_channel(rng, Field(3), 3, 3, 2),
+                random_rank_channel(rng, Field(2), 2, 1, 3, 3),
+                random_sum_rank_channel(rng, Field(2), 2, (1, 1), (1, 2), (1, 2))]
+    for ch in channels:
+        zero = ch.errors.space.zero()
+        for z in ch.errors.space.elements():
+            sent = [(x, ch.evaluate(x, z)) for x in ch.codewords]
+            assert is_correctable(ch, z) == all(mwd(ch, y).codeword == x for x, y in sent)
+            if z != zero:
+                assert is_detectable(ch, z) == all(
+                    mwd_bounded(ch, 0, y).codeword in (None, x) for x, y in sent)
+
+
 def test_capability_toy(toy):
     cap = capability(toy)
     assert cap.max_correctable == 1

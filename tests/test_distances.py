@@ -7,7 +7,8 @@ from gnetcode import (Field, INFINITE, is_finite, decoding_ball, dist_d0, dist_d
                       dist_d2_refined, tau_and_cstar, minimum_distances,
                       ThresholdUndefinedError, random_table_channel)
 from conftest import disjoint_images_channel
-from oracles import naive_ball, naive_d0, naive_d1, naive_d2, naive_d2_refined
+from oracles import (naive_ball, naive_d0, naive_d1, naive_d2, naive_d2_refined,
+                     naive_meet)
 
 EXPECTED_BALL_X0 = {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                  (2, 0, 0), (0, 2, 0), (0, 0, 2)}
@@ -151,6 +152,8 @@ def assert_engine_matches_oracle(ch):
     report = minimum_distances(ch)
     for (i, j) in report.pairs():
         x1, x2 = ch.codewords[i], ch.codewords[j]
+        # one scan per unordered pair builds both tables
+        assert report.meets[i, j] == tuple(naive_meet(ch, x1, x2))
         assert report.d0[i, j] == naive_d0(ch, x1, x2)
         assert report.d1[i, j] == naive_d1(ch, x1, x2)
         assert report.d2[i, j] == naive_d2(ch, x1, x2)
@@ -175,7 +178,9 @@ def test_refined_tables_match_oracle(repetition, hamming_code_channel):
     """minimum_distances' refined tuples (c = 0..tau), its d2_min[c] column
     minima and its refined rows to w_max+2, and past that through an
     altered copy whose tau runs further (built first, so rows it shared
-    with the report would show as too long there)."""
+    with the report would show as too long there).  Two pairs of one meet
+    table share a payload fragment and a refined row, but neither an
+    altered entry nor a mutated row of one shows in the other."""
     rng = random.Random(11)
     channels = [repetition, hamming_code_channel, disjoint_images_channel()]
     channels += [random_table_channel(rng, Field(q), n_codewords=rng.choice([3, 4]),
@@ -197,6 +202,23 @@ def test_refined_tables_match_oracle(repetition, hamming_code_channel):
         c_hi = max((t for t in report.tau.values() if t is not None), default=0)
         assert report.d2_min_refined == tuple(
             min(row[c] for row in naive.values()) for c in range(c_hi + 1))
+
+        twins = {}
+        for pair in report.pairs():
+            twins.setdefault(report.meets[pair], []).append(pair)
+        a, b = next(pairs for pairs in twins.values() if len(pairs) > 1)[:2]
+        ka, kb = f"{a[0]},{a[1]}", f"{b[0]},{b[1]}"
+        payload = report.to_dict()["pairs"]
+        bumped = dataclasses.replace(report, d0={**report.d0, a: 99}).to_dict()["pairs"]
+        assert bumped[ka] == {**payload[ka], "d0": {"value": 99, "infinite": False}}
+        assert bumped[ka] != payload[ka]
+        assert {k: v for k, v in bumped.items() if k != ka} == {
+            k: v for k, v in payload.items() if k != ka}
+        assert bumped[kb] == payload[kb] == payload[ka]
+        rows = dataclasses.replace(report).refined_rows()
+        rows[a][0] = -1
+        rows[a].append(-1)
+        assert rows[b] == report.refined_rows()[b] == naive[b][:ch.w_max + 3]
 
 
 def test_ball_oracle_agreement(toy, repetition):
