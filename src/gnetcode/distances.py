@@ -272,7 +272,6 @@ class DistanceReport:
             return {"d0": enc(d0), "d1": enc(d1), "d2": enc(d2),
                     "d2_refined": [enc(v) for v in refined], "tau": tau, "cstar": cstar}
 
-        # one fragment per distinct entry, shared by the pairs that have it
         pairs = self.pairs()
         entries = list(zip(*(map(t.__getitem__, pairs) for t in (
             self.d0, self.d1, self.d2, self.d2_refined, self.tau, self.cstar))))
@@ -311,9 +310,9 @@ class DistanceReport:
         """(i, j) -> [d2[c] for c = 0..hi] off each meet table, built once.
 
         One row is built per distinct table, and each pair gets its own
-        copy of it.  hi covers every c the theorem ledger reads: w_max+2 (a finite d0 is
-        at most 2*w_max+1, so tau+1 <= w_max+2), and the tau+1 and cstar of
-        each pair, which an altered copy may set higher.
+        copy of it.  hi covers every c the theorem ledger reads: w_max+2 (a
+        finite d0 is at most 2*w_max+1, so tau+1 <= w_max+2), and the tau+1
+        and cstar of each pair, which an altered copy may set higher.
         """
         if self._rows is None:
             tables = set(self.meets.values())
