@@ -166,11 +166,17 @@ class Channel:
     pair and every output is validated once, when its row is built,
     raising :class:`ConstructionError` with the offending (x, z); every
     scan over a row then trusts its codes.
+
+    An optional reach kernel ``reach(x, codec)`` returns x's reach map,
+    output code -> least error weight reaching it, iterating in
+    nondecreasing weight, without a row; :func:`gnetcode.distances._reach`
+    calls it when present and reads the map off the row otherwise.
+    :func:`~gnetcode.network.compile_network` passes one.
     """
 
     def __init__(self, field: Field, codewords, errors: ErrorModel, outputs,
                  transfer, kind: str = "custom",
-                 pair_budget: int = DEFAULT_PAIR_BUDGET, row=None):
+                 pair_budget: int = DEFAULT_PAIR_BUDGET, row=None, reach=None):
         codewords = tuple(codewords)
         if len(codewords) < 2:
             raise ConstructionError("a code needs at least two codewords")
@@ -191,6 +197,7 @@ class Channel:
         self.w_max = errors.max_weight
         self._transfer = transfer
         self._row = row if row is not None else self._checked_row
+        self._reach = reach
         self._cache: dict = {}
         zero = errors.space.zero()
         seen: dict = {}

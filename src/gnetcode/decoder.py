@@ -4,43 +4,48 @@ A decoder reads one received word off the codewords' transfer rows, which
 run in nondecreasing error weight (see :mod:`gnetcode.distances`); it
 builds no table of every reached word.  The word is encoded once, at the
 boundary; a word outside the output space has no code and no solution,
-so it is detected.  For y's code the rows give ``(least, owner,
-runner_up)``: the least W_i(y) = min{wt(z) : F(x_i, z) = y}, which is the
-weight at y's first position in x_i's row, the lowest codeword index
-attaining it, and the least W_j(y) over the other codewords (INFINITE if
-none reaches y), so a tie shows as ``runner_up == least``.  MWD decodes y
-to its owner iff ``least < runner_up``, otherwise (also for an unreached
-word, possible for non-surjective table channels) it declares a
-detection.  The bounded variant MWD(c) is defined only when the radius-c
-balls {y : W_i(y) <= c} are pairwise disjoint, a verdict cached per
-radius beside the balls; then it decodes y to the codeword whose ball
-holds it.
+so it is detected.  MWD has one rule, :func:`_solution`, on the
+codewords' least weights W_i(y) = min{wt(z) : F(x_i, z) = y} for y's
+code: it gives ``(least, owner, runner_up)``, the least W_i(y), the
+lowest codeword index attaining it, and the least W_j(y) over the other
+codewords (INFINITE if none reaches y), so a tie shows as ``runner_up ==
+least``.  The decoders read W_i(y) off the rows, as the weight at y's
+first position in x_i's row.  MWD decodes y to its owner iff ``least <
+runner_up``, otherwise (also for an unreached word, possible for
+non-surjective table channels) it declares a detection.  The bounded
+variant MWD(c) is defined only when the radius-c balls {y : W_i(y) <=
+c} are pairwise disjoint, a verdict cached per radius beside the balls;
+then it decodes y to the codeword whose ball holds it.
 
-The other questions are asked of the rows and the balls too.  An error z is
-correctable when MWD returns x_i from F(x_i, z), for every codeword x_i.
-It is detectable when MWD(0) returns x_i or declares a detection, that
-is when F(x_i, z) never lands on a *different* codeword's clean output;
-nonlinear node maps can swallow an error entirely.  Both predicates read
-F(x_i, z)'s code off x_i's row at z's position (z's enumeration index
-mapped through the inverse weight order, cached per channel), with no
-per-error transfer, and decide it by the decoders' own rules.  So
-:func:`capability` reads the least uncorrectable weight off the balls,
-as the least radius at which two of them meet, and the least
-undetectable weight off the rows, as the least weight at which a
-codeword's row holds another codeword's clean output.  A code corrects c errors while detecting c'
-more exactly when the refined joint minimum d2_min[c] is at least c'+1,
-so :func:`is_joint_correcting` reads that one memoized column of
+An error z is correctable when MWD returns x_i from F(x_i, z), for every
+codeword x_i.  It is detectable when MWD(0) returns x_i or declares a
+detection, that is when F(x_i, z) never lands on a *different*
+codeword's clean output; nonlinear node maps can swallow an error
+entirely.  Both predicates read F(x_i, z)'s code off x_i's row at z's
+position (z's enumeration index mapped through the inverse weight order,
+cached per channel), with no per-error transfer.  :func:`is_correctable`
+then looks the code up in every codeword's reach map (one dict lookup
+each) and applies MWD's rule; :func:`is_detectable` looks it up in the
+radius-0 balls, as MWD(0) does.  :func:`capability` reads only the
+reach maps, which a network computes without any row (see
+:func:`gnetcode.distances._reach`): the least uncorrectable weight is
+the least second-smallest W_i(y) over the words two codewords reach, and
+the least undetectable weight the least W_i of another codeword's clean
+code.  A code corrects c errors while detecting c' more exactly when the
+refined joint minimum d2_min[c] is at least c'+1, so
+:func:`is_joint_correcting` reads that one memoized column of
 :func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 
 from .channel import Channel
-from .distances import INFINITE, _balls, _disjoint, minimum_distances, is_finite
+from .distances import INFINITE, _balls, _disjoint, _reach, minimum_distances, is_finite
 
 
 class InvalidDecoderError(ValueError):
@@ -68,18 +73,14 @@ class DecodeOutcome:
 DETECTED = DecodeOutcome(None)
 
 
-def _solution(rows: list, weights: list, code: int):
-    """(least, owner, runner_up) of one output code, read off the codewords'
-    code rows and the weights of their positions; None if no row holds it.
-    A codeword's least weight for the code is the weight at its first
-    position in the row, since rows run in nondecreasing weight.
-    """
+def _solution(least_weights):
+    """(least, owner, runner_up) of one output code y from each codeword's
+    least weight W_i(y), in codeword order (None where x_i does not reach
+    y); None if no codeword reaches it."""
     least = runner_up = INFINITE
     owner = None
-    for xi, row in enumerate(rows):
-        try:
-            w = weights[row.index(code)]
-        except ValueError:
+    for xi, w in enumerate(least_weights):
+        if w is None:
             continue
         if w < least:
             least, owner, runner_up = w, xi, least
@@ -88,10 +89,22 @@ def _solution(rows: list, weights: list, code: int):
     return None if owner is None else (least, owner, runner_up)
 
 
-def _mwd_owner(rows: list, weights: list, code: int):
-    """MWD's rule for one output code: the index of its unique least-weight
-    codeword, or None (a detection) when no row holds it or two tie."""
-    got = _solution(rows, weights, code)
+def _row_weights(rows: list, weights: list, code: int):
+    """Each codeword's W_i for a code, off its code row and the weights of
+    the row's positions: the weight at the code's first position, since
+    rows run in nondecreasing weight (None if the row does not hold it)."""
+    for row in rows:
+        try:
+            yield weights[row.index(code)]
+        except ValueError:
+            yield None
+
+
+def _mwd_owner(least_weights):
+    """MWD's rule for one output code, given each codeword's W_i for it: the
+    index of its unique least-weight codeword, or None (a detection) when
+    no codeword reaches it or two tie."""
+    got = _solution(least_weights)
     return None if got is None or got[0] == got[2] else got[1]
 
 
@@ -132,7 +145,7 @@ def mwd(ch: Channel, y) -> DecodeOutcome:
     rows = list(map(ch._code_row, ch.codewords))
     if not ch.outputs.contains(y):
         return DETECTED
-    owner = _mwd_owner(rows, ch._weight_order()[1], ch._codec().encode(y))
+    owner = _mwd_owner(_row_weights(rows, ch._weight_order()[1], ch._codec().encode(y)))
     return DETECTED if owner is None else DecodeOutcome(ch.codewords[owner])
 
 
@@ -151,7 +164,7 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
         balls, rows = _balls(ch, c), list(map(ch._code_row, ch.codewords))
         held = Counter(chain.from_iterable(balls))
         shared = next(code for code in chain.from_iterable(rows) if held[code] > 1)
-        a = _solution(rows, ch._weight_order()[1], shared)[1]
+        a = _solution(_row_weights(rows, ch._weight_order()[1], shared))[1]
         b = next(j for j, ball in enumerate(balls) if j != a and shared in ball)
         raise InvalidDecoderError(
             f"radius-{c} balls of {ch.codewords[a]!r} and {ch.codewords[b]!r} "
@@ -166,13 +179,15 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
 def is_correctable(ch: Channel, z) -> bool:
     """Does minimum weight decoding recover every transmission under z?
 
-    Each F(x_i, z) is read at z's row position and decoded by MWD's rule.
+    Each F(x_i, z) is read at z's row position and decoded by MWD's rule,
+    on the codewords' W_j for it, looked up in their reach maps.
     """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
-    rows, weights = list(map(ch._code_row, ch.codewords)), ch._weight_order()[1]
     at = _row_position(ch, z)
-    return all(_mwd_owner(rows, weights, row[at]) == i for i, row in enumerate(rows))
+    lookups = [_reach(ch, j).get for j in range(len(ch.codewords))]
+    return all(_mwd_owner(get(ch._code_row(x)[at]) for get in lookups) == i
+               for i, x in enumerate(ch.codewords))
 
 
 def is_detectable(ch: Channel, z) -> bool:
@@ -196,7 +211,7 @@ class CapabilityReport:
     """How many errors the code corrects and detects, plus joint verdicts.
 
     ``max_correctable``/``max_detectable`` are one below the least weight
-    of an uncorrectable / undetectable error, read off the balls / the rows.
+    of an uncorrectable / undetectable error, read off the reach maps.
     ``all_correctable`` flags codes that correct the entire error space.
     ``joint`` maps (c, c') to the joint error-correction verdict
     d2_min[c] >= c'+1 on a small grid.
@@ -219,30 +234,42 @@ class CapabilityReport:
 
 
 def capability(ch: Channel, joint_grid: tuple[int, int] | None = None) -> CapabilityReport:
-    """Capabilities read off the balls and the code rows.
+    """Capabilities read off the reach maps alone: no row, no ball.
 
     An error of weight w is uncorrectable iff it moves some codeword onto
     a word another codeword reaches at weight at most w, that is into two
-    radius-w balls, so the least uncorrectable weight is the least radius
-    at which the balls meet.  An undetectable one lands on another
-    codeword's clean output, so the least undetectable weight is the least
-    weight at which a codeword's row holds another's clean code.  The
-    capabilities must equal floor((d0_min - 1)/2) and d1_min - 1 wherever
-    those minima are finite, else :class:`InternalConsistencyError` is
-    raised.
+    radius-w balls.  So the least uncorrectable weight is the least
+    second-smallest W_i(y) over the words y that two codewords reach: the
+    least radius at which the balls meet.  An undetectable one lands on
+    another codeword's clean output, so the least undetectable weight is
+    the least W_i of another codeword's clean code.  The capabilities
+    must equal floor((d0_min - 1)/2) and d1_min - 1 wherever those minima
+    are finite, else :class:`InternalConsistencyError` is raised.
     """
     if joint_grid is not None and min(joint_grid) < 0:
         raise ValueError("joint grid bounds must be nonnegative")
-    # least uncorrectable / undetectable weight
-    bad_c = next((c for c in range(ch.w_max + 1) if not _disjoint(ch, c)), ch.w_max + 1)
-    bad_d = ch.w_max + 1
-    weights = ch._weight_order()[1]
+    reaches = [_reach(ch, i) for i in range(len(ch.codewords))]
+    # least uncorrectable weight: the least radius c at which a word lies
+    # within c of two codewords.  Reach maps iterate in nondecreasing
+    # weight, so radius c adds each map's weight-c shell to the union of
+    # the balls; the balls meet once the union is smaller than their sizes
+    shells = [(list(reach), list(reach.values())) for reach in reaches]
+    bad_c, union, held = ch.w_max + 1, set(), 0
+    for c in range(ch.w_max + 1):
+        for words, weights in shells:
+            lo, hi = bisect_left(weights, c), bisect_right(weights, c)
+            union.update(words[lo:hi])
+            held += hi - lo
+        if len(union) < held:
+            bad_c = c
+            break
+    # least undetectable weight: the least W_i of another codeword's clean code
     clean = [ch._codec().encode(ch.zero_output(x)) for x in ch.codewords]
-    clean_set = set(clean)
-    for x, own in zip(ch.codewords, clean):
-        others = clean_set - {own}
-        hits = compress(weights, map(others.__contains__, ch._code_row(x)))
-        bad_d = min(bad_d, next(hits, bad_d))
+    bad_d = ch.w_max + 1
+    for own, reach in zip(clean, reaches):
+        hits = reach.keys() & clean
+        hits.discard(own)
+        bad_d = min(bad_d, min(map(reach.__getitem__, hits), default=bad_d))
     t_c, t_d = bad_c - 1, bad_d - 1
 
     report = minimum_distances(ch)

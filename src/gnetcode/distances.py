@@ -20,14 +20,19 @@ propagates through minima, and the thresholds tau = floor((d0+1)/2) and
 cstar = floor(d0/2) are undefined for it.
 
 The engine stores, per codeword x_i, its reach map y -> W_i(y) =
-min{wt(z) : F(x_i, z) = y}, built from x_i's transfer row and keyed by
-y's integer code (see :mod:`gnetcode.codec`), and per ordered pair (i, j)
-the meet table m[c], c = 0..w_max, a tuple: the least radius of x_j's
-ball meeting x_i's radius-c ball.  Then ball(x_i, c) = {y : W_i(y) <= c},
-d1 = m[0] = W_j(F(x_i, 0)) (the zero error is the only weight-0 error),
-d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c, w_max)] - c) (infinite when
-that m is), and d0 = min of c + max(m[c], c-1) over the c with
-m[c] <= c+1, attained at the first such c.
+min{wt(z) : F(x_i, z) = y}, keyed by y's integer code (see
+:mod:`gnetcode.codec`).  :func:`_reach` is its one producer: a channel
+with a reach kernel (every network, see
+:func:`gnetcode.network._reach_evaluator`) computes it with no transfer
+row, and any other channel reads it off x_i's row.  So ``distances``
+and ``capability`` build no row on a network.  Either way the map
+iterates in nondecreasing weight.  Per ordered pair (i, j) the engine
+stores the meet table m[c], c = 0..w_max, a tuple: the least radius of
+x_j's ball meeting x_i's radius-c ball.  Then ball(x_i, c) =
+{y : W_i(y) <= c}, d1 = m[0] = W_j(F(x_i, 0)) (the zero error is the
+only weight-0 error), d2 = min_c (c + m[c]), d2[c] = max(0, m[min(c,
+w_max)] - c) (infinite when that m is), and d0 = min of c + max(m[c],
+c-1) over the c with m[c] <= c+1, attained at the first such c.
 
 :func:`minimum_distances` is the one producer of the meet tables: one
 scan of the smaller reach map of an unordered pair gives both of its
@@ -39,10 +44,11 @@ the theorem ledger) and the pair fragments of its
 :meth:`~DistanceReport.to_dict` are likewise built once per distinct
 table or entry.  The single-pair functions (:func:`dist_d0` and the
 rest) take the first table of their pair's scan.  The reach maps and the
-distance report are memoized per channel.  The balls of one radius are
-read off the rows, each a weight-<= c prefix kept as a set of codes, and
-cached per radius, together with the verdict whether they are pairwise
-disjoint; only :func:`decoding_ball` decodes members to tuples.
+distance report are memoized per channel.  The balls of one radius,
+which only the decoders and the ledger read, are read off the rows, each
+a weight-<= c prefix kept as a set of codes, and cached per radius,
+together with the verdict whether they are pairwise disjoint; only
+:func:`decoding_ball` decodes members to tuples.
 The test suite anchors this engine against a cache-free brute-force
 oracle.
 """
@@ -84,17 +90,24 @@ def _cw_index(ch: Channel, x) -> int:
 def _reach(ch: Channel, xi: int) -> dict:
     """Received word's code -> least error weight reaching it from codeword xi.
 
-    Errors come in nondecreasing weight, so the map iterates in
-    nondecreasing weight, each word at its first occurrence in the row:
-    ``dict.fromkeys`` places the words in that order, and the update from
-    the reversed row leaves each at the weight of its first occurrence.
+    The one producer of reach maps, cached per codeword.  Every map
+    iterates in nondecreasing weight, which ``capability`` relies on.  A
+    channel with a reach kernel (a network) computes the map without a
+    row.  Otherwise it is read off the row, whose errors come in
+    nondecreasing weight: ``dict.fromkeys`` places the words in the order
+    of their first occurrence, and the update from the reversed row leaves
+    each at the weight of that occurrence.
     """
     store = ch._cache.setdefault("reach", {})
     reach = store.get(xi)
     if reach is None:
-        row = ch._code_row(ch.codewords[xi])
-        reach = dict.fromkeys(row)
-        reach.update(zip(reversed(row), reversed(ch._weight_order()[1])))
+        x = ch.codewords[xi]
+        if ch._reach is not None:
+            reach = ch._reach(x, ch._codec())
+        else:
+            row = ch._code_row(x)
+            reach = dict.fromkeys(row)
+            reach.update(zip(reversed(row), reversed(ch._weight_order()[1])))
         store[xi] = reach
     return reach
 

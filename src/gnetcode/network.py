@@ -12,7 +12,10 @@ Compiling a network yields a :class:`~gnetcode.channel.Channel` whose
 error space is F_q^|E| under the Hamming weight.  Edges are evaluated in a
 deterministic topological order; no result depends on which one, since
 errors and sink symbols are indexed by declared edge position.  A linear
-network's transfer matrices are read off the same evaluator.
+network's transfer matrices are read off the same evaluator.  Whole rows
+come from a level-by-level row kernel, and each codeword's reach map
+(sink code -> least error weight) from a min-plus DP over the live-edge
+frontier that builds no row.
 
 The built-in :func:`toy_example` is a 6-node, 9-edge network over GF(3)
 with two nonlinear node tables and the two-word code {(0,0,0), (1,1,1)}.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import graphlib
 import itertools
 from dataclasses import dataclass, field as dc_field
+from operator import add
 
 from .field import Field
 from .channel import (Channel, ConstructionError, ErrorModel, VectorSpace,
@@ -224,6 +228,102 @@ def _row_evaluator(program, sink_inputs, nedges: int, add_table):
     return row
 
 
+def _reach_evaluator(program, sink_inputs, add_table):
+    """The network's reach kernel: x's map from sink code to least error weight.
+
+    A min-plus DP over the program, with no row.  An edge is live if the
+    sink or a live edge's table reads it; a dead edge's error reaches no
+    output, so its step is skipped.  Before each live step the frontier
+    is the live edges written and still to be read, and a state is their
+    symbols, coded as base-q digits (frontier position i the digit of
+    q^i).  The states are kept in weight layers: layer w holds those whose
+    least error weight over the steps so far is exactly w.  A step drops
+    the inputs it reads last and puts its edge's symbol on top as the new
+    most significant digit.  Error 0 writes the base symbol (the codeword
+    coordinate, or the table at the state's inputs), at no weight;
+    any other error writes any other symbol at weight 1.  So new layer w
+    is layer w's weight-0 successors, plus every symbol written on layer
+    w-1's kept digits, less the states of the layers below (which drops
+    the base symbol's, already in new layer w-1).  A layer
+    advances by C-level maps over per-step lists indexed by state code:
+    ``keep`` (the kept digits recoded, where the step drops any) and
+    ``base`` (the kept digits plus the table's symbol on top).  After the
+    last step the frontier is the sink's inputs, and ``final`` maps each
+    state to its code by ``codec.from_columns``.  The map iterates in
+    nondecreasing weight.
+
+    The lists cost about q^|frontier| entries per step, once per network:
+    they and the liveness are worked out on the first call, not at
+    compilation, and ``final`` once per codec.
+    """
+    q = len(add_table)  # b + d runs over every symbol as d does: no sum is needed
+    flat = itertools.chain.from_iterable
+    built = {}
+
+    def digits(frontier: list, i: int) -> list:
+        """Edge i's symbol in every state of the frontier, by state code."""
+        p = frontier.index(i)
+        return list(flat(map(itertools.repeat, range(q), itertools.repeat(q ** p)))) * (
+            q ** (len(frontier) - p - 1))
+
+    def build():
+        """Per live step (coord, keep, base, top, shifts), top = q^|kept|
+        and shifts adding each nonzero symbol on top, and the last frontier."""
+        live = set(sink_inputs)
+        for ei, _, _, ins in reversed(program):
+            if ei in live:
+                live.update(ins)
+        live_program = [step for step in program if step[0] in live]
+        last_reader = {i: k for k, (_, _, _, ins) in enumerate(live_program) for i in ins}
+        last_reader.update((i, len(live_program)) for i in sink_inputs)
+        steps, frontier = [], []
+        for k, (ei, coord, table, ins) in enumerate(live_program):
+            kept = [i for i in frontier if last_reader[i] != k]
+            size, top = q ** len(frontier), q ** len(kept)
+            keep = base = None
+            if len(kept) < len(frontier):
+                keep = [0] * size
+                for p, i in enumerate(kept):
+                    keep = list(map(add, keep, map((q ** p).__mul__, digits(frontier, i))))
+            if table is not None:
+                symbols = map(table.__getitem__, zip(*(digits(frontier, i) for i in ins)))
+                base = list(map(add, keep or range(size), map(top.__mul__, symbols)))
+            shifts = tuple((v * top).__add__ for v in range(1, q))
+            steps.append((coord, keep, base, top, shifts))
+            frontier = kept + [ei]
+        built["steps"], built["frontier"] = steps, frontier
+
+    def reach(x, codec):
+        if not built:
+            build()
+        if built.get("codec") is not codec:
+            built["final"] = codec.from_columns(
+                [digits(built["frontier"], i) for i in sink_inputs])
+            built["codec"] = codec
+        layers = [{0}]
+        for coord, keep, base, top, shifts in built["steps"]:
+            step = base.__getitem__ if coord is None else (x[coord] * top).__add__
+            new, seen = [], set()
+            for here, below in zip(layers + [()], [()] + layers):
+                if keep is not None:
+                    below = set(map(keep.__getitem__, below))
+                layer = set(map(step, here))
+                layer.update(below, *(map(shift, below) for shift in shifts))
+                layer -= seen
+                seen |= layer
+                new.append(layer)
+            while not new[-1]:
+                new.pop()
+            layers = new
+        final = built["final"]
+        out = {}
+        for w, layer in enumerate(layers):
+            out.update(zip(map(final.__getitem__, layer), itertools.repeat(w)))
+        return out
+
+    return reach
+
+
 def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                     pair_budget: int = DEFAULT_PAIR_BUDGET) -> Channel:
     """Compile a network into a channel over F_q^|E| with Hamming errors."""
@@ -237,10 +337,11 @@ def compile_network(net_field: Field, spec: NetworkSpec, codewords,
     nedges = len(spec.edges)
     transfer = _evaluator(program, sink_inputs, nedges, net_field.add_table)
     row = _row_evaluator(program, sink_inputs, nedges, net_field.add_table)
+    reach = _reach_evaluator(program, sink_inputs, net_field.add_table)
     errors = ErrorModel(VectorSpace(net_field, nedges), WeightMeasure(HAMMING))
     outputs = VectorSpace(net_field, len(sink_inputs))
     return Channel(net_field, codewords, errors, outputs, transfer,
-                   kind="network", pair_budget=pair_budget, row=row)
+                   kind="network", pair_budget=pair_budget, row=row, reach=reach)
 
 
 def linear_transfer_matrices(net_field: Field, spec: NetworkSpec):

@@ -294,7 +294,7 @@ def test_decoders_read_the_rows_not_the_index():
     and None for every unreached one."""
     import random
     from gnetcode import random_rank_channel, toy_channel
-    from gnetcode.decoder import _solution
+    from gnetcode.decoder import _row_weights, _solution
     from gnetcode.distances import INFINITE, _balls, _reach
 
     network = random_networks(41)[3]
@@ -324,12 +324,12 @@ def test_decoders_read_the_rows_not_the_index():
         for y in ch.outputs.elements():
             code = encode(y)
             if code not in reached:
-                assert _solution(rows, weights, code) is None
+                assert _solution(_row_weights(rows, weights, code)) is None
                 continue
             ws = [reach.get(code, INFINITE) for reach in reaches]
             owner = ws.index(min(ws))
             runner_up = min(ws[:owner] + ws[owner + 1:], default=INFINITE)
-            assert _solution(rows, weights, code) == (ws[owner], owner, runner_up)
+            assert _solution(_row_weights(rows, weights, code)) == (ws[owner], owner, runner_up)
     assert unreached_seen
 
 

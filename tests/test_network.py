@@ -7,7 +7,7 @@ import pytest
 from gnetcode import (Field, NetworkSpec, NonlinearNetworkError, compile_network,
                       linear_transfer_matrices, toy_example,
                       ConstructionError, mwd_bounded, matrix_channel, classify,
-                      minimum_distances, capability, run_all)
+                      minimum_distances, capability, run_all, toy_channel)
 from gnetcode import matrices as mx
 from gnetcode.channel import VectorSpace
 from gnetcode.codec import Codec
@@ -359,3 +359,96 @@ def test_row_kernel_matches_per_pair_evaluation(net_field, spec):
     codec = Codec(VectorSpace(net_field, len(sinks)))
     for x in VectorSpace(net_field, m).elements():
         assert list(map(codec.decode, row(x, codec))) == [transfer(x, z) for z in errors]
+
+
+def _row_reach(ch, x):
+    """x's reach map read off its weight-ordered code row: each code at the
+    weight of its first position."""
+    reach = {}
+    for code, w in zip(ch._code_row(x), ch._weight_order()[1]):
+        reach.setdefault(code, w)
+    return reach
+
+
+def assert_reach_kernel_matches_rows(ch):
+    """The DP's map equals the row-derived one for every codeword, and
+    iterates in nondecreasing weight."""
+    assert ch._reach is not None
+    for x in ch.codewords:
+        reach = ch._reach(x, ch._codec())
+        assert reach == _row_reach(ch, x), x
+        assert list(reach.values()) == sorted(reach.values()), x
+
+
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.ini"))
+
+
+def test_reach_kernel_matches_rows_on_the_toy_and_the_demo_networks():
+    networks = [channel_from_config(path.read_text()) for path in DEMO_CONFIGS]
+    networks = [ch for ch in networks if ch.kind == "network"]
+    assert len(networks) >= 2
+    for ch in [toy_channel()] + networks:
+        assert_reach_kernel_matches_rows(ch)
+
+
+def _random_dag_channels(count):
+    """``count`` seeded random_dag networks over GF(2) and GF(3) whose
+    program order differs from the declared edge order, each with up to four
+    messages of distinct zero-error outputs as its code."""
+    found, seed = [], 0
+    while len(found) < count:
+        seed += 1
+        rng = random.Random(seed)
+        q = (2, 3)[seed % 2]
+        inner = rng.randint(1, 4 if q == 2 else 3)
+        spec = random_dag(rng, q, inner, rng.randint(0, min(3, inner * (inner + 1) // 2)))
+        program, sinks, m = _validate_and_order(spec, q)
+        if [ei for ei, _, _, _ in program] == list(range(len(spec.edges))):
+            continue
+        transfer = _evaluator(program, sinks, len(spec.edges), Field(q).add_table)
+        zero = (0,) * len(spec.edges)
+        code = {}
+        for x in itertools.product(range(q), repeat=m):
+            code.setdefault(transfer(x, zero), x)
+        if len(code) >= 2:
+            found.append(compile_network(Field(q), spec, list(code.values())[:4]))
+    return found
+
+
+def test_reach_kernel_matches_rows_on_random_dags():
+    channels = _random_dag_channels(50)
+    assert {ch.field.q for ch in channels} == {2, 3}
+    for ch in channels:
+        assert_reach_kernel_matches_rows(ch)
+
+
+def _dead_edge_network():
+    """The toy plus a ->x and x ->y: nobody reads x ->y, so a ->x, read
+    only by it, is dead too."""
+    gf3, spec, code = toy_example()
+    spec = NetworkSpec(nodes=spec.nodes + ("x", "y"), edges=spec.edges + (("a", "x"), ("x", "y")),
+                       source="s", sink="t",
+                       local_functions={**spec.local_functions, ("a", "x"): copy_table(3),
+                                        ("x", "y"): {(v,): v * v % 3 for v in range(3)}})
+    return gf3, spec, code
+
+
+def _source_to_sink_network():
+    """The toy plus an edge s ->t that the sink reads straight off the source."""
+    gf3, spec, _ = toy_example()
+    spec = NetworkSpec(nodes=spec.nodes, edges=spec.edges + (("s", "t"),),
+                       source="s", sink="t", local_functions=spec.local_functions)
+    return gf3, spec, ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("network", [_dead_edge_network, _source_to_sink_network],
+                         ids=["dead-edge", "source-to-sink"])
+def test_reach_kernel_matches_rows_on_edge_cases(network):
+    assert_reach_kernel_matches_rows(compile_network(*network()))
+
+
+def test_distances_and_capability_build_no_row_on_a_network():
+    ch = toy_channel()
+    minimum_distances(ch)
+    capability(ch)
+    assert "code_rows" not in ch._cache and "weight_order" not in ch._cache

@@ -1,5 +1,6 @@
-"""Property-based check of the network row kernel against the per-pair
-evaluator on small random DAGs over GF(2), GF(3) and GF(2^2)."""
+"""Property-based checks of the network row kernel against the per-pair
+evaluator, and of the reach kernel against the row, on small random DAGs
+over GF(2), GF(3) and GF(2^2)."""
 
 import itertools
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from gnetcode import Field, NetworkSpec
 from gnetcode.channel import VectorSpace
 from gnetcode.codec import Codec
-from gnetcode.network import _evaluator, _row_evaluator, _validate_and_order
+from gnetcode.network import (_evaluator, _reach_evaluator, _row_evaluator,
+                              _validate_and_order)
 
 FIELDS = (Field(2), Field(3), Field(2, 2))
 PAIR_CAP = 2 ** 13  # messages x errors evaluated per draw
@@ -62,3 +64,25 @@ def test_row_kernel_equals_the_per_pair_evaluator(network):
     codec = Codec(VectorSpace(f, len(sinks)))
     for x in VectorSpace(f, m).elements():
         assert list(map(codec.decode, row(x, codec))) == [transfer(x, z) for z in errors]
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_networks())
+def test_reach_kernel_equals_the_row_derived_map(network):
+    """Each message's DP reach map is its row's: every code at the least
+    Hamming weight of an error giving it, iterating in nondecreasing weight."""
+    f, spec = network
+    program, sinks, m = _validate_and_order(spec, f.q)
+    nedges = len(spec.edges)
+    row = _row_evaluator(program, sinks, nedges, f.add_table)
+    reach = _reach_evaluator(program, sinks, f.add_table)
+    weights = [sum(map(bool, z)) for z in VectorSpace(f, nedges).elements()]
+    by_weight = sorted(range(len(weights)), key=weights.__getitem__)
+    codec = Codec(VectorSpace(f, len(sinks)))
+    for x in VectorSpace(f, m).elements():
+        codes, expected = row(x, codec), {}
+        for i in by_weight:
+            expected.setdefault(codes[i], weights[i])
+        got = reach(x, codec)
+        assert got == expected
+        assert list(got.values()) == sorted(got.values())
