@@ -28,22 +28,17 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
-import sys
 from itertools import chain, repeat
 
 _from_bytes = int.from_bytes
 _flat = chain.from_iterable
-# memoryview formats of the unsigned machine integers, by size in bytes
-_UNSIGNED = {struct.calcsize(c): c for c in "BHIQ"}
 
 
 class Codec:
     """Packs the elements of one vector or matrix space into ints.
 
     ``encode``/``decode`` convert one element; ``encode_all`` packs many in
-    C-level passes; ``from_columns`` packs words given as one list per
-    symbol position; ``add`` adds two codes.  Nothing is validated: every
+    C-level passes; ``add`` adds two codes.  Nothing is validated: every
     operand must be an element of the space (or its code).
     """
 
@@ -70,7 +65,6 @@ class Codec:
             self.add = add
         self.bits = 8 * width
         self._bytes = [v.to_bytes(width, "big") for v in symbol]
-        self._byte_tables = [[b[j] for b in self._bytes] for j in range(width)]
         self._of_bytes = {b: s for s, b in enumerate(self._bytes)}
         self._nbytes = width * length
         # each symbol's field holds the symbol itself in one byte: a word's
@@ -87,39 +81,6 @@ class Codec:
         if len(self.shape) == 2:
             words = map(_flat, words)
         return list(map(_from_bytes, map(self._pack, words), repeat("big")))
-
-    def from_columns(self, cols: list) -> list[int]:
-        """Codes of the words whose k-th symbols are ``cols[k]``, k = 0..N-1.
-
-        The words' bytes are interleaved in one buffer, one C-level slice
-        assignment per symbol byte, and read back by :meth:`_ints`.
-        """
-        n, width = self._nbytes, self.bits // 8
-        buf = bytearray(len(cols[0]) * n)
-        for k, col in enumerate(cols):
-            for j, table in enumerate(self._byte_tables):
-                buf[k * width + j::n] = bytes(col if self._one_byte
-                                              else map(table.__getitem__, col))
-        return self._ints(buf)
-
-    def _ints(self, packed) -> list[int]:
-        """Codes of the words whose big-endian bytes ``packed`` concatenates.
-
-        A word of at most 8 bytes is read as a machine integer: each is
-        copied into its own slot of 1, 2, 4 or 8 bytes in the host's byte
-        order, and one memoryview cast reads them all.  A longer word takes
-        one ``int.from_bytes``.
-        """
-        n = self._nbytes
-        if n > 8:
-            starts, ends = range(0, len(packed), n), range(n, len(packed) + 1, n)
-            words = map(packed.__getitem__, map(slice, starts, ends))
-            return list(map(_from_bytes, words, repeat("big")))
-        slot = 1 << (n - 1).bit_length()
-        out = bytearray(len(packed) // n * slot)
-        for j in range(n):  # byte j of a word is its (n-1-j)-th least significant
-            out[(n - 1 - j if sys.byteorder == "little" else slot - n + j)::slot] = packed[j::n]
-        return memoryview(out).cast(_UNSIGNED[slot]).tolist()
 
     def decode(self, code: int):
         raw = code.to_bytes(self._nbytes, "big")

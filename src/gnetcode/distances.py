@@ -23,7 +23,7 @@ The engine stores, per codeword x_i, its reach map y -> W_i(y) =
 min{wt(z) : F(x_i, z) = y}, keyed by y's integer code (see
 :mod:`gnetcode.codec`).  :func:`_reach` is its one producer: a channel
 with a reach kernel (every network, see
-:func:`gnetcode.network._reach_evaluator`) computes it with no transfer
+:func:`gnetcode.network._kernels`) computes it with no transfer
 row, and any other channel reads it off x_i's row.  So ``distances``
 and ``capability`` build no row on a network.  Either way the map
 iterates in nondecreasing weight.  Per ordered pair (i, j) the engine

@@ -13,9 +13,8 @@ error space is F_q^|E| under the Hamming weight.  Edges are evaluated in a
 deterministic topological order; no result depends on which one, since
 errors and sink symbols are indexed by declared edge position.  A linear
 network's transfer matrices are read off the same evaluator.  Whole rows
-come from a level-by-level row kernel, and each codeword's reach map
-(sink code -> least error weight) from a min-plus DP over the live-edge
-frontier that builds no row.
+and each codeword's reach map (sink code -> least error weight) are two
+walks of one compiled live-edge frontier program; the reach walk builds no row.
 
 The built-in :func:`toy_example` is a 6-node, 9-edge network over GF(3)
 with two nonlinear node tables and the two-word code {(0,0,0), (1,1,1)}.
@@ -164,99 +163,44 @@ def _evaluator(program, sink_inputs, nedges: int, add_table):
     return transfer
 
 
-def _row_evaluator(program, sink_inputs, nedges: int, add_table):
-    """The network's row kernel: x's output codes under every error, in enumeration order.
+def _kernels(program, sink_inputs, nedges: int, add_table):
+    """The network's row and reach kernels, two walks of one frontier program.
 
-    The program runs level by level.  After k steps the error symbols of
-    the first k program edges are fixed, and each live edge holds one
-    column: its symbol under each of the q^k error prefixes, the first
-    program edge's symbol the most significant digit.  Step k computes its
-    edge's base symbol once per prefix (the codeword coordinate, or the
-    table at the input columns' entries) and expands every prefix by the
-    edge's q error symbols, reading ``add_table[b]``, which lists b + d in
-    digit order d; every other live column repeats each entry q times.
-    Prefixes are shared as in a depth-first walk, q + q^2 + ... + q^n
-    entries per live column instead of n*q^n, and every step is a C-level
-    list operation.  A column is dropped after its last reader, a later
-    table or the sink, and an edge nobody reads gets none.  The sink
-    columns are packed into codes by ``codec.from_columns``, in C-level
-    passes.
-
-    The row comes out indexed by program position.  The error space
-    enumerates z at sum(z_e * q^(n-1-e)) over the declared edge index e,
-    so when the program order differs from the declared order, the first
-    row builds the index permutation into enumeration order and every row
-    is permuted by it.
-    """
-    q = len(add_table)
-    order = [ei for ei, _, _, _ in program]
-    last_reader = {i: k for k, (_, _, _, ins) in enumerate(program) for i in ins}
-    last_reader.update((i, len(program)) for i in sink_inputs)
-    steps = [(ei, coord, table, ins, ei in last_reader,
-              tuple(i for i in ins if last_reader[i] == k))
-             for k, (ei, coord, table, ins) in enumerate(program)]
-    in_order = order == list(range(nedges))
-    flat = itertools.chain.from_iterable
-    perm = []  # enumeration index -> program index, built by the first row
-
-    def row(x, codec):
-        cols = {}
-        size = 1
-        for ei, coord, table, ins, read, drop in steps:
-            if read:
-                if table is None:
-                    new = add_table[x[coord]] * size
-                else:
-                    base = map(table.__getitem__, zip(*map(cols.__getitem__, ins)))
-                    new = list(flat(map(add_table.__getitem__, base)))
-            for i in drop:
-                del cols[i]
-            for i, col in cols.items():  # zip(*[col] * q) yields each entry q times
-                cols[i] = list(flat(zip(*[col] * q)))
-            if read:
-                cols[ei] = new
-            size *= q
-        out = codec.from_columns(list(map(cols.__getitem__, sink_inputs)))
-        if in_order:
-            return out
-        if not perm:
-            place = {ei: q ** (nedges - 1 - k) for k, ei in enumerate(order)}
-            digits = [[d * place[ei] for d in range(q)] for ei in range(nedges)]
-            perm.extend(map(sum, itertools.product(*digits)))
-        return list(map(out.__getitem__, perm))
-
-    return row
-
-
-def _reach_evaluator(program, sink_inputs, add_table):
-    """The network's reach kernel: x's map from sink code to least error weight.
-
-    A min-plus DP over the program, with no row.  An edge is live if the
-    sink or a live edge's table reads it; a dead edge's error reaches no
-    output, so its step is skipped.  Before each live step the frontier
-    is the live edges written and still to be read, and a state is their
-    symbols, coded as base-q digits (frontier position i the digit of
-    q^i).  The states are kept in weight layers: layer w holds those whose
-    least error weight over the steps so far is exactly w.  A step drops
-    the inputs it reads last and puts its edge's symbol on top as the new
-    most significant digit.  Error 0 writes the base symbol (the codeword
-    coordinate, or the table at the state's inputs), at no weight;
-    any other error writes any other symbol at weight 1.  So new layer w
-    is layer w's weight-0 successors, plus every symbol written on layer
-    w-1's kept digits, less the states of the layers below (which drops
-    the base symbol's, already in new layer w-1).  A layer
-    advances by C-level maps over per-step lists indexed by state code:
-    ``keep`` (the kept digits recoded, where the step drops any) and
-    ``base`` (the kept digits plus the table's symbol on top).  After the
+    The program is compiled on the first call of either kernel.  An edge
+    is live if the sink or a live edge's table reads it; a dead edge's
+    error reaches no output.  Before each live step the frontier is the
+    live edges written and still to be read, and a state is their symbols,
+    coded as base-q digits (frontier position i the digit of q^i).  A step
+    drops the inputs it reads last, recoding the kept digits by ``keep``
+    (None if it drops none), and puts its edge's symbol on top, the digit
+    of ``top`` = q^|kept|: the base symbol (the codeword coordinate, or the
+    table's entry in ``symbols`` at the state) plus the error.  After the
     last step the frontier is the sink's inputs, and ``final`` maps each
-    state to its code by ``codec.from_columns``.  The map iterates in
-    nondecreasing weight.
+    state to its output code, once per codec.  Each walk builds its own
+    lists on its first call, about q^|frontier| entries per step.
 
-    The lists cost about q^|frontier| entries per step, once per network:
-    they and the liveness are worked out on the first call, not at
-    compilation, and ``final`` once per codec.
+    ``row(x, codec)`` is x's output codes under every error, in enumeration
+    order.  It keeps one state per error prefix, the first program edge's
+    error the most significant digit: a dead step repeats each state q
+    times, and a live step maps each state through the tuple of its q
+    successors, one per error symbol.  The error space enumerates z at
+    sum(z_e * q^(n-1-e)) over the declared edge index e, so when the
+    program order differs from the declared one, the first row builds the
+    permutation into enumeration order and every row is permuted by it.
+
+    ``reach(x, codec)`` is x's map from output code to least error weight,
+    iterating in nondecreasing weight: a min-plus DP that builds no row.
+    Layer w holds the states whose least error weight over the steps so
+    far is exactly w.  Error 0 writes the base symbol at no weight, any
+    other error any other symbol at weight 1.  So new layer w is layer w's
+    weight-0 successors, plus every symbol written on layer w-1's kept
+    digits, less the states of the layers below (which drops the base
+    symbol's, already in new layer w-1).  A layer advances by C-level maps
+    over ``keep`` and ``base`` (the kept digits plus the symbol on top).
     """
     q = len(add_table)  # b + d runs over every symbol as d does: no sum is needed
+    order = [ei for ei, _, _, _ in program]
+    in_order = order == list(range(nedges))
     flat = itertools.chain.from_iterable
     built = {}
 
@@ -266,9 +210,11 @@ def _reach_evaluator(program, sink_inputs, add_table):
         return list(flat(map(itertools.repeat, range(q), itertools.repeat(q ** p)))) * (
             q ** (len(frontier) - p - 1))
 
-    def build():
-        """Per live step (coord, keep, base, top, shifts), top = q^|kept|
-        and shifts adding each nonzero symbol on top, and the last frontier."""
+    def compiled() -> dict:
+        """Per live step (coord, keep, symbols, top, size), size = q^|frontier|;
+        each program step's liveness; and the last frontier."""
+        if "steps" in built:
+            return built
         live = set(sink_inputs)
         for ei, _, _, ins in reversed(program):
             if ei in live:
@@ -279,29 +225,81 @@ def _reach_evaluator(program, sink_inputs, add_table):
         steps, frontier = [], []
         for k, (ei, coord, table, ins) in enumerate(live_program):
             kept = [i for i in frontier if last_reader[i] != k]
-            size, top = q ** len(frontier), q ** len(kept)
-            keep = base = None
+            size = q ** len(frontier)
+            keep = symbols = None
             if len(kept) < len(frontier):
                 keep = [0] * size
                 for p, i in enumerate(kept):
                     keep = list(map(add, keep, map((q ** p).__mul__, digits(frontier, i))))
             if table is not None:
-                symbols = map(table.__getitem__, zip(*(digits(frontier, i) for i in ins)))
-                base = list(map(add, keep or range(size), map(top.__mul__, symbols)))
-            shifts = tuple((v * top).__add__ for v in range(1, q))
-            steps.append((coord, keep, base, top, shifts))
+                symbols = list(map(table.__getitem__, zip(*(digits(frontier, i) for i in ins))))
+            steps.append((coord, keep, symbols, q ** len(kept), size))
             frontier = kept + [ei]
-        built["steps"], built["frontier"] = steps, frontier
+        built.update(steps=steps, frontier=frontier, live=[ei in live for ei in order])
+        return built
+
+    def final(codec) -> list:
+        if built.get("codec") is not codec:
+            frontier = compiled()["frontier"]
+            n = len(frontier)
+            at = [n - 1 - frontier.index(i) for i in sink_inputs]  # product puts q^(n-1) first
+            built["final"] = codec.encode_all(
+                tuple(map(s.__getitem__, at)) for s in itertools.product(range(q), repeat=n))
+            built["codec"] = codec
+        return built["final"]
+
+    def walk() -> list:
+        """Per program step: None if dead, else (coord, successors by state
+        code), the successors listed per coordinate symbol on a source step."""
+        if "walk" not in built:
+            steps = iter(compiled()["steps"])
+            built["walk"] = out = []
+            for live in built["live"]:
+                if not live:
+                    out.append(None)
+                    continue
+                coord, keep, symbols, top, size = next(steps)
+                tops = [tuple(map(top.__mul__, add_table[b])) for b in range(q)]
+                kept = keep or range(size)
+                if coord is None:
+                    succ = [tuple(map(k.__add__, tops[b])) for k, b in zip(kept, symbols)]
+                else:
+                    succ = [[tuple(map(k.__add__, t)) for k in kept] for t in tops]
+                out.append((coord, succ))
+        return built["walk"]
+
+    def row(x, codec):
+        states = [0]
+        for step in walk():
+            if step is None:  # zip(*[states] * q) yields each state q times
+                states = list(flat(zip(*[states] * q)))
+            else:
+                coord, succ = step
+                succ = succ if coord is None else succ[x[coord]]
+                states = list(flat(map(succ.__getitem__, states)))
+        out = list(map(final(codec).__getitem__, states))
+        if in_order:
+            return out
+        if "perm" not in built:  # enumeration index -> program index
+            place = {ei: q ** (nedges - 1 - k) for k, ei in enumerate(order)}
+            digit = [[d * place[ei] for d in range(q)] for ei in range(nedges)]
+            built["perm"] = list(map(sum, itertools.product(*digit)))
+        return list(map(out.__getitem__, built["perm"]))
+
+    def dp() -> list:
+        """Per live step (coord, keep, base, top, shifts), shifts adding each
+        nonzero symbol on top."""
+        if "dp" not in built:
+            built["dp"] = [
+                (coord, keep, None if symbols is None else
+                 list(map(add, keep or range(size), map(top.__mul__, symbols))),
+                 top, tuple((v * top).__add__ for v in range(1, q)))
+                for coord, keep, symbols, top, size in compiled()["steps"]]
+        return built["dp"]
 
     def reach(x, codec):
-        if not built:
-            build()
-        if built.get("codec") is not codec:
-            built["final"] = codec.from_columns(
-                [digits(built["frontier"], i) for i in sink_inputs])
-            built["codec"] = codec
         layers = [{0}]
-        for coord, keep, base, top, shifts in built["steps"]:
+        for coord, keep, base, top, shifts in dp():
             step = base.__getitem__ if coord is None else (x[coord] * top).__add__
             new, seen = [], set()
             for here, below in zip(layers + [()], [()] + layers):
@@ -315,13 +313,13 @@ def _reach_evaluator(program, sink_inputs, add_table):
             while not new[-1]:
                 new.pop()
             layers = new
-        final = built["final"]
+        codes = final(codec)
         out = {}
         for w, layer in enumerate(layers):
-            out.update(zip(map(final.__getitem__, layer), itertools.repeat(w)))
+            out.update(zip(map(codes.__getitem__, layer), itertools.repeat(w)))
         return out
 
-    return reach
+    return row, reach
 
 
 def compile_network(net_field: Field, spec: NetworkSpec, codewords,
@@ -336,8 +334,7 @@ def compile_network(net_field: Field, spec: NetworkSpec, codewords,
                 f"{m} source out-edges")
     nedges = len(spec.edges)
     transfer = _evaluator(program, sink_inputs, nedges, net_field.add_table)
-    row = _row_evaluator(program, sink_inputs, nedges, net_field.add_table)
-    reach = _reach_evaluator(program, sink_inputs, net_field.add_table)
+    row, reach = _kernels(program, sink_inputs, nedges, net_field.add_table)
     errors = ErrorModel(VectorSpace(net_field, nedges), WeightMeasure(HAMMING))
     outputs = VectorSpace(net_field, len(sink_inputs))
     return Channel(net_field, codewords, errors, outputs, transfer,

@@ -12,7 +12,7 @@ from gnetcode import matrices as mx
 from gnetcode.channel import VectorSpace
 from gnetcode.codec import Codec
 from gnetcode.config import channel_from_config
-from gnetcode.network import _evaluator, _row_evaluator, _validate_and_order
+from gnetcode.network import _evaluator, _kernels, _validate_and_order
 
 
 def copy_table(q):
@@ -339,25 +339,49 @@ def test_random_dag_fills_every_node_pair():
         assert len(spec.edges) == (inner + 2) * (inner + 1) // 2
 
 
+def _dead_edge_network():
+    """The toy plus a ->x and x ->y: nobody reads x ->y, so a ->x, read
+    only by it, is dead too."""
+    gf3, spec, code = toy_example()
+    spec = NetworkSpec(nodes=spec.nodes + ("x", "y"), edges=spec.edges + (("a", "x"), ("x", "y")),
+                       source="s", sink="t",
+                       local_functions={**spec.local_functions, ("a", "x"): copy_table(3),
+                                        ("x", "y"): {(v,): v * v % 3 for v in range(3)}})
+    return gf3, spec, code
+
+
+def _source_to_sink_network():
+    """The toy plus an edge s ->t that the sink reads straight off the source."""
+    gf3, spec, _ = toy_example()
+    spec = NetworkSpec(nodes=spec.nodes, edges=spec.edges + (("s", "t"),),
+                       source="s", sink="t", local_functions=spec.local_functions)
+    return gf3, spec, ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1))
+
+
 def _row_networks():
-    yield toy_example()[:2]
+    """(field, spec, messages): every message of the toy and three random
+    DAGs, and the code of two toy variants, one with dead steps and one
+    whose sink reads a source edge (3^11 and 3^10 errors)."""
+    yield toy_example()[:2] + (None,)
     rng = random.Random(2011)
     for _ in range(3):
-        yield Field(3), random_dag(rng, 3, inner=3, extra=3)
+        yield Field(3), random_dag(rng, 3, inner=3, extra=3), None
+    for network in (_dead_edge_network, _source_to_sink_network):
+        yield network()
 
 
-@pytest.mark.parametrize("net_field, spec", list(_row_networks()),
-                         ids=["toy", "dag-a", "dag-b", "dag-c"])
-def test_row_kernel_matches_per_pair_evaluation(net_field, spec):
+@pytest.mark.parametrize("net_field, spec, messages", list(_row_networks()),
+                         ids=["toy", "dag-a", "dag-b", "dag-c", "dead-edge", "source-to-sink"])
+def test_row_kernel_matches_per_pair_evaluation(net_field, spec, messages):
     program, sinks, m = _validate_and_order(spec, net_field.q)
     # the declared edge index, not the program position, orders the errors
     assert [ei for ei, _, _, _ in program] != list(range(len(spec.edges)))
     nedges = len(spec.edges)
     transfer = _evaluator(program, sinks, nedges, net_field.add_table)
-    row = _row_evaluator(program, sinks, nedges, net_field.add_table)
+    row, _ = _kernels(program, sinks, nedges, net_field.add_table)
     errors = list(VectorSpace(net_field, nedges).elements())
     codec = Codec(VectorSpace(net_field, len(sinks)))
-    for x in VectorSpace(net_field, m).elements():
+    for x in messages or VectorSpace(net_field, m).elements():
         assert list(map(codec.decode, row(x, codec))) == [transfer(x, z) for z in errors]
 
 
@@ -422,29 +446,36 @@ def test_reach_kernel_matches_rows_on_random_dags():
         assert_reach_kernel_matches_rows(ch)
 
 
-def _dead_edge_network():
-    """The toy plus a ->x and x ->y: nobody reads x ->y, so a ->x, read
-    only by it, is dead too."""
-    gf3, spec, code = toy_example()
-    spec = NetworkSpec(nodes=spec.nodes + ("x", "y"), edges=spec.edges + (("a", "x"), ("x", "y")),
-                       source="s", sink="t",
-                       local_functions={**spec.local_functions, ("a", "x"): copy_table(3),
-                                        ("x", "y"): {(v,): v * v % 3 for v in range(3)}})
-    return gf3, spec, code
-
-
-def _source_to_sink_network():
-    """The toy plus an edge s ->t that the sink reads straight off the source."""
-    gf3, spec, _ = toy_example()
-    spec = NetworkSpec(nodes=spec.nodes, edges=spec.edges + (("s", "t"),),
-                       source="s", sink="t", local_functions=spec.local_functions)
-    return gf3, spec, ((0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1))
-
-
 @pytest.mark.parametrize("network", [_dead_edge_network, _source_to_sink_network],
                          ids=["dead-edge", "source-to-sink"])
 def test_reach_kernel_matches_rows_on_edge_cases(network):
     assert_reach_kernel_matches_rows(compile_network(*network()))
+
+
+def test_kernels_share_one_compiled_program_in_any_call_order():
+    """Reach then row, row then reach, and a second codec of the same output
+    space (which rebuilds the final state map) give the same rows and maps
+    as a fresh pair of kernels per call."""
+    gf3, spec, _ = toy_example()
+    program, sinks, m = _validate_and_order(spec, 3)
+    nedges = len(spec.edges)
+    messages = list(VectorSpace(gf3, m).elements())
+    codec, other = (Codec(VectorSpace(gf3, len(sinks))) for _ in range(2))
+
+    def kernels():
+        return _kernels(program, sinks, nedges, gf3.add_table)
+
+    rows = {x: kernels()[0](x, codec) for x in messages}
+    maps = {x: kernels()[1](x, codec) for x in messages}
+    row, reach = kernels()
+    for x in messages:
+        assert reach(x, codec) == maps[x] and row(x, codec) == rows[x]
+    row, reach = kernels()
+    for x in messages:
+        assert row(x, codec) == rows[x] and reach(x, codec) == maps[x]
+    for x in messages:  # alternating codecs rebuild the final map each call
+        assert row(x, other) == rows[x] and reach(x, codec) == maps[x]
+        assert reach(x, other) == maps[x] and row(x, codec) == rows[x]
 
 
 def test_distances_and_capability_build_no_row_on_a_network():

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from gnetcode import Field, NetworkSpec
 from gnetcode.channel import VectorSpace
 from gnetcode.codec import Codec
-from gnetcode.network import (_evaluator, _reach_evaluator, _row_evaluator,
-                              _validate_and_order)
+from gnetcode.network import _evaluator, _kernels, _validate_and_order
 
 FIELDS = (Field(2), Field(3), Field(2, 2))
 PAIR_CAP = 2 ** 13  # messages x errors evaluated per draw
@@ -59,7 +58,7 @@ def test_row_kernel_equals_the_per_pair_evaluator(network):
     program, sinks, m = _validate_and_order(spec, f.q)
     nedges = len(spec.edges)
     transfer = _evaluator(program, sinks, nedges, f.add_table)
-    row = _row_evaluator(program, sinks, nedges, f.add_table)
+    row, _ = _kernels(program, sinks, nedges, f.add_table)
     errors = list(VectorSpace(f, nedges).elements())
     codec = Codec(VectorSpace(f, len(sinks)))
     for x in VectorSpace(f, m).elements():
@@ -74,8 +73,7 @@ def test_reach_kernel_equals_the_row_derived_map(network):
     f, spec = network
     program, sinks, m = _validate_and_order(spec, f.q)
     nedges = len(spec.edges)
-    row = _row_evaluator(program, sinks, nedges, f.add_table)
-    reach = _reach_evaluator(program, sinks, f.add_table)
+    row, reach = _kernels(program, sinks, nedges, f.add_table)
     weights = [sum(map(bool, z)) for z in VectorSpace(f, nedges).elements()]
     by_weight = sorted(range(len(weights)), key=weights.__getitem__)
     codec = Codec(VectorSpace(f, len(sinks)))
