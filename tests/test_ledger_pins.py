@@ -8,17 +8,32 @@ change to that order, to a detail string or to which claims apply shows
 here, not only a change of status.  The disjoint-images channel's full
 ``run_all`` ledger pins the not-applicable paths (infinite distances, no
 intersecting balls).
+
+The ``rank16`` cases run on a channel whose 240 pairs share two keys (a
+pair's entry and its reverse's), so a corrupted pair makes a key of its
+own: on a late pair whose old key earlier pairs keep, on pairs whose new
+keys fail an upper-triangle claim in the other order than they first
+occur, and on one d1 that parts the d1 matrix from the equal d0 and d2.
 """
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
 from conftest import disjoint_images_channel
-from gnetcode import (check_bounds, check_conditions, check_decoders,
+from gnetcode import (Field, check_bounds, check_conditions, check_decoders,
                       check_error_linear_suite, check_refined, minimum_distances,
-                      run_all)
+                      random_rank_channel, run_all)
+
+
+@pytest.fixture(scope="module")
+def rank16():
+    """All 16 2x2 codewords over GF(2) under the rank weight; every pair has
+    d0 == d1 == d2, 1 on 144 pairs and 2 on 96."""
+    return random_rank_channel(random.Random(1), Field(2), rows=2, msg_cols=2,
+                               err_cols=2, out_cols=2)
 
 
 def rows(verdicts):
@@ -56,6 +71,21 @@ def d0_raised(report, ch):
     return dataclasses.replace(report, d0={**report.d0, (0, 5): 13})
 
 
+def late_d0_odd(report, ch):
+    # 95 earlier pairs keep (15, 9)'s old key
+    return dataclasses.replace(report, d0={**report.d0, (15, 9): 3})
+
+
+def d2_two_keys(report, ch):
+    # (5, 2) makes the key that fails joint-from-refined at (7, 12), and
+    # (6, 9) a later key that fails it at (6, 9), the first failing pair
+    return dataclasses.replace(report, d2={**report.d2, (5, 2): 5, (7, 12): 5, (6, 9): 6})
+
+
+def late_d1_bumped(report, ch):
+    return dataclasses.replace(report, d1={**report.d1, (3, 8): 3})
+
+
 CASES = {
     "toy-d1-zero": ("toy", d1_all_zero,
                     "2dfa0a1a006367f600585f22c76f22dcdd363ff89860b93e3f4624c84b4a8ee7"),
@@ -67,6 +97,12 @@ CASES = {
                             "8873ac5836ab6b78e9d7cdce7be36ee91f2eb8b27443853674d540b5a18c0f04"),
     "hamming-d0-raised": ("hamming_code_channel", d0_raised,
                           "d18872ddffabdd09f72bd3e919734f3d213c158ca755005353603f6a2b0b60f5"),
+    "rank16-late-d0-odd": ("rank16", late_d0_odd,
+                           "c659301ee1f24981e2e12795b7ff34a7030b33561f5baf3fb4afd890cb46f751"),
+    "rank16-d2-two-keys": ("rank16", d2_two_keys,
+                           "1e3037ee41838d2288685ddef222384b8535b88621675604df3081fd97659cea"),
+    "rank16-late-d1-bumped": ("rank16", late_d1_bumped,
+                              "c0956ee6b1184e5200271e7db367975b45e08a960609fe01c83ca8e15094f1d5"),
 }
 
 DISJOINT_IMAGES = "f55d695a20d39632c3676f2c9cfef39f7500919f20e4e5fc83bd5e71238bd93d"
