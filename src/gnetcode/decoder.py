@@ -15,7 +15,8 @@ runner_up``, otherwise (also for an unreached word, possible for
 non-surjective table channels) it declares a detection.  The bounded
 variant MWD(c) is defined only when the radius-c balls {y : W_i(y) <=
 c} are pairwise disjoint, a verdict cached per radius beside the balls;
-then it decodes y to the codeword whose ball holds it.
+then it decodes y to the codeword whose ball holds it.  The radius-0
+balls are the clean outputs' codes, so MWD(0) builds no row.
 
 An error z is correctable when MWD returns x_i from F(x_i, z), for every
 codeword x_i.  It is detectable when MWD(0) returns x_i or declares a
@@ -152,8 +153,9 @@ def mwd(ch: Channel, y) -> DecodeOutcome:
 def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """Bounded-distance decoding over disjoint radius-c balls.
 
-    After a negative radius is rejected, every codeword's row is built
-    into its radius-c ball; then the radius is checked
+    After a negative radius is rejected, the radius-c balls are built,
+    each off its codeword's row but at radius 0, where a ball is the clean
+    output's code and no row is built; then the radius is checked
     (:class:`InvalidDecoderError` if two balls meet); then a word outside
     the output space is detected; then y decodes to the ball holding it.
     """

@@ -140,16 +140,23 @@ def _meets(reach_i: dict, reach_j: dict, w_max: int) -> tuple[tuple, tuple]:
 def _balls(ch: Channel, c: int) -> list:
     """Each codeword's radius-c ball as a set of codes, in codeword order.
 
-    Rows run in nondecreasing error weight, so a ball is the set of a row's
-    weight-<= c prefix.  Built once per radius; a radius above w_max is
-    w_max's.
+    The zero error is the only weight-0 error under every measure, so a
+    radius-0 ball is the codeword's clean output's code, and no row is
+    built.  Rows run in nondecreasing error weight, so any other ball is
+    the set of a row's weight-<= c prefix.  Built once per radius; a radius
+    above w_max is w_max's.
     """
     c = min(c, ch.w_max)
     store = ch._cache.setdefault("balls", {})
     balls = store.get(c)
     if balls is None:
-        end = bisect_right(ch._weight_order()[1], c)
-        balls = store[c] = [frozenset(ch._code_row(x)[:end]) for x in ch.codewords]
+        if c == 0:
+            encode = ch._codec().encode
+            balls = [frozenset((encode(ch.zero_output(x)),)) for x in ch.codewords]
+        else:
+            end = bisect_right(ch._weight_order()[1], c)
+            balls = [frozenset(ch._code_row(x)[:end]) for x in ch.codewords]
+        store[c] = balls
     return balls
 
 
@@ -251,9 +258,10 @@ class DistanceReport:
     ``meets`` holds each pair's meet table, a tuple, which every entry
     above is read from; pairs with equal tables get their entries from one
     derivation.  An altered copy (``dataclasses.replace``) shares the
-    tables, but builds its own :meth:`refined_rows` and ``check_metric``
-    memo, and :meth:`to_dict` shares a pair fragment only between pairs
-    whose entries are equal, so a copy serializes its own values.
+    tables, but builds its own :meth:`refined_rows`, ``check_metric``
+    memo and ledger pair keys, and :meth:`to_dict` shares a pair fragment
+    only between pairs whose entries are equal, so a copy serializes its
+    own values.
     """
 
     codewords: tuple
@@ -270,6 +278,7 @@ class DistanceReport:
     meets: dict = field(repr=False, compare=False)
     _rows: dict | None = field(default=None, init=False, repr=False, compare=False)
     _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def pairs(self):
         n = len(self.codewords)

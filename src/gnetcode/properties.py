@@ -15,6 +15,13 @@ weight axioms into one deterministic ledger.  Each fact is read from one
 place: d2[c] from the distance report's rows, the metric axioms from its
 memo of :func:`check_metric`, the capabilities from one capability scan.
 
+Per-pair claims are judged once per distinct pair key, a pair's entry
+(d0, d1, d2, tau, cstar, meet table) with its reverse's: pairs of one
+key read the same values, so a claim scans the first pair of each key
+(:func:`_key_pairs`, built once per report), and the first failing one
+is its first failing pair.  Equal distance matrices share one metric
+scan, so an error-linear channel's d0 = d1 = d2 is scanned once.
+
 The module also provides seeded random channel generators (table-defined
 and linear matrix channels); the general claims hold for *all* channels,
 so randomized instances are legitimate regression tests.
@@ -24,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
-from operator import add, sub
+from dataclasses import dataclass, field as dc_field, replace
+from operator import add, itemgetter, sub
 
 from .field import Field
 from . import matrices as mx
@@ -77,6 +84,12 @@ def _verdict(check: str, instances, failures, detail: str = "",
     for the reason ``why`` when given.  Otherwise it fails with the first
     counterexample of ``failures``, a lazy scan in instance order, and
     passes when the scan yields none.
+
+    A per-pair claim quantifies over pairs but is judged once per distinct
+    pair key (see :func:`_key_pairs`): its instances and failures scan the
+    first pair of each key, in pair order.  Pairs of one key carry every
+    value a claim reads, so they pass or fail together, and the first
+    failing key's first pair is the first failing pair.
     """
     if not instances:
         return TheoremVerdict(check, NOT_APPLICABLE,
@@ -87,12 +100,44 @@ def _verdict(check: str, instances, failures, detail: str = "",
     return TheoremVerdict(check, PASS, detail)
 
 
-def _balanced_split(report: DistanceReport) -> dict:
-    """(i, j) -> (d2[cstar], d2[cstar] of (j, i)) per pair i < j with a defined cstar."""
+def _key_pairs(report: DistanceReport) -> tuple[list, list]:
+    """The first pair of each distinct pair key, in pair order: over every
+    pair, and over the pairs i < j.  Built once per report.
+
+    A pair's key is its entry and its reverse's, an entry being (d0, d1,
+    d2, tau, cstar, meet table); the meet table stands for the refined row
+    built from it.  Every per-pair claim reads no more than that, so it is
+    decided on these pairs alone.  Entries are numbered first, so a key is
+    a pair of numbers.  Memoized on the report, so an altered copy
+    (``dataclasses.replace``) keys its own values.
+    """
+    if report._keys is None:
+        pairs = report.pairs()
+        numbers = {}
+        entries = [numbers.setdefault(e, len(numbers)) for e in zip(*(
+            map(t.__getitem__, pairs) for t in (report.d0, report.d1, report.d2,
+                                                report.tau, report.cstar, report.meets)))]
+        reverse = zip(map(itemgetter(1), pairs), map(itemgetter(0), pairs))
+        keys = list(zip(entries, map(dict(zip(pairs, entries)).__getitem__, reverse)))
+        upper = [i < j for (i, j) in pairs]
+        report._keys = (_firsts(keys, pairs), _firsts(list(itertools.compress(keys, upper)),
+                                                      list(itertools.compress(pairs, upper))))
+    return report._keys
+
+
+def _firsts(keys: list, pairs: list) -> list:
+    """Each distinct key's first pair, in pair order."""
+    first = dict(zip(reversed(keys), reversed(pairs)))
+    return list(map(first.__getitem__, dict.fromkeys(keys)))
+
+
+def _balanced_split(report: DistanceReport) -> list:
+    """((i, j), d2[cstar], d2[cstar] of (j, i)) per key of the pairs i < j
+    with a defined cstar."""
     refined = report.refined_rows()
-    return {(i, j): (refined[i, j][cs], refined[j, i][cs])
-            for (i, j) in report.pairs()
-            if i < j and (cs := report.cstar[i, j]) is not None}
+    return [((i, j), refined[i, j][cs], refined[j, i][cs])
+            for (i, j) in _key_pairs(report)[1]
+            if (cs := report.cstar[i, j]) is not None]
 
 
 def _even_sums(row: list, hi: int):
@@ -104,7 +149,7 @@ def check_bounds(ch: Channel, report: DistanceReport | None = None) -> list[Theo
     """Bounds tying the detection and joint distances to the correction one."""
     report = report or minimum_distances(ch)
     d0, d1, d2 = report.d0, report.d1, report.d2
-    pairs = report.pairs()
+    pairs = _key_pairs(report)[0]
     finite = [(i, j) for (i, j) in pairs if is_finite(d0[i, j])]
     minima = [report.d0_min] if is_finite(report.d0_min) else []
     return [
@@ -135,7 +180,7 @@ def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[The
     report = report or minimum_distances(ch)
     refined = report.refined_rows()
     d1, tau = report.d1, report.tau
-    pairs = report.pairs()
+    pairs, upper = _key_pairs(report)
 
     probed = {}
     for (i, j) in pairs:
@@ -148,7 +193,6 @@ def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[The
 
     thresholds = [(i, j, tau[i, j]) for (i, j) in pairs if tau[i, j] is not None]
     split = _balanced_split(report)
-    upper = [(i, j) for (i, j) in pairs if i < j]
     bests = [min(2 * c + v for c, v in enumerate(report.d2_min_refined))]
     return [
         _verdict("refined-equals-detection-at-zero", pairs,
@@ -169,12 +213,12 @@ def check_refined(ch: Channel, report: DistanceReport | None = None) -> list[The
                   if (refined[i, j][c] == 0) != (c >= t)),
                  "d2[c] == 0 exactly when c >= tau"),
         _verdict("balanced-split-parity", split,
-                 ((i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
+                 ((i, j, fwd, bwd) for (i, j), fwd, bwd in split
                   if ((fwd, bwd) != (0, 0) if int(report.d0[i, j]) % 2 == 0
                       else min(fwd, bwd) != 1)),
                  "d2[cstar]: both zero for even d0, min one for odd"),
         _verdict("balanced-split-identity", split,
-                 ((i, j, total, report.d0[i, j]) for (i, j), v in split.items()
+                 ((i, j, total, report.d0[i, j]) for (i, j), *v in split
                   if (total := 2 * report.cstar[i, j] + min(v)) != report.d0[i, j]),
                  "2*cstar + min(d2[cstar], both orders) == d0"),
         _verdict("joint-from-refined", upper,
@@ -193,31 +237,40 @@ def check_metric(ch: Channel, which: str,
 
     Requires finite distances; with any infinite entry the axioms are
     reported not-applicable (the distance is not real-valued there).  The
-    n x n distance matrix is built once.  The triangle axiom fails at
+    n x n distance matrix is built once.  Its diagonal is zero, so
+    nonnegativity and symmetry read pair entries alone and scan one pair
+    per pair key (see :func:`_key_pairs`).  The triangle axiom fails at
     (i, j) exactly when some k has d(i, k) - d(j, k) > d(i, j), so each
     (i, j) costs one C-level scan of two matrix rows, and k is searched
     only for the first failing (i, j): the counterexample is the
     lexicographically first failing triple (i, j, k).  Memoized per
-    distance on the report, so an altered copy is scanned afresh.
+    distance on the report, so an altered copy is scanned afresh.  Equal
+    distance tables share one scan: a distance whose table equals an
+    already scanned one takes its verdicts under its own check names, so
+    on an error-linear channel d0, d1 and d2 cost one scan.
     """
     report = report or minimum_distances(ch)
     memo = report._metrics
     if which in memo:
         return memo[which]
-    table = {"d0": report.d0, "d1": report.d1, "d2": report.d2}[which]
-    n = len(ch.codewords)
-
-    if not all(map(is_finite, table.values())):
+    tables = {"d0": report.d0, "d1": report.d1, "d2": report.d2}
+    table = tables[which]
+    twin = next((memo[w] for w in memo if tables[w] == table), None)
+    if twin is not None:
+        prefix = len(f"metric-{twin.distance}")
+        result = MetricReport(which, *(replace(v, check=f"metric-{which}{v.check[prefix:]}")
+                                       for v in twin.verdicts))
+    elif not all(map(is_finite, table.values())):
         na = _verdict(f"metric-{which}", (), (), why="infinite distances")
         result = MetricReport(which, na, na, na)
     else:
+        n = len(ch.codewords)
         dist = [[0 if i == j else table[i, j] for j in range(n)] for i in range(n)]
-        pairs = report.pairs()
+        pairs = _key_pairs(report)[0]
         result = MetricReport(
             which,
             _verdict(f"metric-{which}-nonnegativity", dist,
-                     ((i, j) for i in range(n) for j in range(n)
-                      if (dist[i][j] == 0) != (i == j) or dist[i][j] < 0),
+                     ((i, j) for (i, j) in pairs if table[i, j] <= 0),
                      "zero exactly on the diagonal"),
             _verdict(f"metric-{which}-symmetry", pairs,
                      ((i, j) for (i, j) in pairs if table[i, j] != table[j, i]),
@@ -256,7 +309,7 @@ def check_error_linear_suite(ch: Channel, report: DistanceReport | None = None,
     report = report or minimum_distances(ch)
     refined = report.refined_rows()
     d0, d1, d2 = report.d0, report.d1, report.d2
-    pairs = report.pairs()
+    pairs = _key_pairs(report)[0]
     out = [
         _verdict("correction-equals-detection", pairs,
                  ((i, j, d0[i, j], d1[i, j]) for (i, j) in pairs if d0[i, j] != d1[i, j]),
@@ -301,7 +354,7 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
     classification = classification or classify(ch)
     refined = report.refined_rows()
     d0, d1, d2 = report.d0, report.d1, report.d2
-    pairs = report.pairs()
+    pairs = _key_pairs(report)[0]
 
     # On pairs whose balls never intersect the conditions reference an
     # undefined cstar, so those pairs are left out; the quantified claims
@@ -338,7 +391,7 @@ def check_conditions(ch: Channel, report: DistanceReport | None = None,
     equal = all(d1[i, j] == d2[i, j] and is_finite(d1[i, j]) for (i, j) in pairs)
     return [
         _verdict("refined-symmetry-equivalence", split,
-                 ((i, j, fwd, bwd) for (i, j), (fwd, bwd) in split.items()
+                 ((i, j, fwd, bwd) for (i, j), fwd, bwd in split
                   if (fwd <= 1 and bwd <= 1) != (fwd == bwd)),
                  "both d2[cstar] <= 1 iff the two orders agree"),
         _verdict("relation-condition-collapse", by_relation, collapse(by_relation),
@@ -497,7 +550,7 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
         notes["metric_axioms_observed"] = {
             which: check_metric(ch, which, report).all_pass
             for which in ("d0", "d1", "d2")}
-    ratios = [report.d1[i, j] / report.d0[i, j] for (i, j) in report.pairs()
+    ratios = [report.d1[i, j] / report.d0[i, j] for (i, j) in _key_pairs(report)[0]
               if is_finite(report.d0[i, j]) and is_finite(report.d1[i, j])]
     if ratios:
         notes["min_d1_d0_ratio"] = round(min(ratios), 4)

@@ -245,9 +245,16 @@ def test_balls_are_the_naive_balls_cached_per_radius(toy):
 
 def test_run_all_builds_the_radius_zero_balls_once():
     """capability reads the reach maps and builds no ball, so the store
-    holds radius 0 only, which the ledger's radius-0 decoder reuses."""
-    from gnetcode import run_all, toy_channel
+    holds radius 0 only, which the ledger's radius-0 decoder reuses.  The
+    radius-0 balls are the clean outputs' codes: decoding at radius 0
+    builds no row."""
+    from gnetcode import mwd_bounded, run_all, toy_channel
     from gnetcode.distances import _balls
+
+    fresh = toy_channel()
+    assert mwd_bounded(fresh, 0, fresh.zero_output((1, 1, 1))).codeword == (1, 1, 1)
+    assert mwd_bounded(fresh, 0, (1, 0, 0)).detected
+    assert "code_rows" not in fresh._cache
 
     ch = toy_channel()
     run_all(ch)
