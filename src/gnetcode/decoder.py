@@ -154,8 +154,8 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """Bounded-distance decoding over disjoint radius-c balls.
 
     After a negative radius is rejected, the radius-c balls are built,
-    each off its codeword's row but at radius 0, where a ball is the clean
-    output's code and no row is built; then the radius is checked
+    off every codeword's row (at radius 0 off the clean outputs, with no
+    row); then the radius is checked
     (:class:`InvalidDecoderError` if two balls meet); then a word outside
     the output space is detected; then y decodes to the ball holding it.
     """
