@@ -153,9 +153,10 @@ class Channel:
     directly, unless you bring your own transfer callable.
 
     ``transfer(x, z)`` answers single-error questions (:meth:`evaluate`,
-    the per-error decoder verdicts).  Whole rows come from the row kernel
-    ``row(x, codec)``: the codes of x's outputs against every error, in the
-    error space's enumeration order, packed by the channel's
+    and the per-error decoder verdicts on a channel with a reach
+    kernel).  Whole rows come from the row kernel ``row(x, codec)``: the
+    codes of x's outputs against every error, in the error space's
+    enumeration order, packed by the channel's
     :class:`~gnetcode.codec.Codec`.  The channel creates that codec with
     its first row, never at construction, and every scan over a row (reach
     maps, decoders, classification) runs on the codes; outputs become
@@ -171,7 +172,10 @@ class Channel:
     output code -> least error weight reaching it, iterating in
     nondecreasing weight, without a row; :func:`gnetcode.distances._reach`
     calls it when present and reads the map off the row otherwise.
-    :func:`~gnetcode.network.compile_network` passes one.
+    :func:`~gnetcode.network.compile_network` passes one.  With a reach
+    kernel the balls and decoders read the reach maps too, and the
+    per-error decoder verdicts take each output from ``transfer``, so no
+    row is built on that path (see :func:`gnetcode.distances._row_free`).
     """
 
     def __init__(self, field: Field, codewords, errors: ErrorModel, outputs,

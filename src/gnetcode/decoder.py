@@ -1,41 +1,47 @@
 """Minimum weight decoding and code capability classification.
 
-A decoder reads one received word off the codewords' transfer rows, which
-run in nondecreasing error weight (see :mod:`gnetcode.distances`); it
-builds no table of every reached word.  The word is encoded once, at the
-boundary; a word outside the output space has no code and no solution,
-so it is detected.  MWD has one rule, :func:`_solution`, on the
-codewords' least weights W_i(y) = min{wt(z) : F(x_i, z) = y} for y's
-code: it gives ``(least, owner, runner_up)``, the least W_i(y), the
-lowest codeword index attaining it, and the least W_j(y) over the other
-codewords (INFINITE if none reaches y), so a tie shows as ``runner_up ==
-least``.  The decoders read W_i(y) off the rows, as the weight at y's
+A decoder reads one received word off one source per codeword, in
+nondecreasing error weight (see :mod:`gnetcode.distances`).  On a
+channel with a reach kernel (every network) the source is the
+codeword's reach map, which the network computes with no transfer row,
+so no decoder builds a row there.  On any other channel it is the
+codeword's transfer row.  Either way no table of every reached word is
+built.  The word is encoded once, at the boundary; a word outside the
+output space has no code and no solution, so it is detected.  MWD has
+one rule, :func:`_solution`, on the codewords' least weights W_i(y) =
+min{wt(z) : F(x_i, z) = y} for y's code: it gives ``(least, owner,
+runner_up)``, the least W_i(y), the lowest codeword index attaining it,
+and the least W_j(y) over the other codewords (INFINITE if none reaches
+y), so a tie shows as ``runner_up == least``.  The decoders read W_i(y)
+as a reach-map lookup on a network, and elsewhere as the weight at y's
 first position in x_i's row.  MWD decodes y to its owner iff ``least <
 runner_up``, otherwise (also for an unreached word, possible for
 non-surjective table channels) it declares a detection.  The bounded
 variant MWD(c) is defined only when the radius-c balls {y : W_i(y) <=
 c} are pairwise disjoint, a verdict cached per radius beside the balls;
 then it decodes y to the codeword whose ball holds it.  The radius-0
-balls are the clean outputs' codes, so MWD(0) builds no row.
+balls are the clean outputs' codes, so MWD(0) builds no row and no
+reach map; a larger ball is a prefix of the same source.
 
-An error z is correctable when MWD returns x_i from F(x_i, z), for every
-codeword x_i.  It is detectable when MWD(0) returns x_i or declares a
-detection, that is when F(x_i, z) never lands on a *different*
-codeword's clean output; nonlinear node maps can swallow an error
-entirely.  Both predicates read F(x_i, z)'s code off x_i's row at z's
-position (z's enumeration index mapped through the inverse weight order,
-cached per channel), with no per-error transfer.  :func:`is_correctable`
-then looks the code up in every codeword's reach map (one dict lookup
-each) and applies MWD's rule; :func:`is_detectable` looks it up in the
-radius-0 balls, as MWD(0) does.  :func:`capability` reads only the
-reach maps, which a network computes without any row (see
-:func:`gnetcode.distances._reach`): the least uncorrectable weight is
-the least second-smallest W_i(y) over the words two codewords reach, and
-the least undetectable weight the least W_i of another codeword's clean
-code.  A code corrects c errors while detecting c' more exactly when the
-refined joint minimum d2_min[c] is at least c'+1, so
-:func:`is_joint_correcting` reads that one memoized column of
-:func:`gnetcode.distances.minimum_distances`.
+An error z is correctable when MWD returns x_i from F(x_i, z), for
+every codeword x_i.  It is detectable when MWD(0) returns x_i or
+declares a detection, that is when F(x_i, z) never lands on a
+*different* codeword's clean output; nonlinear node maps can swallow an
+error entirely.  Both predicates get F(x_i, z)'s code once per codeword:
+on a network from one per-pair transfer, encoded once; elsewhere off
+x_i's row at z's position (z's enumeration index mapped through the
+inverse weight order, cached per channel), with no per-error
+transfer.  :func:`is_correctable` then looks the code up in every
+codeword's reach map (one dict lookup each) and applies MWD's rule;
+:func:`is_detectable` looks it up in the radius-0 balls, as MWD(0)
+does.  :func:`capability` reads only the reach maps, which a network
+computes without any row (see :func:`gnetcode.distances._reach`): the
+least uncorrectable weight is the least second-smallest W_i(y) over the
+words two codewords reach, and the least undetectable weight the least
+W_i of another codeword's clean code.  A code corrects c errors while
+detecting c' more exactly when the refined joint minimum d2_min[c] is
+at least c'+1, so :func:`is_joint_correcting` reads that one memoized
+column of :func:`gnetcode.distances.minimum_distances`.
 """
 
 from __future__ import annotations
@@ -43,10 +49,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 from .channel import Channel
-from .distances import INFINITE, _balls, _disjoint, _reach, minimum_distances, is_finite
+from .distances import (INFINITE, _balls, _disjoint, _reach, _row_free, minimum_distances,
+                        is_finite)
 
 
 class InvalidDecoderError(ValueError):
@@ -135,38 +143,73 @@ def _row_position(ch: Channel, z) -> int:
     return positions[index]
 
 
+def _least_weights(ch: Channel):
+    """(sources, least): each codeword's output codes in nondecreasing
+    error weight, in codeword order, to be read once, and a reader giving
+    every codeword's W_i for one code (None where x_i does not reach it).
+
+    A channel with a reach kernel (every network) gives its reach maps,
+    which it computes with no row, and looks W_i up in them; a map is
+    built on first use, so nothing is built until a code is read.  Any
+    other channel gives its rows, all built here (so a custom channel's
+    output outside the space raises
+    :class:`~gnetcode.channel.ConstructionError`), and reads W_i as the
+    weight at the code's first position.
+    """
+    indices = range(len(ch.codewords))
+    if _row_free(ch):
+        return (map(partial(_reach, ch), indices),
+                lambda code: [_reach(ch, i).get(code) for i in indices])
+    rows = list(map(ch._code_row, ch.codewords))
+    return rows, partial(_row_weights, rows, ch._weight_order()[1])
+
+
+def _sent(ch: Channel, z) -> list:
+    """Each codeword's F(x_i, z) as a code: one per-pair transfer each,
+    encoded once, on a channel with a reach kernel (so no row is built);
+    read at z's row position on any other channel."""
+    if _row_free(ch):
+        encode = ch._codec().encode
+        return [encode(ch._transfer(x, z)) for x in ch.codewords]
+    at = _row_position(ch, z)
+    return [ch._code_row(x)[at] for x in ch.codewords]
+
+
 def mwd(ch: Channel, y) -> DecodeOutcome:
     """Minimum weight decoding of a received word.
 
-    Every codeword's row is built first (so a custom channel's output
-    outside the space raises :class:`~gnetcode.channel.ConstructionError`);
-    then a word outside the output space is detected, as it has no
-    solution; then y is decoded off the rows.
+    Off a network every codeword's row is built first (so a custom
+    channel's output outside the space raises
+    :class:`~gnetcode.channel.ConstructionError`); then a word outside the
+    output space is detected, as it has no solution, which on a network
+    (whose outputs are elements by construction) builds no reach map;
+    then y is decoded on each codeword's W_i(y).
     """
-    rows = list(map(ch._code_row, ch.codewords))
+    least = _least_weights(ch)[1]
     if not ch.outputs.contains(y):
         return DETECTED
-    owner = _mwd_owner(_row_weights(rows, ch._weight_order()[1], ch._codec().encode(y)))
+    owner = _mwd_owner(least(ch._codec().encode(y)))
     return DETECTED if owner is None else DecodeOutcome(ch.codewords[owner])
 
 
 def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     """Bounded-distance decoding over disjoint radius-c balls.
 
-    After a negative radius is rejected, the radius-c balls are built,
-    off every codeword's row (at radius 0 off the clean outputs, with no
-    row); then the radius is checked
-    (:class:`InvalidDecoderError` if two balls meet); then a word outside
-    the output space is detected; then y decodes to the ball holding it.
+    After a negative radius is rejected, the radius-c balls are built
+    (at radius 0 off the clean outputs; otherwise off the reach maps on a
+    network and off the rows elsewhere); then the radius is checked
+    (:class:`InvalidDecoderError` if two balls meet, naming the first
+    code that two balls hold over the same sources in codeword order);
+    then a word outside the output space is detected; then y decodes to
+    the ball holding it.
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
     if not _disjoint(ch, c):
-        # the first code, over the rows in codeword order, that two balls hold
-        balls, rows = _balls(ch, c), list(map(ch._code_row, ch.codewords))
+        balls, (sources, least) = _balls(ch, c), _least_weights(ch)
         held = Counter(chain.from_iterable(balls))
-        shared = next(code for code in chain.from_iterable(rows) if held[code] > 1)
-        a = _solution(_row_weights(rows, ch._weight_order()[1], shared))[1]
+        shared = next(code for code in chain.from_iterable(sources) if held[code] > 1)
+        a = _solution(least(shared))[1]
         b = next(j for j, ball in enumerate(balls) if j != a and shared in ball)
         raise InvalidDecoderError(
             f"radius-{c} balls of {ch.codewords[a]!r} and {ch.codewords[b]!r} "
@@ -181,31 +224,29 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
 def is_correctable(ch: Channel, z) -> bool:
     """Does minimum weight decoding recover every transmission under z?
 
-    Each F(x_i, z) is read at z's row position and decoded by MWD's rule,
-    on the codewords' W_j for it, looked up in their reach maps.
+    Each F(x_i, z) (see :func:`_sent`) is decoded by MWD's rule, on the
+    codewords' W_j for it, looked up in their reach maps.
     """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
-    at = _row_position(ch, z)
     lookups = [_reach(ch, j).get for j in range(len(ch.codewords))]
-    return all(_mwd_owner(get(ch._code_row(x)[at]) for get in lookups) == i
-               for i, x in enumerate(ch.codewords))
+    return all(_mwd_owner(get(code) for get in lookups) == i
+               for i, code in enumerate(_sent(ch, z)))
 
 
 def is_detectable(ch: Channel, z) -> bool:
     """Is z never mistaken for a different codeword's clean output?
 
-    Each F(x_i, z) is read at z's row position and decided on the radius-0
-    balls, as MWD(0) does.  They are the clean outputs, which
-    construction keeps apart, so MWD(0) is always defined.
+    Each F(x_i, z) (see :func:`_sent`) is decided on the radius-0 balls,
+    as MWD(0) does.  They are the clean outputs, which construction keeps
+    apart, so MWD(0) is always defined.
     """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
     if z == ch.errors.space.zero():
         raise ValueError("detectability is defined for nonzero errors only")
-    balls, at = _balls(ch, 0), _row_position(ch, z)
-    return all(_ball_owner(balls, ch._code_row(x)[at]) in (None, i)
-               for i, x in enumerate(ch.codewords))
+    balls = _balls(ch, 0)
+    return all(_ball_owner(balls, code) in (None, i) for i, code in enumerate(_sent(ch, z)))
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,12 @@ the theorem ledger) and the pair fragments of its
 table or entry.  The single-pair functions (:func:`dist_d0` and the
 rest) take the first table of their pair's scan.  The reach maps and the
 distance report are memoized per channel.  The balls of one radius,
-which only the decoders and the ledger read, are read off the rows, each
-a weight-<= c prefix kept as a set of codes, and cached per radius,
-together with the verdict whether they are pairwise disjoint; only
-:func:`decoding_ball` decodes members to tuples.
+which only the decoders and the ledger read, are each a weight-<= c
+prefix kept as a set of codes: of the reach map on a channel with a
+reach kernel, so a network builds no row for them, and of the row on any
+other channel (a radius-0 ball is the clean output's code, with neither).
+They are cached per radius, together with the verdict whether they are
+pairwise disjoint; only :func:`decoding_ball` decodes members to tuples.
 The test suite anchors this engine against a cache-free brute-force
 oracle.
 """
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 
 from .channel import Channel
@@ -87,6 +89,12 @@ def _cw_index(ch: Channel, x) -> int:
         raise ValueError(f"{x!r} is not a codeword of this channel") from None
 
 
+def _row_free(ch: Channel) -> bool:
+    """Does the channel have a reach kernel (every network does)?  Then its
+    reach maps, balls and decoders are computed with no transfer row."""
+    return ch._reach is not None
+
+
 def _reach(ch: Channel, xi: int) -> dict:
     """Received word's code -> least error weight reaching it from codeword xi.
 
@@ -102,7 +110,7 @@ def _reach(ch: Channel, xi: int) -> dict:
     reach = store.get(xi)
     if reach is None:
         x = ch.codewords[xi]
-        if ch._reach is not None:
+        if _row_free(ch):
             reach = ch._reach(x, ch._codec())
         else:
             row = ch._code_row(x)
@@ -142,9 +150,11 @@ def _balls(ch: Channel, c: int) -> list:
 
     The zero error is the only weight-0 error under every measure, so a
     radius-0 ball is the codeword's clean output's code, and no row is
-    built.  Rows run in nondecreasing error weight, so any other ball is
-    the set of a row's weight-<= c prefix.  Built once per radius; a radius
-    above w_max is w_max's.
+    built.  Any other ball is a weight-<= c prefix: of the codeword's
+    reach map on a channel with a reach kernel (the map iterates in
+    nondecreasing weight), so a network builds no row, and of its row,
+    which runs in nondecreasing error weight, elsewhere.  Built once per
+    radius; a radius above w_max is w_max's.
     """
     c = min(c, ch.w_max)
     store = ch._cache.setdefault("balls", {})
@@ -153,6 +163,10 @@ def _balls(ch: Channel, c: int) -> list:
         if c == 0:
             encode = ch._codec().encode
             balls = [frozenset((encode(ch.zero_output(x)),)) for x in ch.codewords]
+        elif _row_free(ch):
+            maps = [_reach(ch, i) for i in range(len(ch.codewords))]
+            balls = [frozenset(islice(reach, bisect_right(list(reach.values()), c)))
+                     for reach in maps]
         else:
             end = bisect_right(ch._weight_order()[1], c)
             balls = [frozenset(ch._code_row(x)[:end]) for x in ch.codewords]

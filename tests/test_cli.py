@@ -10,7 +10,7 @@ import gnetcode
 from gnetcode import minimum_distances, capability
 from gnetcode.cli import main
 from test_config import INI_SYNTAX_ERRORS, REPETITION
-from test_golden import GOLDEN, payload_digest
+from test_golden import CONFIGS, GOLDEN, payload_digest
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +205,33 @@ def test_invalid_bounded_radius(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--config", str(cfg), "decode", "0,0,0",
                            "--bounded", "2")
     assert code == 2 and "intersect" in err
+    # the toy's witness comes off its reach maps, and names the word the rows did
+    code, out, err = run_cli(capsys, "--toy-example", "decode", "1,0,0", "--bounded", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: radius-2 balls of (0, 0, 0) and (1, 1, 1) intersect at "
+                   "(0, 0, 0); bounded decoding is undefined at this radius\n")
+
+
+def test_decode_builds_no_transfer_row_on_a_network(capsys, monkeypatch):
+    """decode on the toy and the network configs answers off the reach maps:
+    the channel it loaded holds no row and no weight order afterwards."""
+    from gnetcode import cli
+
+    load_channel, loaded = cli._load_channel, []
+
+    def load(args):
+        loaded.append(load_channel(args))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_channel", load)
+    sources = [("--toy-example",)] + [("--config", str(CONFIGS / name))
+                                      for name in ("toy_network.ini", "linear_relay_network.ini")]
+    for source in sources:
+        for argv in (("1,0,0",), ("--bounded", "0", "1,0,0"), ("--bounded", "1", "1,0,0")):
+            run_cli(capsys, *source, "decode", *argv)
+            ch, _ = loaded.pop()
+            assert ch.kind == "network"
+            assert not {"code_rows", "weight_order"} & ch._cache.keys(), (source, argv)
 
 
 def test_toy_budget_honoured(capsys):

@@ -114,8 +114,14 @@ def assert_names_a_real_intersection(ch, c):
 
 
 def test_mwd_bounded_invalid_radius(toy, repetition):
+    from gnetcode.config import channel_from_config
+    from test_golden import CONFIGS
+
     for ch in (toy, repetition):
         assert_names_a_real_intersection(ch, 2)
+    # the relay network's witness is read off its reach maps, in their order
+    relay = channel_from_config((CONFIGS / "linear_relay_network.ini").read_text())
+    assert_names_a_real_intersection(relay, 1)
 
 
 def test_correctable(toy):
@@ -142,16 +148,19 @@ def test_detectable(toy):
 
 
 def test_per_error_predicates_decode_each_evaluated_output(repetition):
-    """The predicates read F(x, z) at z's row position; they must agree with
-    decoding ch.evaluate(x, z) on every error, matrix errors (whose entries
-    enumerate row-major) included."""
+    """The predicates read F(x, z) at z's row position, or on a network off
+    one per-pair transfer; they must agree with decoding ch.evaluate(x, z)
+    on every error, matrix errors (whose entries enumerate row-major)
+    included."""
     import random
-    from gnetcode import random_rank_channel, random_sum_rank_channel, random_table_channel
+    from gnetcode import (random_rank_channel, random_sum_rank_channel, random_table_channel,
+                          toy_channel)
 
     rng = random.Random(3)
     channels = [repetition, random_table_channel(rng, Field(3), 3, 3, 2),
                 random_rank_channel(rng, Field(2), 2, 1, 3, 3),
-                random_sum_rank_channel(rng, Field(2), 2, (1, 1), (1, 2), (1, 2))]
+                random_sum_rank_channel(rng, Field(2), 2, (1, 1), (1, 2), (1, 2)),
+                toy_channel(), *random_networks(41)]
     for ch in channels:
         zero = ch.errors.space.zero()
         for z in ch.errors.space.elements():
@@ -261,7 +270,7 @@ def test_mwd_matches_naive_oracle(repetition):
     from oracles import naive_ball, naive_mwd
 
     channels = [repetition, single_edge_channel(), disjoint_images_channel()]
-    channels += random_networks(31)
+    channels += random_networks(31) + random_networks(41)
     rng = random.Random(31)
     channels += [random_table_channel(rng, Field(q), n_codewords=3,
                                       error_length=2, output_length=2)
@@ -287,20 +296,23 @@ def test_mwd_matches_naive_oracle(repetition):
                 assert mwd_bounded(ch, c, y).codeword == owner
 
 
-def test_decoders_read_the_rows_not_the_index():
-    """mwd, and mwd_bounded at a radius whose balls are disjoint, build no
-    reach map, on a reached, an unreached and an outside word; the row
-    reader's triple is the one the reach maps give for every reached word,
-    and None for every unreached one."""
+def test_decoders_read_reach_maps_on_a_network_and_rows_elsewhere():
+    """On a network (the toy and a random one) no mwd, mwd_bounded,
+    is_correctable or is_detectable call builds a row or the weight order;
+    on the rank channel mwd and mwd_bounded build no reach map.  The calls
+    run on a reached, an unreached and an outside word, at every radius
+    whose balls are disjoint, at every radius where they meet (raising),
+    and on a few errors.  The row reader's triple is the one the reach
+    maps give for every reached word, and None for every unreached one."""
     import random
+    from itertools import islice
     from gnetcode import random_rank_channel, toy_channel
     from gnetcode.decoder import _row_weights, _solution
     from gnetcode.distances import INFINITE, _balls, _reach
 
-    network = random_networks(41)[3]
-    network._cache.clear()  # random_networks built its distance tables
     # the seed-3 rank channel leaves 12 of its 16 output words unreached
-    channels = [toy_channel(), random_rank_channel(random.Random(3), Field(2)), network]
+    channels = [toy_channel(), random_rank_channel(random.Random(3), Field(2)),
+                random_networks(41)[3]]
     unreached_seen = 0
     for ch in channels:
         rows = list(map(ch._code_row, ch.codewords))
@@ -313,11 +325,25 @@ def test_decoders_read_the_rows_not_the_index():
         radii = [c for c in range(ch.w_max + 2)
                  if sum(map(len, _balls(ch, c))) == len(frozenset().union(*_balls(ch, c)))]
         assert 0 in radii
+        ch._cache.clear()
+        network = ch.kind == "network"
+        unbuilt = {"code_rows", "weight_order"} if network else {"reach"}
         for y in words:
             mwd(ch, y)
+            assert not unbuilt & ch._cache.keys(), (ch, y)
             for c in radii:
                 mwd_bounded(ch, c, y)
-        assert "reach" not in ch._cache, ch
+                assert not unbuilt & ch._cache.keys(), (ch, c, y)
+        for c in set(range(ch.w_max + 2)) - set(radii):
+            with pytest.raises(InvalidDecoderError):
+                mwd_bounded(ch, c, words[0])
+            assert not unbuilt & ch._cache.keys(), (ch, c)
+        if network:
+            for z in islice(ch.errors.space.elements(), 1, 6):
+                is_correctable(ch, z)
+                assert not unbuilt & ch._cache.keys(), (ch, z)
+                is_detectable(ch, z)
+                assert not unbuilt & ch._cache.keys(), (ch, z)
 
         weights = ch._weight_order()[1]
         reaches = [_reach(ch, xi) for xi in range(len(ch.codewords))]
