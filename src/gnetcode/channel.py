@@ -153,14 +153,13 @@ class Channel:
     directly, unless you bring your own transfer callable.
 
     ``transfer(x, z)`` answers single-error questions (:meth:`evaluate`,
-    and the per-error decoder verdicts on a channel with a reach
-    kernel).  Whole rows come from the row kernel ``row(x, codec)``: the
-    codes of x's outputs against every error, in the error space's
-    enumeration order, packed by the channel's
-    :class:`~gnetcode.codec.Codec`.  The channel creates that codec with
-    its first row, never at construction, and every scan over a row (reach
-    maps, decoders, classification) runs on the codes; outputs become
-    tuples again only at the public boundary.  The constructors pass a row
+    and the per-error decoder verdicts on every channel).  Whole rows
+    come from the row kernel ``row(x, codec)``: the codes of x's outputs
+    against every error, in the error space's enumeration order, packed
+    by the channel's :class:`~gnetcode.codec.Codec`.  The channel creates
+    that codec with its first row, never at construction, and every scan
+    over a row (reach maps, decoders, classification) runs on the codes;
+    outputs become tuples again only at the public boundary.  The constructors pass a row
     kernel, and a transfer, whose outputs are elements by construction, so
     the codewords' zero-error outputs are not checked again here.  Without
     a row kernel those outputs are checked, each row is evaluated pair by
@@ -173,9 +172,10 @@ class Channel:
     nondecreasing weight, without a row; :func:`gnetcode.distances._reach`
     calls it when present and reads the map off the row otherwise.
     :func:`~gnetcode.network.compile_network` passes one.  With a reach
-    kernel the balls and decoders read the reach maps too, and the
-    per-error decoder verdicts take each output from ``transfer``, so no
-    row is built on that path (see :func:`gnetcode.distances._row_free`).
+    kernel the balls and MWD read the reach maps too, so no row is built
+    on that path (see :func:`gnetcode.distances._row_free`).  The
+    per-error decoder verdicts take each output from ``transfer`` on every
+    channel, validated by :meth:`_checked` as a row's outputs are.
     """
 
     def __init__(self, field: Field, codewords, errors: ErrorModel, outputs,
@@ -288,16 +288,17 @@ class Channel:
 
     def _checked_row(self, x, codec):
         """Row kernel of a channel built without one: per pair, validated."""
-        transfer, contains = self._transfer, self.outputs.contains
-        row = []
-        for z in self.errors.space.elements():
-            y = transfer(x, z)
-            if not contains(y):
-                raise ConstructionError(
-                    f"transfer output {y!r} for (x, z) = ({x!r}, {z!r}) is outside "
-                    "the declared output space")
-            row.append(y)
-        return codec.encode_all(row)
+        return codec.encode_all([self._checked(x, z) for z in self.errors.space.elements()])
+
+    def _checked(self, x, z):
+        """F(x, z), raising :class:`ConstructionError` with (x, z) if it is
+        outside the output space."""
+        y = self._transfer(x, z)
+        if not self.outputs.contains(y):
+            raise ConstructionError(
+                f"transfer output {y!r} for (x, z) = ({x!r}, {z!r}) is outside "
+                "the declared output space")
+        return y
 
 
 def enumerate_errors_up_to(ch: Channel, c: int) -> list[tuple]:

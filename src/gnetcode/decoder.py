@@ -1,6 +1,6 @@
 """Minimum weight decoding and code capability classification.
 
-A decoder reads one received word off one source per codeword, in
+MWD reads one received word off one source per codeword, in
 nondecreasing error weight (see :mod:`gnetcode.distances`).  On a
 channel with a reach kernel (every network) the source is the
 codeword's reach map, which the network computes with no transfer row,
@@ -21,24 +21,26 @@ variant MWD(c) is defined only when the radius-c balls {y : W_i(y) <=
 c} are pairwise disjoint, a verdict cached per radius beside the balls;
 then it decodes y to the codeword whose ball holds it.  The radius-0
 balls are the clean outputs' codes, so MWD(0) builds no row and no
-reach map; a larger ball is a prefix of the same source.
+reach map; a larger ball is a prefix of the same source.  Where two
+balls meet, the witness is read off the balls alone: the first meeting
+pair in codeword order and the least code they share, which is their
+least word, as codes keep the output space's enumeration order.
 
 An error z is correctable when MWD returns x_i from F(x_i, z), for
 every codeword x_i.  It is detectable when MWD(0) returns x_i or
 declares a detection, that is when F(x_i, z) never lands on a
 *different* codeword's clean output; nonlinear node maps can swallow an
-error entirely.  Both predicates get F(x_i, z)'s code once per codeword:
-on a network from one per-pair transfer, encoded once; elsewhere off
-x_i's row at z's position (z's enumeration index mapped through the
-inverse weight order, cached per channel), with no per-error
-transfer.  :func:`is_correctable` then looks the code up in every
+error entirely.  On every channel both predicates take each F(x_i, z)
+from one per-pair transfer, checked in the output space and encoded
+once.  :func:`is_correctable` then looks the code up in every
 codeword's reach map (one dict lookup each) and applies MWD's rule;
 :func:`is_detectable` looks it up in the radius-0 balls, as MWD(0)
-does.  :func:`capability` reads only the reach maps, which a network
-computes without any row (see :func:`gnetcode.distances._reach`): the
-least uncorrectable weight is the least second-smallest W_i(y) over the
-words two codewords reach, and the least undetectable weight the least
-W_i of another codeword's clean code.  A code corrects c errors while
+does, so it builds no row and no reach map.  :func:`capability` reads
+only the reach maps, which a network computes without any row (see
+:func:`gnetcode.distances._reach`): the least uncorrectable weight is
+the least second-smallest W_i(y) over the words two codewords reach,
+and the least undetectable weight the least W_i of another codeword's
+clean code.  A code corrects c errors while
 detecting c' more exactly when the refined joint minimum d2_min[c] is
 at least c'+1, so :func:`is_joint_correcting` reads that one memoized
 column of :func:`gnetcode.distances.minimum_distances`.
@@ -47,10 +49,9 @@ column of :func:`gnetcode.distances.minimum_distances`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import combinations
 
 from .channel import Channel
 from .distances import (INFINITE, _balls, _disjoint, _reach, _row_free, minimum_distances,
@@ -123,56 +124,30 @@ def _ball_owner(balls: list, code: int):
     return next((i for i, ball in enumerate(balls) if code in ball), None)
 
 
-def _row_position(ch: Channel, z) -> int:
-    """z's position in every codeword's weight-ordered row.
-
-    z's enumeration index reads its symbols as base-q digits, the first
-    coordinate most significant and a matrix's entries row-major (see
-    :func:`gnetcode.channel._is_additive`); the inverse of the weight
-    order, built once per channel, maps it to the position.
-    """
-    positions = ch._cache.get("row_positions")
-    if positions is None:
-        order = ch._weight_order()[0]
-        positions = ch._cache["row_positions"] = [0] * len(order)
-        for position, index in enumerate(order):
-            positions[index] = position
-    q, index = ch.field.q, 0
-    for s in (chain.from_iterable(z) if len(ch.errors.space.shape) == 2 else z):
-        index = index * q + s
-    return positions[index]
-
-
 def _least_weights(ch: Channel):
-    """(sources, least): each codeword's output codes in nondecreasing
-    error weight, in codeword order, to be read once, and a reader giving
-    every codeword's W_i for one code (None where x_i does not reach it).
+    """A reader giving every codeword's W_i for one code, in codeword order
+    (None where x_i does not reach it).
 
-    A channel with a reach kernel (every network) gives its reach maps,
-    which it computes with no row, and looks W_i up in them; a map is
-    built on first use, so nothing is built until a code is read.  Any
-    other channel gives its rows, all built here (so a custom channel's
-    output outside the space raises
-    :class:`~gnetcode.channel.ConstructionError`), and reads W_i as the
-    weight at the code's first position.
+    A channel with a reach kernel (every network) looks W_i up in its
+    reach maps, which it computes with no row; a map is built on first
+    use, so nothing is built until a code is read.  Any other channel
+    builds its rows here (so a custom channel's output outside the space
+    raises :class:`~gnetcode.channel.ConstructionError`) and reads W_i as
+    the weight at the code's first position.
     """
-    indices = range(len(ch.codewords))
     if _row_free(ch):
-        return (map(partial(_reach, ch), indices),
-                lambda code: [_reach(ch, i).get(code) for i in indices])
-    rows = list(map(ch._code_row, ch.codewords))
-    return rows, partial(_row_weights, rows, ch._weight_order()[1])
+        indices = range(len(ch.codewords))
+        return lambda code: [_reach(ch, i).get(code) for i in indices]
+    return partial(_row_weights, list(map(ch._code_row, ch.codewords)), ch._weight_order()[1])
 
 
 def _sent(ch: Channel, z) -> list:
-    """Each codeword's F(x_i, z) as a code: one per-pair transfer each,
-    encoded once, on a channel with a reach kernel (so no row is built);
-    read at z's row position on any other channel."""
-    if _row_free(ch):
-        encode = ch._codec().encode
-        return [encode(ch._transfer(x, z)) for x in ch.codewords]
-    at = _row_position(ch, z)
-    return [ch._code_row(x)[at] for x in ch.codewords]
+    """Each codeword's F(x_i, z) as a code, on every channel: one per-pair
+    transfer each, checked in the output space (else
+    :class:`~gnetcode.channel.ConstructionError` names (x, z)) and encoded
+    once, so no row is built."""
+    encode = ch._codec().encode
+    return [encode(ch._checked(x, z)) for x in ch.codewords]
 
 
 def mwd(ch: Channel, y) -> DecodeOutcome:
@@ -185,7 +160,7 @@ def mwd(ch: Channel, y) -> DecodeOutcome:
     (whose outputs are elements by construction) builds no reach map;
     then y is decoded on each codeword's W_i(y).
     """
-    least = _least_weights(ch)[1]
+    least = _least_weights(ch)
     if not ch.outputs.contains(y):
         return DETECTED
     owner = _mwd_owner(least(ch._codec().encode(y)))
@@ -199,22 +174,20 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
     (at radius 0 off the clean outputs; otherwise off the reach maps on a
     network and off the rows elsewhere); then the radius is checked
     (:class:`InvalidDecoderError` if two balls meet, naming the first
-    code that two balls hold over the same sources in codeword order);
-    then a word outside the output space is detected; then y decodes to
-    the ball holding it.
+    meeting pair in codeword order and the least word they share); then a
+    word outside the output space is detected; then y decodes to the ball
+    holding it.
     """
     if c < 0:
         raise ValueError("radius must be nonnegative")
     if not _disjoint(ch, c):
-        balls, (sources, least) = _balls(ch, c), _least_weights(ch)
-        held = Counter(chain.from_iterable(balls))
-        shared = next(code for code in chain.from_iterable(sources) if held[code] > 1)
-        a = _solution(least(shared))[1]
-        b = next(j for j, ball in enumerate(balls) if j != a and shared in ball)
+        balls = _balls(ch, c)
+        a, b = next((a, b) for a, b in combinations(range(len(balls)), 2)
+                    if not balls[a].isdisjoint(balls[b]))
         raise InvalidDecoderError(
             f"radius-{c} balls of {ch.codewords[a]!r} and {ch.codewords[b]!r} "
-            f"intersect at {ch._codec().decode(shared)!r}; bounded decoding is "
-            "undefined at this radius")
+            f"intersect at {ch._codec().decode(min(balls[a] & balls[b]))!r}; "
+            "bounded decoding is undefined at this radius")
     if not ch.outputs.contains(y):
         return DETECTED
     owner = _ball_owner(_balls(ch, c), ch._codec().encode(y))
@@ -224,8 +197,9 @@ def mwd_bounded(ch: Channel, c: int, y) -> DecodeOutcome:
 def is_correctable(ch: Channel, z) -> bool:
     """Does minimum weight decoding recover every transmission under z?
 
-    Each F(x_i, z) (see :func:`_sent`) is decoded by MWD's rule, on the
-    codewords' W_j for it, looked up in their reach maps.
+    Each F(x_i, z), from one transfer (see :func:`_sent`), is decoded by
+    MWD's rule, on the codewords' W_j for it, looked up in their reach
+    maps; off a network those maps are read off the rows.
     """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")
@@ -237,9 +211,10 @@ def is_correctable(ch: Channel, z) -> bool:
 def is_detectable(ch: Channel, z) -> bool:
     """Is z never mistaken for a different codeword's clean output?
 
-    Each F(x_i, z) (see :func:`_sent`) is decided on the radius-0 balls,
-    as MWD(0) does.  They are the clean outputs, which construction keeps
-    apart, so MWD(0) is always defined.
+    Each F(x_i, z), from one transfer (see :func:`_sent`), is decided on
+    the radius-0 balls, as MWD(0) does.  They are the clean outputs, which
+    construction keeps apart, so MWD(0) is always defined, and no row or
+    reach map is built.
     """
     if not ch.errors.space.contains(z):
         raise ValueError(f"{z!r} is not in the error space")

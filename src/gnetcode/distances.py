@@ -91,7 +91,7 @@ def _cw_index(ch: Channel, x) -> int:
 
 def _row_free(ch: Channel) -> bool:
     """Does the channel have a reach kernel (every network does)?  Then its
-    reach maps, balls and decoders are computed with no transfer row."""
+    reach maps, balls and MWD are computed with no transfer row."""
     return ch._reach is not None
 
 

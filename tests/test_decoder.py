@@ -97,10 +97,13 @@ def test_words_outside_the_output_space_are_detected(toy):
 
 
 def assert_names_a_real_intersection(ch, c):
-    """MWD(c) raises, and its message names codewords A != B and a word Y
-    that lies in both radius-c balls by the ball definition."""
+    """MWD(c) raises, and its message names the first pair of codewords
+    A, B, in codeword order, whose radius-c balls meet by the ball
+    definition, and the least word Y of the output space (in its
+    enumeration order) that lies in both."""
     import ast
     import re
+    from itertools import combinations
     from oracles import naive_ball
 
     with pytest.raises(InvalidDecoderError) as info:
@@ -109,8 +112,10 @@ def assert_names_a_real_intersection(ch, c):
                        "bounded decoding is undefined at this radius", str(info.value))
     assert got, info.value
     a, b, y = map(ast.literal_eval, got.groups())
-    assert a != b and {a, b} <= set(ch.codewords)
-    assert y in naive_ball(ch, a, c) and y in naive_ball(ch, b, c)
+    balls = {x: naive_ball(ch, x, c) for x in ch.codewords}
+    assert (a, b) == next(pair for pair in combinations(ch.codewords, 2)
+                          if balls[pair[0]] & balls[pair[1]])
+    assert y == next(w for w in ch.outputs.elements() if w in balls[a] and w in balls[b])
 
 
 def test_mwd_bounded_invalid_radius(toy, repetition):
@@ -119,9 +124,30 @@ def test_mwd_bounded_invalid_radius(toy, repetition):
 
     for ch in (toy, repetition):
         assert_names_a_real_intersection(ch, 2)
-    # the relay network's witness is read off its reach maps, in their order
+    # the relay network's balls are reach-map prefixes, yet its witness is
+    # the balls' own: the least word of the first meeting pair
     relay = channel_from_config((CONFIGS / "linear_relay_network.ini").read_text())
     assert_names_a_real_intersection(relay, 1)
+
+
+def test_every_demo_config_names_the_canonical_witness():
+    """On every demo config, at every radius where two balls meet, MWD(c)
+    names the first meeting pair and their least shared word."""
+    from gnetcode.config import channel_from_config
+    from oracles import naive_ball
+    from test_golden import CONFIGS
+
+    paths = sorted(CONFIGS.glob("*.ini"))
+    assert paths
+    met = 0
+    for path in paths:
+        ch = channel_from_config(path.read_text())
+        for c in range(ch.w_max + 1):
+            balls = [naive_ball(ch, x, c) for x in ch.codewords]
+            if sum(map(len, balls)) > len(set().union(*balls)):
+                assert_names_a_real_intersection(ch, c)
+                met += 1
+    assert met
 
 
 def test_correctable(toy):
@@ -148,10 +174,9 @@ def test_detectable(toy):
 
 
 def test_per_error_predicates_decode_each_evaluated_output(repetition):
-    """The predicates read F(x, z) at z's row position, or on a network off
-    one per-pair transfer; they must agree with decoding ch.evaluate(x, z)
-    on every error, matrix errors (whose entries enumerate row-major)
-    included."""
+    """The predicates take F(x, z) from one per-pair transfer on every
+    channel; they must agree with decoding ch.evaluate(x, z) on every
+    error, matrix errors included."""
     import random
     from gnetcode import (random_rank_channel, random_sum_rank_channel, random_table_channel,
                           toy_channel)
@@ -169,6 +194,43 @@ def test_per_error_predicates_decode_each_evaluated_output(repetition):
             if z != zero:
                 assert is_detectable(ch, z) == all(
                     mwd_bounded(ch, 0, y).codeword in (None, x) for x, y in sent)
+
+
+def test_per_error_predicates_check_each_transfer_output(gf2):
+    """A custom channel (no row kernel) whose only output outside the space
+    is F((0, 1), (1, 1)).  At that error both predicates raise naming the
+    pair.  At every other nonzero error is_detectable, which takes its
+    outputs from the transfer alone, answers by the definition;
+    is_correctable reads every codeword's reach map off its validated
+    row, so it raises naming the same pair."""
+    from gnetcode import Channel, ConstructionError, ErrorModel, HAMMING, VectorSpace
+    from gnetcode.matrices import vec_add
+
+    space = VectorSpace(gf2, 2)
+    errors = ErrorModel(space, WeightMeasure(HAMMING))
+
+    def transfer(x, z):
+        return (7, 0) if (x, z) == ((0, 1), (1, 1)) else vec_add(gf2, x, z)
+
+    def channel():
+        return Channel(gf2, [(0, 0), (0, 1)], errors, space, transfer)
+
+    culprit = r"\(x, z\) = \(\(0, 1\), \(1, 1\)\)"
+    for predicate in (is_correctable, is_detectable):
+        with pytest.raises(ConstructionError, match=culprit):
+            predicate(channel(), (1, 1))
+    answers = []
+    for z in [(0, 1), (1, 0)]:
+        ch = channel()
+        clean = {ch.zero_output(x) for x in ch.codewords}
+        answers.append(is_detectable(ch, z))
+        assert answers[-1] == all(
+            transfer(x, z) not in clean - {ch.zero_output(x)} for x in ch.codewords)
+        assert "code_rows" not in ch._cache
+        with pytest.raises(ConstructionError, match=culprit):
+            is_correctable(ch, z)
+    # (0, 1) moves (0, 0) onto (0, 1)'s clean output; (1, 0) lands on no codeword's
+    assert answers == [False, True]
 
 
 def test_capability_toy(toy):
@@ -299,7 +361,8 @@ def test_mwd_matches_naive_oracle(repetition):
 def test_decoders_read_reach_maps_on_a_network_and_rows_elsewhere():
     """On a network (the toy and a random one) no mwd, mwd_bounded,
     is_correctable or is_detectable call builds a row or the weight order;
-    on the rank channel mwd and mwd_bounded build no reach map.  The calls
+    on the rank channel mwd and mwd_bounded build no reach map, and
+    is_detectable builds no row and no weight order.  The calls
     run on a reached, an unreached and an outside word, at every radius
     whose balls are disjoint, at every radius where they meet (raising),
     and on a few errors.  The row reader's triple is the one the reach
@@ -338,12 +401,13 @@ def test_decoders_read_reach_maps_on_a_network_and_rows_elsewhere():
             with pytest.raises(InvalidDecoderError):
                 mwd_bounded(ch, c, words[0])
             assert not unbuilt & ch._cache.keys(), (ch, c)
-        if network:
-            for z in islice(ch.errors.space.elements(), 1, 6):
+        ch._cache.clear()
+        for z in islice(ch.errors.space.elements(), 1, 6):
+            if network:
                 is_correctable(ch, z)
                 assert not unbuilt & ch._cache.keys(), (ch, z)
-                is_detectable(ch, z)
-                assert not unbuilt & ch._cache.keys(), (ch, z)
+            is_detectable(ch, z)
+            assert not {"code_rows", "weight_order"} & ch._cache.keys(), (ch, z)
 
         weights = ch._weight_order()[1]
         reaches = [_reach(ch, xi) for xi in range(len(ch.codewords))]
