@@ -23,7 +23,7 @@ from operator import ne
 from .codec import Codec
 from .field import Field
 from . import matrices as mx
-from .weights import WeightMeasure, HAMMING, RANK, symbol_sums
+from .weights import WeightMeasure, HAMMING, RANK, index_sums, symbol_sums
 
 DEFAULT_PAIR_BUDGET = 10 ** 6
 
@@ -256,8 +256,11 @@ class Channel:
 
     def _errors_by_weight(self):
         """All errors as (z, weight) in weight order, built only on demand, for
-        :func:`enumerate_errors_up_to`, the rank and sum-rank axiom sample
-        and the test oracle."""
+        :func:`enumerate_errors_up_to` and the test oracle.  The weight
+        axioms read :meth:`_weight_order` instead: the Hamming route builds
+        no error tuple, and the rank and sum-rank route enumerates the
+        errors once, by index, to row-reduce each, in O(|E|) plus the
+        subadditivity pairs."""
         cached = self._cache.get("errors_by_weight")
         if cached is None:
             errors = list(self.errors.space.elements())
@@ -425,19 +428,15 @@ def _first_failing_pair(ch: Channel, h: list, add):
     additive.  They come first in weight order, so the first failing pair
     of the all-pairs scan has one of them as za, and the scan stops there.
     The scan runs on enumeration indices: for each za, the index of za + zb
-    for every zb is built one base-q digit at a time (highest place first)
-    from za's digits and the field's addition table, and only the two
-    witness errors are lifted to tuples.
+    for every zb comes from :func:`gnetcode.weights.index_sums`, and only
+    the two witness errors are lifted to tuples.
     """
-    q, table = ch.field.q, ch.field.add_table
+    table = ch.field.add_table
     order, weights = ch._weight_order()
     places = math.prod(ch.errors.space.shape)
     hb = list(map(h.__getitem__, order))  # h(zb) in weight order
     for a in order[:bisect_right(weights, 1)]:
-        sums = [0]  # sums[b] = index of za + zb, zb by enumeration index
-        for p in reversed(range(places)):
-            digit_sums = table[a // q ** p % q]
-            sums = [s * q + c for s in sums for c in digit_sums]
+        sums = index_sums(table, a, places)  # sums[b] = index of za + zb
         bad = next(compress(order, map(ne, map(h.__getitem__, map(sums.__getitem__, order)),
                                        map(add, repeat(h[a]), hb))), None)
         if bad is not None:

@@ -38,15 +38,13 @@ from .field import Field
 from . import matrices as mx
 from .channel import Channel, ChannelClass, classify, matrix_channel, table_channel
 from .weights import (WeightMeasure, HAMMING, RANK, SUM_RANK,
-                      verify_separable_axioms, verify_weight_axioms)
+                      verify_rank_axioms, verify_separable_axioms)
 from .distances import is_finite, minimum_distances, DistanceReport
 from . import decoder as dec
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
-
-AXIOM_ELEMENT_BUDGET = 256  # rank and sum-rank axioms sample beyond this
 
 
 @dataclass(frozen=True)
@@ -490,19 +488,6 @@ class VerdictLedger:
         return "\n".join(lines)
 
 
-def _axiom_sample(ch: Channel, seed: int) -> list:
-    """Every error when there are at most AXIOM_ELEMENT_BUDGET, else a seeded
-    sample of that many with the zero error in it."""
-    elements = [z for z, _ in ch._errors_by_weight()]
-    if len(elements) <= AXIOM_ELEMENT_BUDGET:
-        return elements
-    sample = random.Random(seed).sample(elements, AXIOM_ELEMENT_BUDGET)
-    zero = ch.errors.space.zero()
-    if zero not in sample:
-        sample[0] = zero
-    return sample
-
-
 def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     """Run every check against one channel and aggregate the verdicts.
 
@@ -511,10 +496,13 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     :func:`~gnetcode.weights.verify_separable_axioms` checks it over the
     whole error space: separability on every error (one comparison on the
     cached weight list), the four axioms once on all of GF(q)^1's pairs,
-    at any field size.  Rank and sum-rank weights keep
-    :func:`~gnetcode.weights.verify_weight_axioms` over every error when
-    there are at most AXIOM_ELEMENT_BUDGET, else over a seeded sample of
-    that many, and over every pair of those errors.
+    at any field size.  Rank and sum-rank weights take
+    :func:`~gnetcode.weights.verify_rank_axioms` on the cached weight list:
+    nonnegativity, inverse invariance and decomposability on every error
+    (one row reduction each), subadditivity on every pair of errors when
+    there are at most :data:`~gnetcode.weights.AXIOM_ELEMENT_BUDGET`, else
+    on every pair of a sample of that many drawn with ``seed``; O(|E|) plus
+    those pairs.
     The ledger also records the smallest observed d1/d0 ratio (no claim is
     attached to it; a lower bound on d0 in terms of d1 is not available).
     """
@@ -526,7 +514,7 @@ def run_all(ch: Channel, seed: int = 0) -> VerdictLedger:
     if measure.kind == HAMMING:
         axioms = verify_separable_axioms(ch.errors, *ch._weight_order())
     else:
-        axioms = verify_weight_axioms(ch.field, _axiom_sample(ch, seed), measure)
+        axioms = verify_rank_axioms(ch.errors, *ch._weight_order(), seed)
     checks = [(name, check) for name in (
         "separability", "nonnegativity", "subadditivity", "inverse_invariance",
         "decomposability") if (check := getattr(axioms, name)) is not None]

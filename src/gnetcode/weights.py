@@ -2,13 +2,19 @@
 
 Besides the weights themselves this module provides the constructive
 splitting of an error into two parts of prescribed weights (the
-decomposability property that error-linear channels require),
+decomposability property that error-linear channels require; a rank or
+sum-rank error's splits all come from one row reduction),
 :func:`symbol_sums`, which weighs all of GF(q)^n from per-symbol weights,
-and two axiom verifiers for the theorem harness: :func:`verify_weight_axioms`
-scans the given errors (and pairs, sampled past a budget), and
-:func:`verify_separable_axioms` decides the axioms over a whole error
-space for the Hamming weight, which is a sum of per-symbol weights:
-separability on the cached weight list, the four axioms once on GF(q)^1.
+:func:`index_sums`, which adds errors as enumeration indices, and three
+axiom verifiers for the theorem harness.  :func:`verify_weight_axioms`
+scans the given errors and their pairs (sampled past a budget).  The other
+two decide the axioms over a whole error space from its cached weight
+list: :func:`verify_separable_axioms` for the Hamming weight, which is a
+sum of per-symbol weights (separability on the list, the four axioms once
+on GF(q)^1), and :func:`verify_rank_axioms` for rank and sum-rank weights
+(nonnegativity, inverse invariance and decomposability on every error,
+subadditivity on every pair of at most a budget of errors, else of a
+seeded sample), in O(|E|) plus the scanned pairs.
 
 Flat error vectors are tuples of field elements; matrix errors are tuples
 of row tuples.  The sum-rank weight carries a column partition
@@ -22,7 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import ne
+from operator import gt, ne
 
 from .field import Field
 from . import matrices as mx
@@ -31,6 +37,10 @@ HAMMING = "hamming"
 RANK = "rank"
 SUM_RANK = "sum-rank"
 _KINDS = (HAMMING, RANK, SUM_RANK)
+
+# rank and sum-rank subadditivity (verify_rank_axioms) scans every pair of
+# at most this many errors, else of a seeded sample of this many
+AXIOM_ELEMENT_BUDGET = 256
 
 
 def hamming_weight(v) -> int:
@@ -52,6 +62,25 @@ def symbol_sums(symbol_weights: list[int], n: int) -> list[int]:
     sums = [0]
     for _ in range(n):
         sums = [w + s for w in symbol_weights for s in sums]
+    return sums
+
+
+def index_sums(table: list[list[int]], a: int, places: int, b: int | None = None) -> list[int]:
+    """Enumeration indices of za + zb in a space of ``places`` base-q digits.
+
+    Errors enumerate as base-q numbers (a matrix's entries row-major, the
+    last coordinate lowest), and addition is digitwise, so the index of
+    za + zb is built one digit at a time, highest place first, from the
+    field's addition ``table``.  Returns the index for every zb, by zb's
+    index, or, given ``b``, the one-element list for zb at index b.
+    """
+    q = len(table)
+    sums = [0]
+    for p in reversed(range(places)):
+        step = q ** p
+        digit_sums = table[a // step % q]
+        sums = ([s * q + c for s in sums for c in digit_sums] if b is None
+                else [sums[0] * q + digit_sums[b // step % q]])
     return sums
 
 
@@ -78,8 +107,7 @@ def split_blocks(a: mx.Matrix, blocks: tuple[int, ...]) -> list[mx.Matrix]:
 
 
 def join_blocks(parts: list[mx.Matrix]) -> mx.Matrix:
-    rows = len(parts[0])
-    return tuple(tuple(x for part in parts for x in part[i]) for i in range(rows))
+    return tuple(sum(rows, ()) for rows in zip(*parts))
 
 
 def decompose_hamming(z, c1: int, c2: int):
@@ -110,58 +138,73 @@ def _split_after_nonzeros(v: tuple, count: int):
     return v[:cut] + (0,) * (len(v) - cut), (0,) * cut + v[cut:]
 
 
-def decompose_rank(f: Field, z: mx.Matrix, c1: int, c2: int):
-    """Split z = z1 + z2 with column ranks exactly (c1, c2).
+def rank_splits(f: Field, z: mx.Matrix) -> list[tuple[mx.Matrix, mx.Matrix]]:
+    """Every split z = z1 + z2 with column ranks (c, r - c), for c = 0..r,
+    r = rank z, from one row reduction.
 
-    One row reduction factors z = C·F: C holds z's pivot columns (its
-    leftmost maximal independent column set) and F the nonzero rows of its
-    reduced echelon form, so column j of F expresses z's column j in C's
-    basis.  Then z1 = C[:, :c1]·F[:c1] and z2 = C[:, c1:]·F[c1:]: z1 keeps
-    the first c1 pivot columns and every other column's part in their span.
-    The products add on the field's raw tables, as the checked elimination
-    has already rejected any symbol outside the field.
+    The reduction factors z = C·F: C holds z's pivot columns (its leftmost
+    maximal independent column set) and F the nonzero rows of its reduced
+    echelon form, so column j of F expresses z's column j in C's basis.
+    Split c is z1 = C[:, :c]·F[:c] and z2 = C[:, c:]·F[c:]: z1 keeps the
+    first c pivot columns and every other column's part in their span.
+    Both are running sums of the rank-one terms C[:, k]·F[k], from the
+    front and from the back.  The terms add on the field's raw tables, as
+    the checked elimination has already rejected any symbol outside the
+    field.
     """
     reduced, pivots = mx._echelon(f, z)
-    r = len(pivots)
-    if c1 < 0 or c2 < 0 or c1 + c2 != r:
-        raise ValueError(f"split ({c1}, {c2}) does not sum to the rank {r}")
-    add, mul = f.add_table, f.mul_table
+    mul = f.mul_table
+    add = mx.adder(f, mx.dims(z))
+    zero = mx.zeros(*mx.dims(z))
+    terms = [tuple(tuple(map(mul[row[p]].__getitem__, reduced[k])) for row in z)
+             for k, p in enumerate(pivots)]
+    heads = itertools.accumulate(terms, add, initial=zero)
+    tails = list(itertools.accumulate(reversed(terms), add, initial=zero))
+    return list(zip(heads, reversed(tails)))
 
-    def part(ks):
-        out = []
-        for row in z:
-            acc = [0] * len(row)
-            for k in ks:
-                scaled = mul[row[pivots[k]]]
-                acc = [add[a][scaled[b]] for a, b in zip(acc, reduced[k])]
-            out.append(tuple(acc))
-        return tuple(out)
 
-    return part(range(c1)), part(range(c1, r))
+def sum_rank_splits(f: Field, z: mx.Matrix,
+                    blocks: tuple[int, ...]) -> list[tuple[mx.Matrix, mx.Matrix]]:
+    """Every split z = z1 + z2 with sum-rank weights (c, total - c), for
+    c = 0..total, from one row reduction per block.
+
+    Per-block rank targets are chosen greedily left to right: block i gets
+    e_i = min(rank_i, remaining c) for z1 and the rest for z2, and its
+    split e_i from :func:`rank_splits`.
+    """
+    per_block = [rank_splits(f, part) for part in split_blocks(z, blocks)]
+    out = []
+    for c in range(sum(map(len, per_block)) - len(per_block) + 1):
+        remaining = c
+        parts1, parts2 = [], []
+        for splits in per_block:
+            e = min(len(splits) - 1, remaining)
+            remaining -= e
+            parts1.append(splits[e][0])
+            parts2.append(splits[e][1])
+        out.append((join_blocks(parts1), join_blocks(parts2)))
+    return out
+
+
+def _split(splits: list, c1: int, c2: int, weight: str):
+    """Split c1 of ``splits``, if (c1, c2) sums to their total weight."""
+    total = len(splits) - 1
+    if c1 < 0 or c2 < 0 or c1 + c2 != total:
+        raise ValueError(f"split ({c1}, {c2}) does not sum to the {weight} {total}")
+    return splits[c1]
+
+
+def decompose_rank(f: Field, z: mx.Matrix, c1: int, c2: int):
+    """Split z = z1 + z2 with column ranks exactly (c1, c2): split c1 of
+    :func:`rank_splits`."""
+    return _split(rank_splits(f, z), c1, c2, "rank")
 
 
 def decompose_sum_rank(f: Field, z: mx.Matrix, c1: int, c2: int,
                        blocks: tuple[int, ...]):
-    """Split z = z1 + z2 with sum-rank weights exactly (c1, c2).
-
-    Per-block rank targets are chosen greedily left to right: block i gets
-    e_i = min(rank_i, remaining c1) for z1 and the rest for z2; each block
-    is then split with :func:`decompose_rank`.
-    """
-    parts = split_blocks(z, blocks)
-    ranks = [mx.rank(f, part) for part in parts]
-    total = sum(ranks)
-    if c1 < 0 or c2 < 0 or c1 + c2 != total:
-        raise ValueError(f"split ({c1}, {c2}) does not sum to the sum-rank {total}")
-    remaining = c1
-    parts1, parts2 = [], []
-    for part, r in zip(parts, ranks):
-        e = min(r, remaining)
-        remaining -= e
-        p1, p2 = decompose_rank(f, part, e, r - e)
-        parts1.append(p1)
-        parts2.append(p2)
-    return join_blocks(parts1), join_blocks(parts2)
+    """Split z = z1 + z2 with sum-rank weights exactly (c1, c2): split c1
+    of :func:`sum_rank_splits`."""
+    return _split(sum_rank_splits(f, z, blocks), c1, c2, "sum-rank")
 
 
 @dataclass(frozen=True)
@@ -272,7 +315,9 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
     outer, ``b`` inner) unless ``pair_budget`` caps them; then
     ``pair_budget`` pairs are drawn one at a time from
     ``random.Random(seed)``.  Either way the witness is the first failing
-    pair.  Decomposability checks the measure's constructive splitting.
+    pair.  Decomposability checks the measure's constructive splitting; a
+    split it cannot construct (its weight disagrees with the one its
+    construction reads, so ``decompose`` raises ``ValueError``) fails.
     Failures are reported, never raised.
     """
     elements = list(elements)
@@ -305,7 +350,10 @@ def verify_weight_axioms(f: Field, elements, measure: WeightMeasure,
     inverse = _first_failure((z,) for z in elements if w(neg(f, z)) != w(z))
 
     def splits(z, c1, c2):
-        z1, z2 = measure.decompose(f, z, c1, c2)
+        try:
+            z1, z2 = measure.decompose(f, z, c1, c2)
+        except ValueError:
+            return False
         return w(z1) == c1 and w(z2) == c2 and add(z1, z2) == z
 
     decomp = _first_failure((z, c, w(z) - c) for z in elements for c in range(w(z) + 1)
@@ -343,7 +391,7 @@ def verify_separable_axioms(errors, order: list[int], weights: list[int]) -> Axi
     verdicts then speak only for the symbol weights, as decomposability
     does when nonnegativity fails.  A witness is lifted to a tuple from its
     enumeration index.  Rank and sum-rank weights take
-    :func:`verify_weight_axioms` on a sample instead.
+    :func:`verify_rank_axioms` instead.
     """
     space, measure = errors.space, errors.measure
     if measure.kind != HAMMING:
@@ -376,3 +424,94 @@ def verify_separable_axioms(errors, order: list[int], weights: list[int]) -> Axi
         (s,), c1, c2 = decomp.witness
         decomp = AxiomCheck(False, (element(s * step), c1, c2))
     return AxiomReport(nonneg, subadd, inverse, decomp, separable)
+
+
+def verify_rank_axioms(errors, order: list[int], weights: list[int], seed: int) -> AxiomReport:
+    """Check a rank or sum-rank weight's axioms over a whole error space.
+
+    ``errors`` is the space's :class:`~gnetcode.channel.ErrorModel` and
+    ``(order, weights)`` its cached weight order, trusted as in
+    :func:`verify_separable_axioms`.  The scans run on enumeration indices,
+    and every weight they need, a split part's too, is a lookup in the
+    cached weights; the zero error is index 0, negation is one digitwise
+    index map and sums come from :func:`index_sums`.  Nonnegativity,
+    inverse invariance and decomposability are checked on every error,
+    subadditivity on every pair of a scan list: every error when there are
+    at most AXIOM_ELEMENT_BUDGET, else ``random.Random(seed).sample(order,
+    AXIOM_ELEMENT_BUDGET)`` with the zero error in place of the first draw
+    if the draw missed it.  Each scan runs in weight order (the sample in
+    its drawn order, ``a`` outer), so on at most AXIOM_ELEMENT_BUDGET
+    errors the report, witnesses included, is that of
+    :func:`verify_weight_axioms` over every error in weight order, and past
+    it the subadditivity verdict is that call's on the sample.
+
+    Each error is row-reduced once: all of its splits come from one
+    factorization (:func:`rank_splits`, :func:`sum_rank_splits`), the
+    construction the measure's ``decompose`` reads.  Split c of z is valid
+    iff its parts' cached weights are (c, w(z) - c) and their index sum is
+    z's index; when the factorization's rank differs from z's cached
+    weight, split 0 fails, where ``decompose`` would raise.  The cost is
+    O(|E|) plus the scanned pairs.
+    """
+    space, measure = errors.space, errors.measure
+    if measure.kind == HAMMING:
+        raise ValueError("the rank route covers the rank and sum-rank weights, "
+                         "not the Hamming weight")
+    f = space.field
+    table, q = f.add_table, f.q
+    places = math.prod(space.shape)
+    elements = list(space.elements())  # by enumeration index
+    index = dict(zip(elements, itertools.count()))
+    w = [0] * len(elements)  # weights by enumeration index
+    for i, wi in zip(order, weights):
+        w[i] = wi
+
+    nonneg = _first_failure((elements[i], wi) for i, wi in zip(order, weights)
+                            if wi < 0 or (wi == 0) != (i == 0))
+
+    scan = order
+    if len(scan) > AXIOM_ELEMENT_BUDGET:
+        scan = random.Random(seed).sample(order, AXIOM_ELEMENT_BUDGET)
+        if 0 not in scan:
+            scan[0] = 0
+    scan_weights = list(map(w.__getitem__, scan))
+
+    def oversums():
+        for a in scan:
+            sums = index_sums(table, a, places)
+            bad = next(itertools.compress(scan, map(
+                gt, map(w.__getitem__, map(sums.__getitem__, scan)),
+                map(w[a].__add__, scan_weights))), None)
+            if bad is not None:
+                yield elements[a], elements[bad]
+
+    subadd = _first_failure(oversums())
+
+    neg_digits = [row.index(0) for row in table]
+    neg = [0]  # neg[i] = index of -z_i
+    for _ in range(places):
+        neg = [s * q + d for s in neg for d in neg_digits]
+    inverse = _first_failure((elements[i],) for i in order if w[neg[i]] != w[i])
+
+    if measure.kind == RANK:
+        all_splits = lambda z: rank_splits(f, z)
+    else:
+        all_splits = lambda z: sum_rank_splits(f, z, measure.blocks)
+
+    def bad_splits():
+        for i, wi in zip(order, weights):
+            if wi < 0:
+                continue
+            splits = all_splits(elements[i])
+            if len(splits) != wi + 1:
+                yield elements[i], 0, wi
+                continue
+            for c, (z1, z2) in enumerate(splits):
+                i1, i2 = index[z1], index[z2]
+                if not (w[i1] == c and w[i2] == wi - c
+                        and index_sums(table, i1, places, i2) == [i]):
+                    yield elements[i], c, wi - c
+                    break
+
+    decomp = _first_failure(bad_splits())
+    return AxiomReport(nonneg, subadd, inverse, decomp)

@@ -285,6 +285,20 @@ def test_a_wrong_cached_weight_fails_separability():
         assert witness[0] == list(ch.errors.space.elements())[order[min(positions)]]
 
 
+def test_a_weight_its_splits_disagree_with_fails_the_ledger(monkeypatch):
+    """A rank weight that disagrees with the measure's split construction
+    fails the ledger's weight-axioms verdict with that split as the
+    decomposability witness; run_all does not raise."""
+    rank = weights.rank_weight
+    monkeypatch.setattr(weights, "rank_weight",
+                        lambda f, a: rank(f, a) + (a == ((1, 0), (0, 0))))
+    ch = random_rank_channel(random.Random(3), Field(2))
+    assert ch.errors.space.shape == (2, 2)
+    verdict = by_name(run_all(ch, seed=1).verdicts)["weight-axioms"]
+    assert verdict.status == "fail"
+    assert verdict.counterexample == ("decomposability", (((1, 0), (0, 0)), 0, 2))
+
+
 def test_ledger_deterministic():
     rng = random.Random(9)
     ch = random_table_channel(rng, Field(3), n_codewords=3, error_length=3,
@@ -344,8 +358,12 @@ def test_weight_axioms_cover_every_network_error(monkeypatch):
         assert compared == summed == [size]
         assert "errors_by_weight" not in ch._cache
         assert set(splits) <= {(s,) for s in range(3)} and len(splits) <= 2 * 3 - 1
-        sample = properties._axiom_sample(ch, seed)
-        assert len(sample) == properties.AXIOM_ELEMENT_BUDGET < size
+        # the seeded sample the ledger once checked these weights on
+        sample = random.Random(seed).sample([z for z, _ in ch._errors_by_weight()],
+                                            weights.AXIOM_ELEMENT_BUDGET)
+        if ch.errors.space.zero() not in sample:
+            sample[0] = ch.errors.space.zero()
+        assert len(sample) == weights.AXIOM_ELEMENT_BUDGET < size
         sampled = verify_weight_axioms(ch.field, sample, ch.errors.measure)
         assert sampled.passed and verdict.status == "pass"
         assert verdict.detail == ("nonnegativity, subadditivity, inverse invariance, "
